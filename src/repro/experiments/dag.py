@@ -170,7 +170,7 @@ def run_dag_point(
         n_cores=n_cores,
         n_tasks=graph.n_tasks,
         n_edges=graph.n_edges,
-        time=res.time,
+        time=float(res.time),
         local_fraction=res.metrics.local_fraction,
         migrations=res.metrics.migrations,
         remote_bytes=res.metrics.remote_bytes,

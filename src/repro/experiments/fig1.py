@@ -410,7 +410,7 @@ def run_point(
     return Fig1Point(
         implementation=implementation,
         n_cores=n_cores,
-        time=time,
+        time=float(time),
         local_fraction=metrics.local_fraction,
         migrations=metrics.migrations,
         remote_bytes=metrics.remote_bytes,

@@ -28,7 +28,9 @@ class SnapshotWriter:
     ``SweepRunner.map(on_event=...)``; it also works as a plain
     zero-argument flush.  Writes at most once per *min_interval*
     seconds except for ``sweep_end`` events and explicit
-    :meth:`flush` calls, which always write.
+    :meth:`flush` calls, which always write.  The first snapshot is
+    never rate-limited (a monotonic clock may start near 0 on a freshly
+    booted host).
     """
 
     def __init__(
@@ -41,7 +43,8 @@ class SnapshotWriter:
         self.path = path
         self.registry = registry
         self.min_interval = min_interval
-        self._last_write = 0.0
+        #: monotonic clock reading of the last write (None: never written).
+        self._last_write: float | None = None
         self.writes = 0
 
     def _registry(self) -> MetricRegistry:
@@ -63,8 +66,10 @@ class SnapshotWriter:
         if kind is not None:
             self._track_progress(kind, event)
         force = kind == "sweep_end" or event is None
-        if not force and (
-            time.monotonic() - self._last_write < self.min_interval
+        if (
+            not force
+            and self._last_write is not None
+            and time.monotonic() - self._last_write < self.min_interval
         ):
             return
         self.flush()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, Optional
 
 
@@ -46,13 +47,16 @@ class RequestState(enum.Enum):
 class Request:
     """One entry of a location FIFO."""
 
-    __slots__ = ("mode", "state", "tag", "payload")
+    __slots__ = ("mode", "state", "tag", "waiter", "payload")
 
-    def __init__(self, mode: AccessMode, tag: str = "") -> None:
+    def __init__(self, mode: AccessMode, tag: str = "", waiter: int = -1) -> None:
         self.mode = mode
         self.state = RequestState.PENDING
         #: free-form identifier (op name) for diagnostics.
         self.tag = tag
+        #: simulator thread id of the requesting operation (-1 = none);
+        #: the runtime prices the grant message to this thread.
+        self.waiter = waiter
         #: runtime-attached object (the grant SimEvent).
         self.payload: object = None
 
@@ -87,6 +91,12 @@ class OrwlFifo:
         self.name = name
         #: total requests ever inserted (diagnostics).
         self.inserted = 0
+        # Granted requests always form a prefix of the queue; these two
+        # counters describe it (its length, and how many of its entries
+        # are writes — 0 or 1, a write being granted alone), so neither
+        # granting nor releasing ever rescans the queue.
+        self._n_granted = 0
+        self._n_granted_writes = 0
 
     # -- queue inspection ---------------------------------------------------
 
@@ -100,25 +110,19 @@ class OrwlFifo:
 
     def granted_count(self) -> int:
         """Number of currently granted (allocated, unreleased) requests."""
-        n = 0
-        for req in self._queue:
-            if req.state is RequestState.GRANTED:
-                n += 1
-            else:
-                break
-        return n
+        return self._n_granted
 
     def holder_modes(self) -> list[AccessMode]:
-        return [r.mode for r in self._queue if r.state is RequestState.GRANTED]
+        return [r.mode for r in islice(self._queue, self._n_granted)]
 
     # -- operations ----------------------------------------------------------
 
-    def insert(self, mode: AccessMode, tag: str = "") -> Request:
+    def insert(self, mode: AccessMode, tag: str = "", waiter: int = -1) -> Request:
         """Append a request at the tail; may grant immediately.
 
         Returns the request object the holder will release later.
         """
-        req = Request(mode, tag=tag)
+        req = Request(mode, tag, waiter)
         self._queue.append(req)
         self.inserted += 1
         self._pump()
@@ -130,11 +134,20 @@ class OrwlFifo:
             raise FifoError(
                 f"cannot release request {req!r} in state {req.state.value}"
             )
-        try:
-            self._queue.remove(req)
-        except ValueError:
-            raise FifoError(f"request {req!r} is not in FIFO {self.name!r}") from None
+        queue = self._queue
+        if queue and queue[0] is req:
+            queue.popleft()
+        else:
+            try:
+                queue.remove(req)
+            except ValueError:
+                raise FifoError(
+                    f"request {req!r} is not in FIFO {self.name!r}"
+                ) from None
         req.state = RequestState.RELEASED
+        self._n_granted -= 1
+        if req.mode is AccessMode.WRITE:
+            self._n_granted_writes -= 1
         self._pump()
 
     def cancel(self, req: Request) -> None:
@@ -144,7 +157,7 @@ class OrwlFifo:
             return
         if req.state is not RequestState.PENDING:
             return  # already out of the queue
-        self._queue.remove(req)
+        self._queue.remove(req)  # beyond the granted prefix: counters hold
         req.state = RequestState.CANCELLED
         self._pump()
 
@@ -157,25 +170,25 @@ class OrwlFifo:
         A WRITE is granted only when it is the head and nothing is
         granted; READs are granted while the granted prefix is all-READ.
         """
+        queue = self._queue
+        n = self._n_granted
+        if n >= len(queue) or self._n_granted_writes:
+            return  # nothing pending, or a write holds the location alone
         granted: list[Request] = []
-        while True:
-            n_active = self.granted_count()
-            if n_active >= len(self._queue):
-                break
-            nxt = self._queue[n_active]
-            assert nxt.state is RequestState.PENDING
+        for nxt in islice(queue, n, None):
             if nxt.mode is AccessMode.WRITE:
-                if n_active > 0:
-                    break
-            else:  # READ: needs the active prefix to be all reads
-                if any(
-                    self._queue[k].mode is AccessMode.WRITE for k in range(n_active)
-                ):
-                    break
+                if n == 0:
+                    nxt.state = RequestState.GRANTED
+                    granted.append(nxt)
+                    n = 1
+                    self._n_granted_writes = 1
+                break
             nxt.state = RequestState.GRANTED
             granted.append(nxt)
+            n += 1
+        self._n_granted = n
         for req in granted:
             self._on_grant(req)
 
     def __repr__(self) -> str:
-        return f"<OrwlFifo {self.name!r} len={len(self._queue)} granted={self.granted_count()}>"
+        return f"<OrwlFifo {self.name!r} len={len(self._queue)} granted={self._n_granted}>"

@@ -38,7 +38,7 @@ class Handle:
         Owning operation (set when the operation declares the handle).
     """
 
-    __slots__ = ("location", "mode", "op_name", "init_phase", "_request")
+    __slots__ = ("location", "mode", "op_name", "init_phase", "waiter", "_request")
 
     def __init__(self, location: Location, mode: AccessMode, op_name: str = "") -> None:
         self.location = location
@@ -49,6 +49,9 @@ class Handle:
         #: e.g. producers' first writes can be queued ahead of consumers'
         #: first reads regardless of task declaration order.
         self.init_phase = 0
+        #: simulator thread id of the owning operation, stamped on every
+        #: request this handle inserts (set by the runtime; -1 = none).
+        self.waiter = -1
         self._request: Optional[Request] = None
 
     # -- protocol steps (called by the runtime/context) ---------------------
@@ -76,7 +79,9 @@ class Handle:
                 f"handle {self.op_name!r}->{self.location.name!r} already has a "
                 f"live request ({self._request.state.value})"
             )
-        self._request = self.location.fifo.insert(self.mode, tag=self.op_name)
+        self._request = self.location.fifo.insert(
+            self.mode, tag=self.op_name, waiter=self.waiter
+        )
         return self._request
 
     def release(self) -> None:
@@ -100,7 +105,7 @@ class Handle:
             )
         old = self._request
         self._request = None  # allow insert_request
-        new = self.location.fifo.insert(self.mode, tag=self.op_name)
+        new = self.location.fifo.insert(self.mode, tag=self.op_name, waiter=self.waiter)
         self._request = new
         self.location.fifo.release(old)
         return new

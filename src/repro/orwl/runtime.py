@@ -34,7 +34,7 @@ from repro.orwl.handle import Handle
 from repro.orwl.location import Location
 from repro.orwl.program import Operation, Program
 from repro.simulate.engine import SimEvent
-from repro.simulate.machine import Machine
+from repro.simulate.machine import Machine, SimThread
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.syscalls import Compute, Receive, Wait
 from repro.treematch.mapping import Mapping
@@ -143,20 +143,20 @@ class OpContext:
                 f"{handle.op_name!r}: acquire without a pending request "
                 "(the runtime inserts the initial one; use ctx.next afterwards)"
             )
-        event = self._rt.event_of(req)
+        rt = self._rt
+        event = rt.event_of(req)
         if not event.fired:
             yield Wait(event)
         if handle.mode is AccessMode.READ:
             loc = handle.location
             writer = loc.last_writer_tid
-            if writer >= 0 and writer != self.tid and loc.nbytes > 0:
-                if self._rt.tracer is not None:
-                    self._rt.tracer.record_by_id(
-                        self._rt.trace_id_of_tid(writer),
-                        self._rt.trace_id_of_tid(self.tid),
-                        loc.nbytes,
-                    )
-                yield Receive(writer, loc.nbytes)
+            nbytes = loc.nbytes
+            if writer >= 0 and writer != self.tid and nbytes > 0:
+                tracer = rt.tracer
+                if tracer is not None:
+                    trace_id = rt._trace_id_of_tid
+                    tracer.record_by_id(trace_id[writer], trace_id[self.tid], nbytes)
+                yield Receive(writer, nbytes)
 
     def release(self, handle: Handle) -> None:
         """Release the grant (``orwl_release``); writers stamp provenance."""
@@ -227,6 +227,8 @@ class Runtime:
             pu = mapping.pu(k)
             tid = machine.add_thread(op.name, bound_pu_os=pu if pu >= 0 else None)
             self._op_tid[op.name] = tid
+            for h in op.handles:
+                h.waiter = tid
             if self.tracer is not None:
                 self._trace_id_of_tid[tid] = self.tracer.register(op.name)
 
@@ -321,7 +323,7 @@ class Runtime:
             detail=req.tag,
         )
 
-    def _grant_message_latency(self, ctl_tid: int, req: Request) -> float:
+    def _grant_message_latency(self, ctl: SimThread, req: Request) -> float:
         """Latency of the grant message from control thread to waiter.
 
         Priced by the topological distance between the two threads'
@@ -330,28 +332,31 @@ class Runtime:
         are not free, and their cost follows placement like everything
         else.
         """
-        waiter_tid = self._op_tid.get(req.tag)
-        if waiter_tid is None:
+        if req.waiter < 0:
             return 0.0
-        src = self.machine.thread(ctl_tid).current_pu
-        dst = self.machine.thread(waiter_tid).current_pu
+        src = ctl.current_pu
+        dst = self.machine.thread(req.waiter).current_pu
         if src < 0 or dst < 0:
             return 0.0
         return self.machine.distances.latency(src, dst)
 
     def _control_body(self, cq: _ControlQueue, ctl_tid: int) -> Generator:
         """Control-thread loop: service grant messages until shutdown."""
+        machine = self.machine
+        ctl = machine.thread(ctl_tid)
+        jobs = cq.jobs
+        # Syscalls are immutable: one grant burst serves every grant.
+        service = Compute(self.config.grant_cost)
         while True:
-            while cq.jobs:
-                req = cq.jobs.popleft()
-                yield Compute(self.config.grant_cost)
-                self.event_of(req).fire(
-                    delay=self._grant_message_latency(ctl_tid, req)
-                )
-                self._trace_grant(ctl_tid, req)
+            while jobs:
+                req = jobs.popleft()
+                yield service
+                self.event_of(req).fire(delay=self._grant_message_latency(ctl, req))
+                if machine.tracer is not None:
+                    self._trace_grant(ctl_tid, req)
             if cq.shutdown:
                 return
-            ev = self.machine.new_event("ctl-wake")
+            ev = machine.new_event("ctl-wake")
             cq.waiter = ev
             yield Wait(ev)
 

@@ -238,8 +238,10 @@ class Machine:
             n_pus, scheduler, seed=int(rng.integers(2**63 - 1))
         )
         self._threads: list[SimThread] = []
-        #: time each PU becomes free (run-queue serialization).
-        self._pu_free_at = np.zeros(n_pus, dtype=np.float64)
+        #: time each PU becomes free (run-queue serialization).  Plain
+        #: Python floats: these values become event times, so a numpy
+        #: scalar here would leak into ``engine.now`` and every heap key.
+        self._pu_free_at = [0.0] * n_pus
         #: NUMA node logical index per PU logical index (for contention).
         self._node_of_pu = []
         for pu in topo.pus():
@@ -262,24 +264,21 @@ class Machine:
             t: self.distances.level_costs.get(t, DEFAULT_LEVEL_COSTS[ObjType.MACHINE])
             for t in ObjType
         }
-        # Vectorized per-level charging tables: latency / bandwidth
-        # per ObjType value, so a node-stream price is two array reads
-        # and one fused `lat + nbytes / bw` instead of a dict lookup
-        # plus a dataclass method call.  Same doubles, same result —
-        # only the dispatch is cheaper.
+        # Per-level charging tables: latency / bandwidth per ObjType
+        # value, so a node-stream price is two list reads and one fused
+        # `lat + nbytes / bw` instead of a dict lookup plus a dataclass
+        # method call.  Same doubles, same result — only the dispatch is
+        # cheaper.
         n_types = max(int(t) for t in ObjType) + 1
-        self._level_lat = np.zeros(n_types, dtype=np.float64)
-        self._level_bw = np.ones(n_types, dtype=np.float64)
+        self._level_lat = [0.0] * n_types
+        self._level_bw = [1.0] * n_types
         for t, costs in self._costs_of_level.items():
-            self._level_lat[int(t)] = costs.latency
-            self._level_bw[int(t)] = costs.bandwidth
+            self._level_lat[int(t)] = float(costs.latency)
+            self._level_bw[int(t)] = float(costs.bandwidth)
         # UMA machines charge NUMANODE-class cost for node streams.
         self._uma_node_costs = self.distances.level_costs.get(
             ObjType.NUMANODE, DEFAULT_LEVEL_COSTS[ObjType.NUMANODE]
         )
-        #: scratch buffer for per-PU backlog vectors (one allocation per
-        #: machine instead of two per balancing decision).
-        self._backlog_buf = np.empty(n_pus, dtype=np.float64)
         self._started = False
         if timeline:
             from repro.simulate.timeline import Timeline
@@ -484,10 +483,10 @@ class Machine:
 
     def _perform(self, t: SimThread, sc: Syscall) -> None:
         if isinstance(sc, Compute):
-            self._do_work(t, sc.duration, is_compute=True)
+            self._do_work(t, sc.duration)
         elif isinstance(sc, ComputeFlops):
             self._maybe_pull(t)  # pick the PU before pricing the work
-            self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu], is_compute=True)
+            self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu])
         elif isinstance(sc, Receive):
             self._do_receive(t, sc.producer, sc.nbytes)
         elif isinstance(sc, ReceiveFromNode):
@@ -551,27 +550,56 @@ class Machine:
         """
         pu = t.current_pu
         now = self.engine.now
+        free_at = self._pu_free_at
         if t.priority:
             end = now + duration
-            self._pu_free_at[pu] = max(self._pu_free_at[pu] + duration, end)
+            free_at[pu] = max(free_at[pu] + duration, end)
             return now, end
-        start = max(now, self._pu_free_at[pu])
+        start = max(now, free_at[pu])
         if start > now:
             self.metrics.record_runq(start - now)
             t.runq_time += start - now
             if self.tracer is not None:
                 self._trace("runq", t, now, start - now)
         end = start + duration
-        self._pu_free_at[pu] = end
+        free_at[pu] = end
         return start, end
 
     def _backlog(self) -> np.ndarray:
-        """Per-PU pending-CPU-seconds vector, written into the reusable
-        scratch buffer (callers use it immediately, never retain it)."""
-        buf = self._backlog_buf
-        np.subtract(self._pu_free_at, self.engine.now, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        return buf
+        """Per-PU pending-CPU-seconds vector, built on demand for a
+        balancing decision that the scalar guard could not settle."""
+        backlog = np.array(self._pu_free_at)
+        backlog -= self.engine.now
+        np.maximum(backlog, 0.0, out=backlog)
+        return backlog
+
+    def _balanced(self, pu: int) -> bool:
+        """Scalar guard: can no pull move a thread off *pu* right now?
+
+        Every backlog is >= 0, so the imbalance ``backlog[pu] - min`` is
+        at most ``backlog[pu]``; when that is within the scheduler's
+        threshold :meth:`OsScheduler.pull_target` declines without
+        drawing from its RNG.  Skipping it is therefore bit-identical,
+        and spares the common case its vector build and reductions.
+        """
+        return (
+            self._pu_free_at[pu] - self.engine.now
+            <= self.scheduler.config.imbalance_threshold
+        )
+
+    def _migrate(self, t: SimThread, target: int, kind: str) -> None:
+        """Move unbound thread *t* to PU *target*, charging the penalty."""
+        source = t.current_pu
+        self.scheduler.vacate(source)
+        self.scheduler.occupy(target)
+        t.current_pu = target
+        penalty = self.scheduler.config.migration_penalty
+        t.pending_penalty += penalty
+        t.migrations += 1
+        self.metrics.record_migration(penalty)
+        if self.tracer is not None:
+            self._trace("migration", t, self.engine.now, penalty,
+                        detail=f"{kind}:{source}->{target}")
 
     def _maybe_pull(self, t: SimThread) -> None:
         """Idle-balance an unbound thread before it occupies its PU.
@@ -581,36 +609,26 @@ class Machine:
         penalty).  Bound threads never move; that immunity is precisely
         what the paper's binding buys.
         """
-        if t.is_bound:
+        if t.bound_pu is not None or self._balanced(t.current_pu):
             return
         target = self.scheduler.pull_target(t.current_pu, self._backlog())
         if target is not None:
-            source = t.current_pu
-            self.scheduler.vacate(t.current_pu)
-            self.scheduler.occupy(target)
-            t.current_pu = target
-            penalty = self.scheduler.config.migration_penalty
-            t.pending_penalty += penalty
-            t.migrations += 1
-            self.metrics.record_migration(penalty)
-            if self.tracer is not None:
-                self._trace("migration", t, self.engine.now, penalty,
-                            detail=f"pull:{source}->{target}")
+            self._migrate(t, target, "pull")
 
-    def _do_work(self, t: SimThread, duration: float, is_compute: bool) -> None:
+    def _do_work(self, t: SimThread, duration: float) -> None:
+        """Charge a compute burst of *duration* seconds on t's PU."""
         self._maybe_pull(t)
-        if self.compute_jitter > 0.0 and is_compute:
+        if self.compute_jitter > 0.0:
             duration *= 1.0 + self.compute_jitter * (2.0 * self._jitter_rng.random() - 1.0)
         if t.pending_penalty > 0.0:
             duration += t.pending_penalty
             t.pending_penalty = 0.0
         start, end = self._occupy_pu(t, duration)
-        if is_compute:
-            self.metrics.record_compute(duration)
-            t.compute_time += duration
-            if self.tracer is not None:
-                self._trace("compute", t, start, duration)
-            self._account_balancing(t, duration)
+        self.metrics.record_compute(duration)
+        t.compute_time += duration
+        if self.tracer is not None:
+            self._trace("compute", t, start, duration)
+        self._account_balancing(t, duration)
         if self.timeline is not None:
             from repro.simulate.timeline import Segment
 
@@ -621,26 +639,22 @@ class Machine:
         self.engine.at(end, t.resume_cb or self._resume_fn(t))
 
     def _account_balancing(self, t: SimThread, consumed: float) -> None:
-        """Run the OS balancer for unbound threads per consumed quantum."""
-        if t.is_bound:
+        """Run the OS balancer for unbound threads per consumed quantum.
+
+        The pull half is skipped under the scalar guard (see
+        :meth:`_balanced`); the noise half always runs, so the
+        scheduler's RNG draws keep their order.
+        """
+        if t.bound_pu is not None:
             return
         t.consumed_since_balance += consumed
         quantum = self.scheduler.config.migration_quantum
         while t.consumed_since_balance >= quantum:
             t.consumed_since_balance -= quantum
-            target = self.scheduler.maybe_migrate(t.current_pu, self._backlog())
+            backlog = None if self._balanced(t.current_pu) else self._backlog()
+            target = self.scheduler.maybe_migrate(t.current_pu, backlog)
             if target is not None:
-                source = t.current_pu
-                self.scheduler.vacate(t.current_pu)
-                self.scheduler.occupy(target)
-                t.current_pu = target
-                penalty = self.scheduler.config.migration_penalty
-                t.pending_penalty += penalty
-                t.migrations += 1
-                self.metrics.record_migration(penalty)
-                if self.tracer is not None:
-                    self._trace("migration", t, self.engine.now, penalty,
-                                detail=f"balance:{source}->{target}")
+                self._migrate(t, target, "balance")
 
     def _transfer_duration(
         self, consumer: SimThread, level: ObjType, base: float, producer_node: int
@@ -718,7 +732,7 @@ class Machine:
         ti = int(level)
         base = (
             0.0 if nbytes <= 0
-            else float(self._level_lat[ti] + nbytes / self._level_bw[ti])
+            else self._level_lat[ti] + nbytes / self._level_bw[ti]
         )
         if t.pending_penalty > 0.0:
             base += t.pending_penalty
@@ -731,3 +745,4 @@ class Machine:
     def seconds_for_flops(self, flops: float) -> float:
         """Convert a flop count to seconds at the machine's core rate."""
         return flops / self.core_rate
+

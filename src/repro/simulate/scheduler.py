@@ -105,9 +105,10 @@ class OsScheduler:
         Returns ``None`` when the placement is fine.
         """
         # One reduction pass: the minimum feeds both the imbalance test
-        # and the candidate mask (the backlog vector arrives in the
-        # machine's scratch buffer, so this path allocates nothing but
-        # the candidate index array).
+        # and the candidate mask.  The machine only calls this when its
+        # scalar guard (Machine._balanced) cannot rule a pull out, and
+        # never relies on a draw from here when it can: this test
+        # returns before touching the RNG.
         low = backlog.min()
         imbalance = float(backlog[current_pu] - low)
         if imbalance <= self.config.imbalance_threshold:

@@ -204,3 +204,60 @@ def test_random_protocol_liveness(script):
             fifo.insert(R if action == "R" else W, action)
         if len(fifo):
             assert fifo.queue[0].state is RequestState.GRANTED
+
+
+def _assert_counters_match_scan(fifo):
+    """The O(1) granted-prefix counters against a full queue scan."""
+    queue = fifo.queue
+    prefix = 0
+    for req in queue:
+        if req.state is not RequestState.GRANTED:
+            break
+        prefix += 1
+    assert all(r.state is RequestState.PENDING for r in queue[prefix:])
+    writes = sum(r.mode is W for r in queue[:prefix])
+    assert fifo._n_granted == prefix == fifo.granted_count()
+    assert fifo._n_granted_writes == writes
+    assert writes == 0 or prefix == 1  # a write is only ever granted alone
+    assert fifo.holder_modes() == [
+        r.mode for r in queue if r.state is RequestState.GRANTED
+    ]
+    if prefix < len(queue):  # maximal: the first pending request must wait
+        assert prefix > 0 and (writes or queue[prefix].mode is W)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([R, W]), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "release", "next", "cancel"]),
+            st.integers(0, 5),
+        ),
+        max_size=60,
+    ),
+)
+def test_granted_prefix_counters_match_scan(modes, script):
+    """Property: after every insert / release / ``next_request`` /
+    cancel, the FIFO's counters equal a rescan of the queue, and every
+    request is granted at most once."""
+    from repro.orwl.handle import Handle
+    from repro.orwl.location import Location
+
+    loc = Location("loc", 8.0)
+    grants = []
+    loc.set_grant_callback(grants.append)
+    handles = [Handle(loc, m, op_name=f"op{k}") for k, m in enumerate(modes)]
+    for action, k in script:
+        h = handles[k % len(handles)]
+        if action == "insert" and h.request is None:
+            h.insert_request()
+        elif action == "release" and h.is_granted:
+            h.release()
+        elif action == "next" and h.is_granted:
+            h.next_request()
+        elif action == "cancel":
+            h.cancel()
+        _assert_counters_match_scan(loc.fifo)
+    assert len({id(r) for r in grants}) == len(grants)
+    assert all(r.state is not RequestState.PENDING for r in grants)

@@ -420,6 +420,84 @@ def test_snapshot_writer_rate_limit_and_forced_end(tmp_path):
     assert writer.writes == 3  # explicit flush always writes
 
 
+class _FakeClock:
+    """A settable clock starting at 0, as a freshly booted host's
+    monotonic clock may read."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
+def test_telemetry_under_fake_clock_from_zero(tmp_path, monkeypatch, paper_topo_small):
+    """Bus, progress bar, ``top`` and service health/SLO with every
+    clock starting at 0: nothing may treat 0 as "long ago"."""
+    import time
+
+    from repro.comm import patterns
+    from repro.exec.progress import ProgressBar, SweepEvent
+    from repro.placement.service import PlacementService
+    from repro.tools.top import render_dashboard
+
+    clock = _FakeClock()
+    monkeypatch.setattr(time, "monotonic", clock)
+    monkeypatch.setattr(time, "time", clock)
+    core.enable()
+
+    service = PlacementService(paper_topo_small)
+    matrix = patterns.stencil_2d(4, 4, edge_volume=100.0)
+    service.query_sync(matrix)  # cold
+    service.query_sync(matrix)  # warm
+
+    path = tmp_path / "live.json"
+    writer = SnapshotWriter(str(path), min_interval=3600.0)
+    bar = ProgressBar(stream=io.StringIO())
+
+    def emit(event):
+        writer(event)
+        bar(event)
+
+    emit(SweepEvent("sweep_start", clock(), total=4))
+    assert writer.writes == 1  # the first snapshot is written at t=0
+    first = read_snapshot(str(path))
+    assert first["written_at"] == 0.0
+
+    clock.t = 10.0
+    emit(SweepEvent("point_done", clock(), index=0, done=1, total=4))
+    assert writer.writes == 1  # within min_interval: rate-limited
+    assert bar.render(SweepEvent("point_done", clock(), done=1, total=4)).endswith(
+        "eta 30s"
+    )
+
+    clock.t = 3600.0
+    emit(SweepEvent("point_done", clock(), index=1, done=2, total=4))
+    assert writer.writes == 2  # a full interval after the first write
+    second = read_snapshot(str(path))
+    assert second["written_at"] == 3600.0
+    frame = render_dashboard(second, prev=first)
+    assert "2/4 done" in frame
+    assert "2 queries, 50% warm" in frame
+
+    clock.t = 3601.0
+    emit(SweepEvent("sweep_end", clock(), done=4, total=4))
+    assert writer.writes == 3  # sweep_end always flushes
+    assert "4/4 done in 3601.0s" in bar.stream.getvalue()
+
+    health = service.health()
+    assert health["uptime_s"] == 3601.0
+    assert health["status"] == "ok" and health["last_error_age_s"] is None
+    service.record_error(ValueError("boom"))
+    clock.t = 3603.0
+    health = service.health()
+    assert health["status"] == "degraded"
+    assert health["last_error_age_s"] == 2.0
+    slo = service.slo()
+    assert slo["cold"]["count"] == 1 and slo["warm"]["count"] == 1
+    assert 0.0 < slo["warm"]["p50_s"] <= slo["warm"]["p99_s"]
+
+
 def test_read_snapshot_tolerates_torn_and_missing(tmp_path):
     assert read_snapshot(str(tmp_path / "nope.json")) is None
     torn = tmp_path / "torn.json"
