@@ -6,13 +6,16 @@ means handle declarations — if operation *r* holds a READ handle on a
 location that operation *w* WRITEs, then every iteration moves the
 location's payload from *w*'s thread to *r*'s thread.
 
-Two extractors are provided:
+The extractors:
 
 * :func:`static_matrix` — purely structural, available *before* any
-  execution (what the paper's launch-time mapping uses): volume =
-  location payload size per writer→reader pair, i.e. per-iteration
-  traffic.  Absolute scale is irrelevant to TreeMatch; ratios are what
-  grouping consumes.
+  execution: volume = location payload size per writer→reader pair,
+  i.e. per-iteration traffic.  Absolute scale is irrelevant to
+  TreeMatch; ratios are what grouping consumes.
+* :func:`task_matrix` — the same extraction at task granularity (what
+  the paper's launch-time mapping uses), scattered straight into the
+  task×task matrix without building the op×op one; or the aggregation
+  of any op-level matrix to tasks.
 * :func:`traced_matrix` — from a :class:`~repro.comm.trace.CommTracer`
   filled by a profiling run, reindexed to program operation order.
   Ablation A5 compares the two.
@@ -20,12 +23,68 @@ Two extractors are provided:
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 from repro.comm.matrix import CommMatrix
 from repro.comm.trace import CommTracer
-from repro.orwl.program import Program
+from repro.orwl.program import Operation, Program
 from repro.util.validate import ValidationError
+
+
+def _scatter_affinity(
+    program: Program,
+    ops: list[Operation],
+    row_of: Sequence[int],
+    order: int,
+    iterations: int,
+    use_affinity_hints: bool,
+) -> np.ndarray:
+    """The writer→reader pass shared by the op- and task-level extractors.
+
+    Every (writer, reader) operation pair of a location exchanges
+    ``weight * iterations``; the volume lands on
+    ``m[row_of[w], row_of[r]]`` and its reflection, accumulated in one
+    ordered ``np.add.at``.  The order is fixed — location, then writer,
+    then reader, each pair followed by its reflection — so every entry
+    equals a per-pair ``+=`` loop bit for bit.  Pairs whose endpoints
+    share a row (an op reading back its own location, or intra-task
+    traffic at task granularity) fall on the diagonal, which
+    :class:`CommMatrix` zeroes.
+    """
+    if iterations <= 0:
+        raise ValidationError(f"iterations must be > 0, got {iterations}")
+    # One pass over all handles to index writers/readers per location
+    # (calling Program.writers_of per location would be O(locations·ops)).
+    from repro.orwl.fifo import AccessMode
+
+    writers: dict[str, list[int]] = {}
+    readers: dict[str, list[int]] = {}
+    for k, op in enumerate(ops):
+        for h in op.handles:
+            bucket = writers if h.mode is AccessMode.WRITE else readers
+            bucket.setdefault(h.location.name, []).append(row_of[k])
+    rows: list[int] = []
+    cols: list[int] = []
+    vols: list[float] = []
+    for loc_name, loc in program.locations.items():
+        if use_affinity_hints and loc.affinity_bytes is not None:
+            weight = loc.affinity_bytes
+        else:
+            weight = loc.nbytes
+        if weight <= 0:
+            continue
+        rs = readers.get(loc_name, [])
+        for w in writers.get(loc_name, ()):
+            for r in rs:
+                rows += (w, r)
+                cols += (r, w)
+        vols += [weight * iterations] * (len(rows) - len(vols))
+    m = np.zeros((order, order))
+    index = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    np.add.at(m, index, vols)
+    return m
 
 
 def static_matrix(
@@ -43,36 +102,38 @@ def static_matrix(
     footprints larger than the exported payload.  Pass ``False`` to get
     the pure payload-volume matrix (comparable with runtime traces).
     """
-    if iterations <= 0:
-        raise ValidationError(f"iterations must be > 0, got {iterations}")
     ops = program.operations()
     n = len(ops)
-    # One pass over all handles to index writers/readers per location
-    # (calling Program.writers_of per location would be O(locations·ops)).
-    from repro.orwl.fifo import AccessMode
-
-    writers: dict[str, list[int]] = {}
-    readers: dict[str, list[int]] = {}
-    for k, op in enumerate(ops):
-        for h in op.handles:
-            bucket = writers if h.mode is AccessMode.WRITE else readers
-            bucket.setdefault(h.location.name, []).append(k)
-    m = np.zeros((n, n))
-    for loc_name, loc in program.locations.items():
-        if use_affinity_hints and loc.affinity_bytes is not None:
-            weight = loc.affinity_bytes
-        else:
-            weight = loc.nbytes
-        if weight <= 0:
-            continue
-        for wi in writers.get(loc_name, ()):
-            for ri in readers.get(loc_name, ()):
-                if wi == ri:
-                    continue
-                vol = weight * iterations
-                m[wi, ri] += vol
-                m[ri, wi] += vol
+    m = _scatter_affinity(program, ops, range(n), n, iterations, use_affinity_hints)
     return CommMatrix(m, labels=[op.name for op in ops])
+
+
+def task_matrix(program: Program, op_matrix: Optional[CommMatrix] = None) -> CommMatrix:
+    """The task×task affinity matrix (rows in task declaration order).
+
+    Without *op_matrix*, extracted straight from the handle declarations
+    — the op-level matrix is never built; intra-task traffic is dropped.
+    With an op-level *op_matrix* (e.g. a traced one), aggregated to task
+    granularity with :meth:`CommMatrix.aggregated`.  Both agree bit for
+    bit with aggregating :func:`static_matrix` whenever the volumes sum
+    exactly (e.g. integral byte counts).
+    """
+    ops = program.operations()
+    task_names = list(program.tasks)
+    task_index = {name: k for k, name in enumerate(task_names)}
+    row_of = [task_index[op.task.name] for op in ops]
+    if op_matrix is None:
+        m = _scatter_affinity(program, ops, row_of, len(task_names), 1, True)
+        return CommMatrix(m, labels=task_names)
+    if op_matrix.order != len(ops):
+        raise ValidationError(
+            f"op matrix order {op_matrix.order} != {len(ops)} operations"
+        )
+    groups: list[list[int]] = [[] for _ in task_names]
+    for k, t in enumerate(row_of):
+        groups[t].append(k)
+    agg = op_matrix.aggregated(groups)
+    return CommMatrix(agg.values, labels=task_names)
 
 
 def traced_matrix(program: Program, tracer: CommTracer) -> CommMatrix:
@@ -86,17 +147,11 @@ def traced_matrix(program: Program, tracer: CommTracer) -> CommMatrix:
     raw = tracer.to_matrix()
     pos_in_trace = {name: k for k, name in enumerate(raw.labels)}
     n = len(ops)
+    kept = [i for i, op in enumerate(ops) if op.name in pos_in_trace]
+    at = [pos_in_trace[ops[i].name] for i in kept]
     m = np.zeros((n, n))
-    for i, a in enumerate(ops):
-        ti = pos_in_trace.get(a.name)
-        if ti is None:
-            continue
-        for j in range(i + 1, n):
-            tj = pos_in_trace.get(ops[j].name)
-            if tj is None:
-                continue
-            v = raw.values[ti, tj]
-            m[i, j] = m[j, i] = v
+    # One gather of the traced rows/columns (an exact copy, no arithmetic).
+    m[np.ix_(kept, kept)] = raw.values[np.ix_(at, at)]
     return CommMatrix(m, labels=[op.name for op in ops])
 
 

@@ -19,9 +19,10 @@ and treats the frontier sub-operations together with the runtime's
 control threads as "control and communication threads" covered by the
 Algorithm-1 extension (hyperthread reservation / spare cores /
 unmapped).  That is ``granularity="task"``, the default: the matrix
-TreeMatch sees has one row per task (the op-level affinities aggregated
-per task), and on the paper's 192-core machine with 192 tasks the
-mapping is a clean one-main-per-core assignment.
+TreeMatch sees has one row per task (extracted straight from the handle
+declarations, intra-task traffic dropped), and on the paper's 192-core
+machine with 192 tasks the mapping is a clean one-main-per-core
+assignment.
 
 ``granularity="op"`` instead maps every operation thread individually
 (matrix order = number of operations, oversubscription extension
@@ -40,7 +41,7 @@ from typing import Optional
 
 from repro.comm.matrix import CommMatrix
 from repro.orwl.program import Program
-from repro.placement.affinity import static_matrix
+from repro.placement.affinity import static_matrix, task_matrix
 from repro.placement.policies import (
     NoBindPolicy,
     PlacementPolicy,
@@ -93,24 +94,6 @@ class BindPlan:
         return "\n".join(lines)
 
 
-def task_matrix(program: Program, op_matrix: Optional[CommMatrix] = None) -> CommMatrix:
-    """Aggregate the op-level affinity matrix to task granularity."""
-    if op_matrix is None:
-        op_matrix = static_matrix(program)
-    ops = program.operations()
-    if op_matrix.order != len(ops):
-        raise ValidationError(
-            f"op matrix order {op_matrix.order} != {len(ops)} operations"
-        )
-    groups: list[list[int]] = []
-    for task in program.tasks.values():
-        groups.append(
-            [k for k, op in enumerate(ops) if op.task is task]
-        )
-    agg = op_matrix.aggregated(groups)
-    return CommMatrix(agg.values, labels=list(program.tasks))
-
-
 def _comm_thread_slots(program: Program) -> tuple[list[int], list[int]]:
     """(op_index, task_index) pairs of the communication threads.
 
@@ -148,8 +131,11 @@ def bind_program(
         ``"compact"``, ``"scatter"``, ``"round-robin"``, ``"random"``,
         ``"nobind"``).
     matrix:
-        Affinity-matrix override at *op* granularity; defaults to the
-        static extraction from the program composition.
+        Affinity-matrix override at the granularity the policy runs at:
+        task×task (rows in task declaration order) by default, op×op
+        with ``granularity="op"``.  Defaults to the static extraction
+        from the program composition.  A matrix of the wrong order
+        raises :class:`ValidationError`.
     place_control:
         Apply the paper's control/communication-thread strategies.  If
         false they stay unbound regardless of policy.
@@ -178,15 +164,22 @@ def bind_program(
     op_labels = [op.name for op in ops]
     task_names = list(program.tasks)
     n_tasks = len(task_names)
-    op_mat = matrix if matrix is not None else static_matrix(program)
+    n_rows = n_ops if granularity == "op" else n_tasks
+    if matrix is not None and matrix.order != n_rows:
+        raise ValidationError(
+            f"{granularity}-granularity matrix order {matrix.order} != "
+            f"{n_rows} {granularity}s (aggregate an op-level matrix with "
+            "task_matrix for task granularity)"
+        )
 
     if granularity == "op":
+        op_mat = matrix if matrix is not None else static_matrix(program)
         return _bind_at_op_granularity(
             program, topo, policy, op_mat, place_control, **policy_kwargs
         )
 
     # ---- task granularity (paper mode) --------------------------------
-    tmat = task_matrix(program, op_mat)
+    tmat = matrix if matrix is not None else task_matrix(program)
     comm_ops, comm_pairing = _comm_thread_slots(program)
     # Control entities = communication threads + one runtime control
     # thread per task, all paired with their task's compute slot.

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from repro.comm.matrix import CommMatrix
 from repro.orwl.program import Program
 from repro.orwl.runtime import RunResult, Runtime, RuntimeConfig
-from repro.placement.affinity import traced_matrix
+from repro.placement.affinity import task_matrix, traced_matrix
 from repro.placement.binder import BindPlan, bind_program
 from repro.simulate.machine import Machine
 from repro.topology.tree import Topology
@@ -36,7 +36,7 @@ class ProfiledBind:
     program: Program
     #: the placement computed from the profiled matrix.
     plan: BindPlan
-    #: the traced matrix the plan was computed from.
+    #: the traced op-level matrix the plan was computed from.
     matrix: CommMatrix
     #: the profiling run's result (unbound).
     profile_run: RunResult
@@ -80,8 +80,9 @@ def profile_and_bind(
             "between the profiling and production instances"
         )
     matrix = traced_matrix(production_prog, profile_run.tracer)
+    placed = task_matrix(production_prog, matrix) if granularity == "task" else matrix
     plan = bind_program(
-        production_prog, topo, policy=policy, matrix=matrix, granularity=granularity
+        production_prog, topo, policy=policy, matrix=placed, granularity=granularity
     )
     return ProfiledBind(
         program=production_prog, plan=plan, matrix=matrix, profile_run=profile_run

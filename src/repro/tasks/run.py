@@ -95,7 +95,8 @@ def run_graph(
     explicit *topo* is given.  *policy* is any placement registry name
     (``"treematch"``, ``"nobind"``, ``"service"``, ``"compact"``, ...);
     the affinity matrix fed to it is :func:`repro.tasks.compile
-    .dag_matrix` — the DAG edge extraction.  With *trace*, a
+    .dag_matrix` — the DAG edge extraction, already task×task, so the
+    binder uses it as is.  With *trace*, a
     :class:`repro.observe.Tracer` is attached (fingerprints, perf
     reports); with *record_times*, per-task timestamps are recorded.
     """

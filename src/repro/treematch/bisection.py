@@ -13,14 +13,21 @@ greedy-packed group before recursing.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.treematch.grouping import _validate, group_greedy
 from repro.util.validate import ValidationError
 
+if TYPE_CHECKING:
+    import networkx as nx
 
-def _to_graph(m: np.ndarray, nodes: list[int]) -> "nx.Graph":
+
+def _to_graph(m: np.ndarray, nodes: list[int]) -> nx.Graph:
+    # networkx costs ~180 ms of import; only this ablation needs it.
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(nodes)
     for ai in range(len(nodes)):
@@ -35,6 +42,8 @@ def _bisect(m: np.ndarray, nodes: list[int], seed: int) -> tuple[list[int], list
     """Split *nodes* into two equal halves minimizing the weighted cut."""
     if len(nodes) % 2 != 0:
         raise ValidationError("bisection needs an even node count")
+    import networkx as nx
+
     graph = _to_graph(m, nodes)
     half_a, half_b = nx.algorithms.community.kernighan_lin_bisection(
         graph, weight="weight", seed=seed
