@@ -57,7 +57,10 @@ class Request:
         #: simulator thread id of the requesting operation (-1 = none);
         #: the runtime prices the grant message to this thread.
         self.waiter = waiter
-        #: runtime-attached object (the grant SimEvent).
+        #: runtime-owned grant state: ``None`` until the runtime touches
+        #: it, then the grant :class:`~repro.simulate.engine.SimEvent`
+        #: if an acquire had to wait for the grant, or a delivered marker
+        #: if the grant arrived first (then no event is ever built).
         self.payload: object = None
 
     def __repr__(self) -> str:
@@ -128,8 +131,29 @@ class OrwlFifo:
         self._pump()
         return req
 
+    def requeue(self, old: Request, tag: str = "", waiter: int = -1) -> Request:
+        """``orwl_next`` in one grant pass: append a request like *old*,
+        release *old*; returns the new request.
+
+        Grants the same requests in the same order as :meth:`insert`
+        followed by ``release(old)``: while *old* is held, insert's pass
+        can grant only the new tail request, and then nothing precedes
+        it that release's pass would grant before it.
+        """
+        self._unlink(old)
+        req = Request(old.mode, tag, waiter)
+        self._queue.append(req)
+        self.inserted += 1
+        self._pump()
+        return req
+
     def release(self, req: Request) -> None:
         """Release a granted request, allowing successors to be granted."""
+        self._unlink(req)
+        self._pump()
+
+    def _unlink(self, req: Request) -> None:
+        """Take a granted request out of the queue (no grant pass)."""
         if req.state is not RequestState.GRANTED:
             raise FifoError(
                 f"cannot release request {req!r} in state {req.state.value}"
@@ -148,7 +172,6 @@ class OrwlFifo:
         self._n_granted -= 1
         if req.mode is AccessMode.WRITE:
             self._n_granted_writes -= 1
-        self._pump()
 
     def cancel(self, req: Request) -> None:
         """Withdraw a request.  Granted requests are released instead."""

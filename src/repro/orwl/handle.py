@@ -96,18 +96,18 @@ class Handle:
 
         Inserting before releasing keeps the handle's position in the next
         round ahead of any competitor that might otherwise jump the queue
-        — the ordering rule that makes iterative ORWL deterministic.
-        Returns the *new* (pending) request.
+        — the ordering rule that makes iterative ORWL deterministic.  Both
+        steps run as one FIFO grant pass (:meth:`OrwlFifo.requeue`).
+        Returns the *new* request (pending, or already granted).
         """
-        if self._request is None or self._request.state is not RequestState.GRANTED:
+        old = self._request
+        if old is None or old.state is not RequestState.GRANTED:
             raise FifoError(
                 f"orwl_next on handle {self.op_name!r} without a granted request"
             )
-        old = self._request
-        self._request = None  # allow insert_request
-        new = self.location.fifo.insert(self.mode, tag=self.op_name, waiter=self.waiter)
-        self._request = new
-        self.location.fifo.release(old)
+        self._request = new = self.location.fifo.requeue(
+            old, tag=self.op_name, waiter=self.waiter
+        )
         return new
 
     def cancel(self) -> None:

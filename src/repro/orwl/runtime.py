@@ -33,7 +33,7 @@ from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
 from repro.orwl.location import Location
 from repro.orwl.program import Operation, Program
-from repro.simulate.engine import SimEvent
+from repro.simulate.engine import SimEvent, SimulationError
 from repro.simulate.machine import Machine, SimThread
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.syscalls import Compute, Receive, Wait
@@ -42,6 +42,11 @@ from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.tracer import Tracer
+
+
+#: ``Request.payload`` of a grant delivered before any acquire waited on
+#: it: the acquire then proceeds without a grant event ever being built.
+_DELIVERED = object()
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,9 @@ class OpContext:
                 "(the runtime inserts the initial one; use ctx.next afterwards)"
             )
         rt = self._rt
-        event = rt.event_of(req)
-        if not event.fired:
+        if req.payload is None:
+            # Not delivered yet: build the grant event and wait on it.
+            event = req.payload = rt.machine.new_event(f"grant:{req.tag}")
             yield Wait(event)
         if handle.mode is AccessMode.READ:
             loc = handle.location
@@ -202,6 +208,8 @@ class Runtime:
         self.machine = machine
         self.config = config or RuntimeConfig()
         self.tracer = CommTracer() if self.config.trace else None
+        self._type_rows = machine.distances.type_rows()
+        self._level_latency = machine.distances.level_latency
 
         ops = program.operations()
         n_ops = len(ops)
@@ -274,18 +282,26 @@ class Runtime:
 
     # -- grant plumbing ------------------------------------------------------
 
-    def event_of(self, req: Request) -> SimEvent:
-        """The grant event of a request (created lazily, one per request).
+    def _deliver(self, req: Request, ctl: Optional[SimThread]) -> None:
+        """Deliver *req*'s grant from control thread *ctl* (None: direct).
 
-        Stored on the request itself (``payload``) — a dict keyed by
+        Wakes the acquire waiting on it after the grant message latency;
+        if nobody waits yet, only marks the request delivered.  The state
+        lives on the request itself (``payload``) — a dict keyed by
         ``id(req)`` would collide when a released request is garbage
         collected and a new one reuses its id.
         """
-        ev = req.payload
-        if ev is None:
-            ev = self.machine.new_event(f"grant:{req.tag}")
-            req.payload = ev
-        return ev
+        event = req.payload
+        if event is None:
+            req.payload = _DELIVERED
+        elif event is _DELIVERED:
+            raise SimulationError(f"event 'grant:{req.tag}' fired twice")
+        else:
+            assert isinstance(event, SimEvent)
+            event.fire(
+                delay=self.config.direct_grant_latency if ctl is None
+                else self._grant_message_latency(ctl, req)
+            )
 
     def trace_id_of_tid(self, tid: int) -> int:
         return self._trace_id_of_tid[tid]
@@ -297,7 +313,7 @@ class Runtime:
             cq = self._control_queue_of_task.get(owner)
             if cq is None:
                 # No control thread for this location: direct grant.
-                self.event_of(req).fire(delay=self.config.direct_grant_latency)
+                self._deliver(req, None)
                 self._trace_grant(-1, req)
                 return
             cq.jobs.append(req)
@@ -338,7 +354,7 @@ class Runtime:
         dst = self.machine.thread(req.waiter).current_pu
         if src < 0 or dst < 0:
             return 0.0
-        return self.machine.distances.latency(src, dst)
+        return self._level_latency[self._type_rows[src][dst]]
 
     def _control_body(self, cq: _ControlQueue, ctl_tid: int) -> Generator:
         """Control-thread loop: service grant messages until shutdown."""
@@ -351,7 +367,7 @@ class Runtime:
             while jobs:
                 req = jobs.popleft()
                 yield service
-                self.event_of(req).fire(delay=self._grant_message_latency(ctl, req))
+                self._deliver(req, ctl)
                 if machine.tracer is not None:
                     self._trace_grant(ctl_tid, req)
             if cq.shutdown:

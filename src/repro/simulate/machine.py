@@ -39,7 +39,7 @@ from repro.simulate.syscalls import (
     Wait,
     Yield,
 )
-from repro.topology.distance import DEFAULT_LEVEL_COSTS, DistanceModel, LinkCosts
+from repro.topology.distance import DEFAULT_LEVEL_COSTS, DistanceModel
 from repro.topology.objects import ObjType
 from repro.topology.tree import Topology
 from repro.util.rng import SeedLike, make_rng
@@ -105,6 +105,9 @@ class SimThread:
         "blocked_since",
         "priority",
         "resume_cb",
+        "transfer_cb",
+        "transfer_level",
+        "transfer_node",
         "compute_time",
         "transfer_time",
         "wait_time",
@@ -129,6 +132,12 @@ class SimThread:
         #: the thread's reusable resume callback (one closure per thread
         #: instead of one per event; set by Machine.run).
         self.resume_cb: Optional[Callable[[], None]] = None
+        #: the thread's reusable end-of-transfer callback (set by
+        #: Machine.run), and the contention slot (sharing level,
+        #: producer node) of its one in-flight transfer.
+        self.transfer_cb: Optional[Callable[[], None]] = None
+        self.transfer_level = ObjType.MACHINE
+        self.transfer_node = -1
         #: cache-refill seconds to add to the next work item.
         self.pending_penalty = 0.0
         #: CPU seconds consumed since the last balancing decision.
@@ -251,30 +260,17 @@ class Machine:
         # Hot-path caches: every node-receive used to re-query the
         # topology for the NUMA node list and walk to a representative
         # PU; with millions of transfers per run these are resolved once
-        # here.  `_numa_nodes` is the node list in logical order,
+        # here.  `_numa_nodes` is the node list in logical order and
         # `_node_rep_pu[k]` a representative PU (logical index) under
-        # node k, and `_costs_of_level` the resolved LinkCosts per LCA
-        # type (falling back to the model's MACHINE entry, like
-        # DistanceModel does).
+        # node k.
         self._numa_nodes = topo.objects_by_type(ObjType.NUMANODE)
+        #: per-pair sharing level, as the model's byte rows (see
+        #: DistanceModel.type_rows): one list and one bytes index per
+        #: transfer instead of a numpy scalar read.
+        self._type_rows = self.distances.type_rows()
         self._node_rep_pu = [
             next(node.pus()).logical_index for node in self._numa_nodes
         ]
-        self._costs_of_level: dict[ObjType, LinkCosts] = {
-            t: self.distances.level_costs.get(t, DEFAULT_LEVEL_COSTS[ObjType.MACHINE])
-            for t in ObjType
-        }
-        # Per-level charging tables: latency / bandwidth per ObjType
-        # value, so a node-stream price is two list reads and one fused
-        # `lat + nbytes / bw` instead of a dict lookup plus a dataclass
-        # method call.  Same doubles, same result — only the dispatch is
-        # cheaper.
-        n_types = max(int(t) for t in ObjType) + 1
-        self._level_lat = [0.0] * n_types
-        self._level_bw = [1.0] * n_types
-        for t, costs in self._costs_of_level.items():
-            self._level_lat[int(t)] = float(costs.latency)
-            self._level_bw[int(t)] = float(costs.bandwidth)
         # UMA machines charge NUMANODE-class cost for node streams.
         self._uma_node_costs = self.distances.level_costs.get(
             ObjType.NUMANODE, DEFAULT_LEVEL_COSTS[ObjType.NUMANODE]
@@ -416,6 +412,7 @@ class Machine:
             self.scheduler.occupy(t.current_pu)
             t.state = ThreadState.READY
             t.resume_cb = self._resume_fn(t)
+            t.transfer_cb = self._transfer_done_fn(t)
             if self.tracer is not None:
                 self._trace("thread_start", t, 0.0,
                             detail="bound" if t.is_bound else "unbound")
@@ -465,6 +462,13 @@ class Machine:
 
     def _resume_fn(self, t: SimThread) -> Callable[[], None]:
         return lambda: self._advance(t)
+
+    def _transfer_done_fn(self, t: SimThread) -> Callable[[], None]:
+        def complete() -> None:
+            self.contention.end(t.transfer_level, t.transfer_node)
+            self._advance(t)
+
+        return complete
 
     def _advance(self, t: SimThread) -> None:
         """Drive the thread's generator until it blocks or finishes."""
@@ -685,13 +689,10 @@ class Machine:
                 Segment(t.tid, t.name, "transfer", t.current_pu, start, end)
             )
         self.contention.begin(level, producer_node)
-
-        def complete() -> None:
-            self.contention.end(level, producer_node)
-            self._advance(t)
-
+        t.transfer_level = level
+        t.transfer_node = producer_node
         t.state = ThreadState.READY
-        self.engine.at(end, complete)
+        self.engine.at(end, t.transfer_cb)
 
     def _do_receive(self, t: SimThread, producer_tid: int, nbytes: float) -> None:
         self._maybe_pull(t)
@@ -702,8 +703,10 @@ class Machine:
         dst_pu = t.current_pu
         if src_pu < 0 or dst_pu < 0:  # pragma: no cover - placed at start
             raise SimulationError("transfer before placement")
-        level = self.distances.lca_type(src_pu, dst_pu)
-        base = self.distances.transfer_time(src_pu, dst_pu, nbytes)
+        dm = self.distances
+        ti = self._type_rows[src_pu][dst_pu]
+        level = dm.level_types[ti]
+        base = 0.0 if nbytes <= 0 else dm.level_latency[ti] + nbytes / dm.level_bandwidth[ti]
         if t.pending_penalty > 0.0:
             base += t.pending_penalty
             t.pending_penalty = 0.0
@@ -723,17 +726,13 @@ class Machine:
             return
         if not 0 <= node_index < len(self._numa_nodes):
             raise SimulationError(f"no NUMA node {node_index}")
-        consumer_node = self._node_of_pu[dst_pu]
-        if consumer_node == node_index:
-            level = ObjType.NUMANODE  # local DRAM
+        dm = self.distances
+        if self._node_of_pu[dst_pu] == node_index:
+            ti = int(ObjType.NUMANODE)  # local DRAM
         else:
-            rep = self._node_rep_pu[node_index]
-            level = self.distances.lca_type(rep, dst_pu)
-        ti = int(level)
-        base = (
-            0.0 if nbytes <= 0
-            else self._level_lat[ti] + nbytes / self._level_bw[ti]
-        )
+            ti = self._type_rows[self._node_rep_pu[node_index]][dst_pu]
+        level = dm.level_types[ti]
+        base = 0.0 if nbytes <= 0 else dm.level_latency[ti] + nbytes / dm.level_bandwidth[ti]
         if t.pending_penalty > 0.0:
             base += t.pending_penalty
             t.pending_penalty = 0.0

@@ -17,29 +17,36 @@ simulated analogue of a pthread calling into libc/the ORWL runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.simulate.engine import SimEvent
 
 
 class Syscall:
-    """Marker base class for thread requests."""
+    """Marker base class for thread requests.
+
+    Syscalls are plain ``__slots__`` classes: one is built per yield on
+    the simulator's hot path, so they carry no per-instance ``__dict__``
+    and no dataclass machinery.  They compare by identity; treat them as
+    immutable (the runtime reuses one instance across yields).
+    """
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+
 class Compute(Syscall):
     """Burn *duration* seconds of CPU on the thread's current PU."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"negative compute duration {self.duration}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise ValueError(f"negative compute duration {duration}")
+        self.duration = duration
 
 
-@dataclass(frozen=True)
 class ComputeFlops(Syscall):
     """Burn *flops* of work, priced at the executing PU's rate.
 
@@ -48,14 +55,14 @@ class ComputeFlops(Syscall):
     syscall for heterogeneous machines where PUs differ in speed.
     """
 
-    flops: float
+    __slots__ = ("flops",)
 
-    def __post_init__(self) -> None:
-        if self.flops < 0:
-            raise ValueError(f"negative flop count {self.flops}")
+    def __init__(self, flops: float) -> None:
+        if flops < 0:
+            raise ValueError(f"negative flop count {flops}")
+        self.flops = flops
 
 
-@dataclass(frozen=True)
 class Receive(Syscall):
     """Consume *nbytes* produced by thread *producer* (by thread id).
 
@@ -63,15 +70,15 @@ class Receive(Syscall):
     (see :class:`ReceiveFromNode`); prefer the explicit class.
     """
 
-    producer: int
-    nbytes: float
+    __slots__ = ("producer", "nbytes")
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"negative transfer size {self.nbytes}")
+    def __init__(self, producer: int, nbytes: float) -> None:
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        self.producer = producer
+        self.nbytes = nbytes
 
 
-@dataclass(frozen=True)
 class ReceiveFromNode(Syscall):
     """Stream *nbytes* from the DRAM of NUMA node *node_index*.
 
@@ -79,21 +86,25 @@ class ReceiveFromNode(Syscall):
     read their matrix slice from wherever it was allocated.
     """
 
-    node_index: int
-    nbytes: float
+    __slots__ = ("node_index", "nbytes")
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"negative transfer size {self.nbytes}")
+    def __init__(self, node_index: int, nbytes: float) -> None:
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        self.node_index = node_index
+        self.nbytes = nbytes
 
 
-@dataclass(frozen=True)
 class Wait(Syscall):
     """Block until the event fires."""
 
-    event: SimEvent
+    __slots__ = ("event",)
+
+    def __init__(self, event: SimEvent) -> None:
+        self.event = event
 
 
-@dataclass(frozen=True)
 class Yield(Syscall):
     """Cooperative scheduling point (lets queued threads on this PU run)."""
+
+    __slots__ = ()

@@ -206,6 +206,7 @@ class DistanceModel:
         self._lca_depth = lca_depth
         self._lca_type = lca_type
         self._hops: Optional[np.ndarray] = None
+        self._type_rows: Optional[list[bytes]] = None
         # os_index -> logical index translation for runtime callers.
         self._os_to_logical = {
             pu.os_index: pu.logical_index for pu in self.topo.pus()
@@ -225,6 +226,12 @@ class DistanceModel:
                 bw_table[int(t)] = costs.bandwidth
         self._lat_table = lat_table
         self._bw_table = bw_table
+        # The same per-type tables as plain Python lists, indexed by
+        # ObjType value (see type_rows): the simulator's per-transfer
+        # lookups read these instead of numpy scalars.
+        self.level_types = [ObjType(v) for v in range(len(lat_table))]
+        self.level_latency: list[float] = lat_table.tolist()
+        self.level_bandwidth: list[float] = bw_table.tolist()
 
     @classmethod
     def from_tables(
@@ -262,6 +269,18 @@ class DistanceModel:
             return self._os_to_logical[os_index]
         except KeyError:
             raise KeyError(f"no PU with os_index {os_index}") from None
+
+    def type_rows(self) -> list[bytes]:
+        """The LCA-type table as one ``bytes`` row per PU (built once).
+
+        ``type_rows()[i][j]`` is the ObjType value of the pair (i, j),
+        an index into :attr:`level_types`, :attr:`level_latency` and
+        :attr:`level_bandwidth`.  One byte per pair, like the int8
+        table, but read with plain Python indexing.
+        """
+        if self._type_rows is None:
+            self._type_rows = [row.tobytes() for row in self._lca_type]
+        return self._type_rows
 
     def lca_type(self, pu_i: int, pu_j: int) -> ObjType:
         """Sharing level (object type of the LCA) between two logical PUs."""

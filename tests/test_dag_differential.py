@@ -10,7 +10,8 @@ Three layers pin the frontend's contract:
   declared dependency in the simulated schedule
   (``ready[consumer] >= published[producer]``).
 * **engine layer** — the same random DAGs must produce bit-identical
-  run fingerprints on the batched and the scalar engine.
+  run fingerprints on the batched and the scalar engine, and both runs
+  must keep every conservation law of :mod:`repro.observe.invariants`.
 * **sweep layer** — the E7 experiment must be bit-identical between
   serial and multi-process sweeps and between cold and warm-cache
   reruns (the content-addressed point store serving every point).
@@ -24,6 +25,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.dag import run_dag
+from repro.observe import capture
 from repro.tasks import TaskGraph, run_graph, topological_check
 
 REGION_SIZES = st.sampled_from([0.0, 64.0, 1024.0, 65536.0])
@@ -82,8 +84,11 @@ class TestRandomDagProperties:
     @settings(max_examples=30, deadline=None)
     @given(graph=task_graphs(), seed=st.integers(0, 3))
     def test_batched_and_scalar_engines_identical(self, graph, seed):
-        batched = run_graph(graph, seed=seed, trace=True, engine_mode="batched")
-        scalar = run_graph(graph, seed=seed, trace=True, engine_mode="scalar")
+        with capture() as cap:
+            batched = run_graph(graph, seed=seed, trace=True, engine_mode="batched")
+            scalar = run_graph(graph, seed=seed, trace=True, engine_mode="scalar")
+        # Both runs keep every conservation law (raises on violation).
+        assert len(cap.check_all()) == 2
         assert batched.time == scalar.time
         assert batched.fingerprint() == scalar.fingerprint()
 

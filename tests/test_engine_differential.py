@@ -14,7 +14,9 @@ pin it:
 * **system layer** — real simulations (all three Figure-1
   implementations, traced LK23 runs) under both modes must agree on
   the sha-256 run fingerprint, the metrics fingerprint and summary
-  dict, ``events_fired``, and the byte-exact JSONL trace export.
+  dict, ``events_fired``, and the byte-exact JSONL trace export; every
+  one of those runs must also keep all conservation laws of
+  :mod:`repro.observe.invariants`.
 
 Example counts are deliberately bounded (CI runs this module on every
 push); crank ``max_examples`` locally when touching the engine core.
@@ -27,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.api import run_lk23
 from repro.experiments.fig1 import run_point
+from repro.observe import capture
 from repro.observe.determinism import metrics_fingerprint, stream_hash
 from repro.observe.export import dumps_jsonl
 from repro.simulate.engine import ENGINE_MODES, Engine, SimEvent
@@ -143,11 +146,14 @@ SYSTEM_CONFIG = dict(topology="small-numa", n=2048, iterations=2, seed=3)
 class TestSystemDifferential:
     @pytest.mark.parametrize("policy", ["treematch", "nobind", "scatter"])
     def test_lk23_trace_and_metrics_identical(self, policy):
-        results = {
-            mode: run_lk23(policy=policy, trace=True, engine_mode=mode,
-                           **SYSTEM_CONFIG)
-            for mode in ENGINE_MODES
-        }
+        with capture() as cap:
+            results = {
+                mode: run_lk23(policy=policy, trace=True, engine_mode=mode,
+                               **SYSTEM_CONFIG)
+                for mode in ENGINE_MODES
+            }
+        # Both runs keep every conservation law (raises on violation).
+        assert len(cap.check_all()) == len(ENGINE_MODES)
         scalar, batched = results["scalar"], results["batched"]
         assert batched.time == scalar.time
         assert batched.metrics.summary() == scalar.metrics.summary()
@@ -167,13 +173,15 @@ class TestSystemDifferential:
         "implementation", ["orwl-bind", "orwl-nobind", "openmp"]
     )
     def test_fig1_fingerprints_identical(self, implementation):
-        points = {
-            mode: run_point(
-                implementation, n_cores=8, iterations=2, n=1024,
-                fingerprint=True, engine_mode=mode,
-            )
-            for mode in ENGINE_MODES
-        }
+        with capture() as cap:
+            points = {
+                mode: run_point(
+                    implementation, n_cores=8, iterations=2, n=1024,
+                    fingerprint=True, engine_mode=mode,
+                )
+                for mode in ENGINE_MODES
+            }
+        assert len(cap.check_all()) == len(ENGINE_MODES)
         scalar, batched = points["scalar"], points["batched"]
         assert batched.fingerprint == scalar.fingerprint
         assert batched.time == scalar.time

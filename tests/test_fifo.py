@@ -261,3 +261,71 @@ def test_granted_prefix_counters_match_scan(modes, script):
         _assert_counters_match_scan(loc.fifo)
     assert len({id(r) for r in grants}) == len(grants)
     assert all(r.state is not RequestState.PENDING for r in grants)
+
+
+def _fifo_view(fifo, reqs):
+    """Everything ``requeue`` must agree on with its two-step oracle."""
+    return (
+        [(r.tag, r.mode, r.state, r.waiter) for r in reqs],
+        [r.tag for r in fifo.queue],
+        fifo.granted_count(),
+        fifo.inserted,
+        fifo.holder_modes(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert-R", "insert-W", "release", "cancel", "next"]),
+            st.integers(0, 11),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_requeue_matches_insert_then_release(script):
+    """Property: ``requeue(old)`` gives the same grant-callback sequence,
+    request states and counters as ``insert()`` then ``release(old)`` —
+    the two-step form, kept here as the oracle — over random mixed
+    READ/WRITE queues with holders, pending entries and cancels."""
+    one, one_log = make()
+    two, two_log = make()
+    one_reqs, two_reqs = [], []  # same index = the same logical request
+    for step, (action, k) in enumerate(script):
+        live = [
+            i for i, r in enumerate(one_reqs)
+            if r.state in (RequestState.PENDING, RequestState.GRANTED)
+        ]
+        granted = [i for i in live if one_reqs[i].state is RequestState.GRANTED]
+        if action.startswith("insert"):
+            mode = R if action == "insert-R" else W
+            one_reqs.append(one.insert(mode, f"q{step}", waiter=step))
+            two_reqs.append(two.insert(mode, f"q{step}", waiter=step))
+        elif action == "release" and granted:
+            i = granted[k % len(granted)]
+            one.release(one_reqs[i])
+            two.release(two_reqs[i])
+        elif action == "cancel" and live:
+            i = live[k % len(live)]
+            one.cancel(one_reqs[i])
+            two.cancel(two_reqs[i])
+        elif action == "next" and granted:
+            i = granted[k % len(granted)]
+            old = two_reqs[i]
+            one_reqs.append(one.requeue(one_reqs[i], f"q{step}", waiter=step))
+            two_reqs.append(two.insert(old.mode, f"q{step}", waiter=step))
+            two.release(old)
+        assert one_log == two_log
+        assert _fifo_view(one, one_reqs) == _fifo_view(two, two_reqs)
+
+
+def test_requeue_of_ungranted_request_raises_and_changes_nothing():
+    fifo, log = make()
+    fifo.insert(W, "w1")
+    r2 = fifo.insert(R, "r2")
+    with pytest.raises(FifoError):
+        fifo.requeue(r2, "r2-next")
+    assert [r.tag for r in fifo.queue] == ["w1", "r2"]
+    assert fifo.inserted == 2 and log == ["w1"]

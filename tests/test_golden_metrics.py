@@ -14,19 +14,30 @@ Two different promises, two different test styles:
   levels, these literals catch it.  Byte counters are exact integers by
   construction (sums of block sizes), so equality is safe; the makespan
   is float arithmetic and gets a tight relative tolerance instead.
+
+Every run here is also audited against all conservation laws of
+:mod:`repro.observe.invariants`.
 """
 
 import pytest
 
 from repro.core.api import run_lk23
-from repro.observe import metrics_fingerprint, run_fingerprint, stream_hash
+from repro.observe import capture, metrics_fingerprint, stream_hash
 from repro.topology.objects import ObjType
 
 SMALL = dict(topology="small-numa", n=2048, iterations=2, seed=42, trace=True)
 
 
+def audited_lk23(**kwargs):
+    """``run_lk23`` with every conservation law checked on its machine."""
+    with capture() as cap:
+        result = run_lk23(**kwargs)
+    assert cap.check_all()  # raises InvariantError on any violation
+    return result
+
+
 def run_small(policy: str):
-    return run_lk23(policy=policy, **SMALL)
+    return audited_lk23(policy=policy, **SMALL)
 
 
 class TestDeterminism:
@@ -39,9 +50,9 @@ class TestDeterminism:
         assert list(a.trace.events) == list(b.trace.events)
 
     def test_different_seed_different_stream(self):
-        a = run_lk23(policy="nobind", topology="small-numa", n=2048,
+        a = audited_lk23(policy="nobind", topology="small-numa", n=2048,
                      iterations=2, seed=42, trace=True)
-        b = run_lk23(policy="nobind", topology="small-numa", n=2048,
+        b = audited_lk23(policy="nobind", topology="small-numa", n=2048,
                      iterations=2, seed=43, trace=True)
         assert stream_hash(a.trace.events) != stream_hash(b.trace.events)
 
@@ -50,9 +61,9 @@ class TestDeterminism:
         # which halo copy a read pulls from, hence the exact per-level
         # split) — but the conserved quantities must not move: total
         # bytes, the bulk DRAM traffic, and zero migrations.
-        a = run_lk23(policy="treematch", topology="small-numa", n=2048,
+        a = audited_lk23(policy="treematch", topology="small-numa", n=2048,
                      iterations=2, seed=1, trace=True)
-        b = run_lk23(policy="treematch", topology="small-numa", n=2048,
+        b = audited_lk23(policy="treematch", topology="small-numa", n=2048,
                      iterations=2, seed=99, trace=True)
         assert a.metrics.total_bytes == b.metrics.total_bytes
         assert (a.metrics.bytes_by_level[ObjType.NUMANODE]

@@ -1,11 +1,14 @@
-"""Tests for grant-message latency, scaling efficiency, and model
-stability across seeds."""
+"""Tests for grant-message latency, lazy grant events, scaling
+efficiency, and model stability across seeds."""
 
 import pytest
 
 from repro.experiments.fig1 import Fig1Point, Fig1Result
+from repro.observe import Tracer
 from repro.orwl import AccessMode, Program, Runtime, RuntimeConfig
+from repro.simulate.engine import SimEvent, SimulationError
 from repro.simulate.machine import Machine
+from repro.simulate.syscalls import Wait
 from repro.treematch.mapping import Mapping
 
 
@@ -69,6 +72,87 @@ class TestGrantMessageLatency:
         )
         t_ctl = rt2.run().time
         assert t_ctl > t_direct
+
+
+def _single_acquire_runtime(topo, compute_first, control_threads=True):
+    """One op on PU 0 acquiring a lock it alone uses (control thread on
+    PU 4); *compute_first* seconds of work precede the acquire.  Returns
+    the runtime, the handle, the names of every event the machine built
+    and a log of what the op observed."""
+    prog = Program("lazy")
+    loc = prog.location("l", 0, owner_task="a")
+    op = prog.task("a").operation("main", body=None)
+    h = op.handle(loc, AccessMode.WRITE)
+    log: dict = {"syscalls": []}
+
+    def body(ctx):
+        if compute_first:
+            yield ctx.compute(seconds=compute_first)
+        log["payload_before"] = h.request.payload
+        for sc in ctx.acquire(h):
+            log["syscalls"].append(sc)
+            yield sc
+        log["woken_at"] = ctx.now
+        log["request"] = h.request
+        ctx.release(h)
+
+    op.body = body
+    machine = Machine(topo, seed=0, tracer=Tracer())
+    built: list[str] = []
+    new_event = machine.new_event
+
+    def counting_new_event(name=""):
+        built.append(name)
+        return new_event(name)
+
+    machine.new_event = counting_new_event
+    rt = Runtime(
+        prog, machine, mapping=Mapping((0,)), control_mapping=Mapping((4,)),
+        config=RuntimeConfig(control_threads=control_threads),
+    )
+    return rt, h, built, log
+
+
+class TestLazyGrantEvents:
+    @pytest.mark.parametrize("control_threads", [True, False])
+    def test_grant_before_acquire_builds_no_event(self, small_topo, control_threads):
+        rt, _, built, log = _single_acquire_runtime(
+            small_topo, compute_first=1e-3, control_threads=control_threads
+        )
+        rt.run()
+        assert log["payload_before"] is not None  # delivered, as a marker
+        assert not isinstance(log["request"].payload, SimEvent)
+        assert log["syscalls"] == []  # the acquire yielded no Wait
+        assert log["woken_at"] == pytest.approx(1e-3)
+        assert not [name for name in built if name.startswith("grant:")]
+
+    def test_grant_while_waiting_wakes_after_message_latency(self, small_topo):
+        rt, _, built, log = _single_acquire_runtime(small_topo, compute_first=0.0)
+        rt.run()
+        (wait,) = log["syscalls"]
+        assert isinstance(wait, Wait)
+        event = log["request"].payload
+        assert wait.event is event and event.fired and event.name == "grant:a/main"
+        assert built.count("grant:a/main") == 1
+        # Control-thread service, then the grant message from PU 4 to PU 0.
+        expected = rt.config.grant_cost + rt.machine.distances.latency(4, 0)
+        assert log["woken_at"] == expected
+        waits = [e for e in rt.machine.tracer.events
+                 if e.kind == "wait" and e.detail == "grant:a/main"]
+        assert [(w.ts, w.ts + w.dur) for w in waits] == [(0.0, expected)]
+
+    def test_second_delivery_raises(self, small_topo):
+        # Delivered before anyone waited (by the init protocol, directly).
+        rt, h, _, _ = _single_acquire_runtime(
+            small_topo, compute_first=1e-3, control_threads=False
+        )
+        with pytest.raises(SimulationError, match="fired twice"):
+            rt._deliver(h.request, None)
+        # Delivered to a waiting acquire: its grant event has fired.
+        rt, _, _, log = _single_acquire_runtime(small_topo, compute_first=0.0)
+        rt.run()
+        with pytest.raises(SimulationError, match="fired twice"):
+            rt._deliver(log["request"], None)
 
 
 class TestEfficiency:
