@@ -12,9 +12,9 @@ contract:
   TreeMatch placement + the full ORWL runtime) in tasks/second.  Each
   DAG task is one simulated thread with FIFO lock traffic, so this is
   the sequencing cost of the whole stack.
-* **identity** — the dispatched run must be bit-identical between the
-  batched and scalar engines (the differential contract, asserted here
-  so a throughput optimization can never buy speed with divergence).
+* **identity** — the dispatched run must be bit-identical between two
+  identical traced runs (the determinism contract, asserted here so a
+  throughput optimization can never buy speed with divergence).
 
 Floors are ~5-10x below cold-run measurements on a 1-core CI box, so
 they catch order-of-magnitude regressions (an accidentally quadratic
@@ -89,16 +89,15 @@ def test_dispatch_throughput_and_identity(benchmark):
     benchmark.extra_info["tasks"] = graph.n_tasks
     benchmark.extra_info["tasks_per_s"] = rate
 
-    batched = run_graph(
+    first = run_graph(
         graph, preset="paper-smp", preset_args=(2, 8), trace=True
     )
-    scalar = run_graph(
-        graph, preset="paper-smp", preset_args=(2, 8), trace=True,
-        engine_mode="scalar",
+    again = run_graph(
+        graph, preset="paper-smp", preset_args=(2, 8), trace=True
     )
-    benchmark.extra_info["sim_time_s"] = batched.time
-    assert batched.fingerprint() == scalar.fingerprint(), (
-        "batched and scalar engines diverged on the dispatched DAG"
+    benchmark.extra_info["sim_time_s"] = first.time
+    assert again.fingerprint() == first.fingerprint(), (
+        "two identical runs diverged on the dispatched DAG"
     )
     assert rate >= MIN_DISPATCH_TASKS_PER_S, (
         f"dispatch only {rate:,.0f} tasks/s; "

@@ -2,8 +2,9 @@
 
 The ``repro.metrics`` design contract is near-zero cost when off: every
 instrumentation site guards with ``is_enabled()`` (one module-flag read
-and a branch), and the engine's cohort sink is a single ``is None``
-check per *cohort*, not per event.  This benchmark pins that contract
+and a branch), and the engine itself carries no metrics hook — the
+per-run totals are flushed once, after the drain.  This benchmark pins
+that contract
 on the hot path the telemetry wraps — a Figure-1 sweep point on the
 paper's machine shape — by timing the identical workload with
 collection disabled both before the metrics import graph is touched

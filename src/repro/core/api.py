@@ -46,10 +46,6 @@ class ExperimentConfig:
         Mapping granularity, ``"task"`` (paper mode) or ``"op"``.
     seed:
         Simulation seed (scheduler noise, jitter).
-    engine_mode:
-        Discrete-event engine variant, ``"batched"`` (cohort dispatch,
-        the default) or ``"scalar"`` (the bit-identical reference);
-        ``None`` defers to :data:`repro.simulate.DEFAULT_ENGINE_MODE`.
     trace:
         Attach a :class:`repro.observe.Tracer` to the machine; the
         structured event stream lands in :attr:`ExperimentResult.trace`
@@ -63,7 +59,6 @@ class ExperimentConfig:
     tasks: Optional[int] = None
     granularity: str = "task"
     seed: int = 0
-    engine_mode: Optional[str] = None
     trace: bool = False
 
     def resolve_topology(self) -> Topology:
@@ -122,9 +117,7 @@ def run_lk23(config: ExperimentConfig | None = None, **overrides) -> ExperimentR
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(
-        topo, seed=config.seed, tracer=tracer, engine_mode=config.engine_mode
-    )
+    machine = Machine(topo, seed=config.seed, tracer=tracer)
     runtime = Runtime(
         program, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
     )

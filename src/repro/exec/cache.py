@@ -536,7 +536,7 @@ def point_key(fn: Callable[..., Any], kwargs: dict[str, Any]) -> str:
     """Content address of one sweep point: function ⊕ kwargs ⊕ schema.
 
     The seed is part of *kwargs*, so every replicate has its own key;
-    so do flags like ``fingerprint`` or ``engine_mode`` that change
+    so do flags like ``fingerprint`` or ``perf_report`` that change
     what the point computes.
     """
     h = hashlib.sha256()

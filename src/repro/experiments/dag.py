@@ -107,7 +107,6 @@ def run_dag_point(
     seed: int = 0,
     fingerprint: bool = False,
     perf_report: bool = False,
-    engine_mode: Optional[str] = None,
 ) -> DagPoint:
     """Run one workload family under one placement; returns the point.
 
@@ -116,8 +115,7 @@ def run_dag_point(
     cache.  With *fingerprint*, the run is traced and the point carries
     its :func:`repro.observe.determinism.run_fingerprint`; with
     *perf_report*, the perf analysis plus the DAG's critical-path
-    attribution.  *engine_mode* travels in sweep-spec kwargs so pool
-    workers honour it.
+    attribution.
     """
     if policy not in POLICY_OF:
         raise ValidationError(f"unknown policy {policy!r}; one of {POLICIES}")
@@ -133,7 +131,6 @@ def run_dag_point(
         preset_args=(n_cores // cores_per_socket, cores_per_socket),
         policy=POLICY_OF[policy],
         seed=seed,
-        engine_mode=engine_mode,
         record_times=perf_report,
         trace=trace,
     )
@@ -391,7 +388,6 @@ def run_dag(
     runner: Optional[SweepRunner] = None,
     fingerprint: bool = False,
     perf_report: bool = False,
-    engine_mode: Optional[str] = None,
     point_cache: Any = None,
 ) -> DagResult:
     """The full E7 sweep: workload families × placement policies.
@@ -437,7 +433,6 @@ def run_dag(
                 graph_seed=graph_seed,
                 fingerprint=fingerprint,
                 perf_report=perf_report,
-                engine_mode=engine_mode,
             ),
             key=(workload, policy),
             label=f"{workload}/{policy}",

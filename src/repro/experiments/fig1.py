@@ -38,6 +38,10 @@ from repro.util.validate import ValidationError
 #: The implementations of the figure, in its legend order.
 IMPLEMENTATIONS = ("orwl-bind", "orwl-nobind", "openmp")
 
+#: Socket width of the paper's SMP; a swept core count must be whole
+#: sockets of it.
+CORES_PER_SOCKET = 8
+
 
 @dataclass
 class Fig1Point:
@@ -328,11 +332,10 @@ def run_point(
     n_cores: int,
     iterations: int = 5,
     n: int = 16384,
-    cores_per_socket: int = 8,
+    cores_per_socket: int = CORES_PER_SOCKET,
     seed: int = 0,
     fingerprint: bool = False,
     perf_report: bool = False,
-    engine_mode: Optional[str] = None,
 ) -> Fig1Point:
     """Run one implementation at one core count; returns the point.
 
@@ -341,9 +344,6 @@ def run_point(
     assert two sweeps (e.g. serial vs parallel) did bit-identical work.
     With *perf_report*, the run is traced and the point carries the
     JSON form of its :func:`repro.perf.analyze` report in ``perf``.
-    *engine_mode* selects the discrete-event engine variant
-    (``"batched"``/``"scalar"``, ``None`` = process default); it travels
-    in the sweep-spec kwargs so pool workers honour it too.
     """
     if implementation not in IMPLEMENTATIONS:
         raise ValidationError(
@@ -365,9 +365,7 @@ def run_point(
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(
-        topo, distance_model=dm, seed=seed, tracer=tracer, engine_mode=engine_mode
-    )
+    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
 
     if implementation == "openmp":
         result = run_openmp_lk23(
@@ -437,7 +435,6 @@ def run_fig1(
     runner: Optional[SweepRunner] = None,
     seeds: int = 1,
     confidence: float = 0.95,
-    engine_mode: Optional[str] = None,
     point_cache: Any = None,
     shared_topologies: Optional[Sequence[Any]] = None,
 ) -> Fig1Result:
@@ -476,7 +473,8 @@ def run_fig1(
         # run_point builds "paper-smp" machines at its default socket
         # width; export exactly those shapes for the pool workers.
         shared_topologies = [
-            ("paper-smp", (c // 8, 8), "default") for c in core_counts
+            ("paper-smp", (c // CORES_PER_SOCKET, CORES_PER_SOCKET), "default")
+            for c in core_counts
         ]
     result = Fig1Result(iterations=iterations, n=n, n_seeds=seeds)
     specs = [
@@ -489,7 +487,6 @@ def run_fig1(
                 n=n,
                 fingerprint=fingerprint,
                 perf_report=perf_report,
-                engine_mode=engine_mode,
             ),
             key=(impl, c),
             label=f"{impl}@{c}",

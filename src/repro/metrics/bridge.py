@@ -4,18 +4,18 @@
 transfer and run-queue span; rather than double-instrumenting the
 runtime, :class:`MetricsProbe` attaches to a tracer as a probe and
 folds those events into counters/histograms.  Because the trace stream
-is bit-identical across engine modes and replay orders (the engine
-determinism contract), every *integer* quantity derived here — event
+is bit-identical across replay orders (the engine determinism
+contract), every *integer* quantity derived here — event
 counts and histogram bucket counts over simulated durations — lands in
 the stable snapshot.
 
-Also here: the engine cohort-size sink, the end-of-run flush
-(:func:`record_run`), and the ``repro.exec.cache`` stats mirror.
+Also here: the end-of-run flush (:func:`record_run`) and the
+``repro.exec.cache`` stats mirror.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.metrics import core
 from repro.metrics.core import (
@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "MetricsProbe",
     "attach_probe",
-    "cohort_sink",
     "record_run",
     "sync_cache_stats",
 ]
@@ -137,31 +136,12 @@ def attach_probe(
     return probe
 
 
-def cohort_sink(
-    registry: MetricRegistry | None = None,
-) -> Callable[[int], None]:
-    """Engine ``metrics_sink``: histogram over dispatched cohort sizes.
-
-    Unstable by construction — the scalar engine never forms cohorts,
-    so this histogram legitimately differs across engine modes and is
-    excluded from the stable snapshot.
-    """
-    reg = registry if registry is not None else core.registry()
-    hist = reg.histogram(
-        "engine_cohort_size",
-        "Same-timestamp event cohort sizes dispatched by the engine",
-        buckets=SIZE_BUCKETS[:16],
-        stable=False,
-    )
-    return hist.observe
-
-
 def record_run(machine: "Machine", wall_s: float) -> None:
     """Flush one simulation run's engine totals into the registry.
 
     Called from ``Machine.run()`` when metrics are enabled.  Event
-    totals are integers guaranteed identical across engine modes by the
-    determinism contract, so they are stable; wall-clock rates are not.
+    totals are integers fixed by the determinism contract, so they are
+    stable; wall-clock rates are not.
     """
     reg = core.registry()
     engine = machine.engine

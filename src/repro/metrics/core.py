@@ -11,8 +11,8 @@ Design constraints (see docs/observability.md):
   snapshot (``snapshot(stable_only=True)``) contains only
   integer-exact data — counter values with integral increments and
   histogram bucket counts — which merge exactly under any association
-  order, so serial and parallel sweeps (and scalar vs batched engine
-  modes) produce byte-identical stable snapshots.  Float accumulators
+  order, so serial and parallel sweeps produce byte-identical stable
+  snapshots.  Float accumulators
   (gauges, histogram ``sum``) are excluded from the stable view because
   float addition is not associative.
 * **Fork/spawn friendly.**  Enablement rides the ``REPRO_METRICS``
@@ -121,7 +121,7 @@ def exp_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
 LATENCY_BUCKETS = exp_buckets(1e-6, 2.0, 26)
 # 1 ns .. ~1100 s — simulated durations (ORWL waits, transfers).
 SIM_TIME_BUCKETS = exp_buckets(1e-9, 2.0, 41)
-# 1 .. ~5.4e8 — counts/bytes (cohort sizes, transfer sizes).
+# 1 .. ~5.4e8 — counts/bytes (transfer sizes).
 SIZE_BUCKETS = exp_buckets(1.0, 2.0, 30)
 
 

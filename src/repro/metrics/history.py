@@ -16,7 +16,7 @@ Two classes of series, two detectors:
   trajectory so slow multi-commit creep cannot hide inside successive
   re-baselines.
 * **Wall-clock headlines** (placement-service latency/throughput,
-  cohort speedup, cache warm speedup): host-dependent, so a band gate
+  sweep and cache speedups): host-dependent, so a band gate
   would misfire.  Instead the series is split into older/newer halves
   and drift requires *both* a relative median change beyond the
   threshold in the harmful direction *and* a medium/large Cliff's
@@ -47,7 +47,6 @@ __all__ = [
 
 #: Wall-clock headline series: (section, metric, better-direction).
 HEADLINES: tuple[tuple[str, str, str], ...] = (
-    ("cohort", "batched_over_scalar", "higher"),
     ("fig1", "speedup", "higher"),
     ("cache", "warm_speedup", "higher"),
     ("placement_service", "warm_p50_s", "lower"),

@@ -12,14 +12,8 @@ The hardware substitute for the paper's 192-core SMP (see DESIGN.md §1):
 * :mod:`~repro.simulate.metrics` — per-run counters.
 """
 
-from repro.simulate.engine import ENGINE_MODES, Engine, SimEvent, SimulationError
-from repro.simulate.machine import (
-    DEFAULT_ENGINE_MODE,
-    Machine,
-    SimThread,
-    ThreadState,
-    set_default_engine_mode,
-)
+from repro.simulate.engine import Engine, SimEvent, SimulationError
+from repro.simulate.machine import Machine, SimThread, ThreadState
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.contention import ContentionConfig, ContentionModel
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
@@ -34,9 +28,6 @@ from repro.simulate.syscalls import (
 from repro.simulate.timeline import Segment, Timeline
 
 __all__ = [
-    "ENGINE_MODES",
-    "DEFAULT_ENGINE_MODE",
-    "set_default_engine_mode",
     "Engine",
     "SimEvent",
     "SimulationError",

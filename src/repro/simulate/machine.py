@@ -27,7 +27,7 @@ import numpy as np
 from repro.metrics import core as _metrics_core
 
 from repro.simulate.contention import ContentionConfig, ContentionModel
-from repro.simulate.engine import ENGINE_MODES, Engine, SimEvent, SimulationError
+from repro.simulate.engine import Engine, SimEvent, SimulationError
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.simulate.syscalls import (
@@ -57,30 +57,6 @@ ThreadBody = Generator[Syscall, None, None]
 #: tools without plumbing a tracer through their APIs.
 new_machine_hook: Optional[Callable[["Machine"], None]] = None
 
-#: Engine mode a machine uses when none is given explicitly.  The
-#: batched cohort engine is the production default; the scalar engine
-#: is the bit-identical reference (see ``repro.simulate.engine``).
-DEFAULT_ENGINE_MODE = "batched"
-
-
-def set_default_engine_mode(mode: str) -> str:
-    """Set the process-wide default engine mode; returns the previous one.
-
-    Entry points (``--engine-mode`` CLI flags, the differential test
-    harness) use this to flip every machine built downstream without
-    threading a parameter through each constructor.  Sweep workers
-    receive the mode inside their task payload instead — a process-pool
-    worker does not inherit this module global.
-    """
-    global DEFAULT_ENGINE_MODE
-    if mode not in ENGINE_MODES:
-        raise SimulationError(
-            f"unknown engine mode {mode!r}; one of {ENGINE_MODES}"
-        )
-    previous = DEFAULT_ENGINE_MODE
-    DEFAULT_ENGINE_MODE = mode
-    return previous
-
 
 class ThreadState(enum.Enum):
     NEW = "new"
@@ -105,6 +81,8 @@ class SimThread:
         "blocked_since",
         "priority",
         "resume_cb",
+        "wake_cb",
+        "wait_name",
         "transfer_cb",
         "transfer_level",
         "transfer_node",
@@ -132,6 +110,11 @@ class SimThread:
         #: the thread's reusable resume callback (one closure per thread
         #: instead of one per event; set by Machine.run).
         self.resume_cb: Optional[Callable[[], None]] = None
+        #: the thread's reusable wakeup callback for a Wait (set by
+        #: Machine.run), and the name of the event it is parked on (the
+        #: wait span's trace detail).
+        self.wake_cb: Optional[Callable[[], None]] = None
+        self.wait_name = ""
         #: the thread's reusable end-of-transfer callback (set by
         #: Machine.run), and the contention slot (sharing level,
         #: producer node) of its one in-flight transfer.
@@ -196,12 +179,6 @@ class Machine:
         transfer, wait, runq, migration), tagged with PU / NUMA node /
         sharing level, and wires the engine and scheduler probes.  See
         :mod:`repro.observe`.
-    engine_mode:
-        ``"batched"`` (event-cohort engine, the default via
-        :data:`DEFAULT_ENGINE_MODE`) or ``"scalar"`` (the reference
-        engine).  Results are bit-identical either way — the
-        differential harness and the golden fingerprints enforce it —
-        only the wall-clock throughput differs.
     """
 
     def __init__(
@@ -216,7 +193,6 @@ class Machine:
         timeline: bool = False,
         core_rate_of: Optional[dict[int, float]] = None,
         tracer: Optional["Tracer"] = None,
-        engine_mode: Optional[str] = None,
     ) -> None:
         self.topo = topo
         self.distances = distance_model or DistanceModel(topo)
@@ -234,9 +210,7 @@ class Machine:
         if not 0.0 <= compute_jitter < 1.0:
             raise ValueError(f"compute_jitter must be in [0, 1), got {compute_jitter}")
         self.compute_jitter = compute_jitter
-        self.engine_mode = engine_mode or DEFAULT_ENGINE_MODE
-        self.engine = Engine(mode=self.engine_mode)
-        self._batched = self.engine_mode == "batched"
+        self.engine = Engine()
         self.metrics = MachineMetrics()
         n_pus = topo.nb_pus
         n_nodes = max(topo.nbobjs_by_type(ObjType.NUMANODE), 1)
@@ -283,10 +257,6 @@ class Machine:
         else:
             self.timeline = None
         self.tracer: Optional["Tracer"] = None
-        if _metrics_core.is_enabled():
-            from repro.metrics.bridge import cohort_sink
-
-            self.engine.metrics_sink = cohort_sink()
         if tracer is not None:
             self.attach_tracer(tracer)
         if new_machine_hook is not None:
@@ -412,6 +382,7 @@ class Machine:
             self.scheduler.occupy(t.current_pu)
             t.state = ThreadState.READY
             t.resume_cb = self._resume_fn(t)
+            t.wake_cb = self._wake_fn(t)
             t.transfer_cb = self._transfer_done_fn(t)
             if self.tracer is not None:
                 self._trace("thread_start", t, 0.0,
@@ -463,6 +434,17 @@ class Machine:
     def _resume_fn(self, t: SimThread) -> Callable[[], None]:
         return lambda: self._advance(t)
 
+    def _wake_fn(self, t: SimThread) -> Callable[[], None]:
+        def wake() -> None:
+            waited = self.engine.now - t.blocked_since
+            self.metrics.record_wait(waited)
+            t.wait_time += waited
+            if self.tracer is not None:
+                self._trace("wait", t, t.blocked_since, waited, detail=t.wait_name)
+            self._advance(t)
+
+        return wake
+
     def _transfer_done_fn(self, t: SimThread) -> Callable[[], None]:
         def complete() -> None:
             self.contention.end(t.transfer_level, t.transfer_node)
@@ -498,51 +480,13 @@ class Machine:
         elif isinstance(sc, Wait):
             t.state = ThreadState.BLOCKED
             t.blocked_since = self.engine.now
-            sc.event.wait_thread(self, t, sc.event.name)
+            t.wait_name = sc.event.name
+            sc.event.wait(t.wake_cb)
         elif isinstance(sc, Yield):
             t.state = ThreadState.READY
             self.engine.schedule(0.0, t.resume_cb or self._resume_fn(t))
         else:
             raise SimulationError(f"thread {t.tid} yielded non-syscall {sc!r}")
-
-    def _release_batch(self, threads: list[SimThread], names: list[str]) -> None:
-        """Wake a run of threads parked on one event (engine callback).
-
-        The wakeup accounting is vectorized over the run: one numpy
-        subtraction prices every thread's wait and one
-        :meth:`MachineMetrics.record_wait_batch` call accumulates them
-        in thread order — bit-identical to the scalar engine's
-        per-waiter unblock closures (same doubles, same addition
-        order).  The per-thread trace emission and generator resumption
-        stay interleaved exactly as in the scalar path, so trace
-        streams match byte for byte.
-        """
-        if len(threads) == 1:
-            # Hot single-thread path (post-fire waits, lock grants):
-            # plain scalar arithmetic, no array round-trip.
-            t = threads[0]
-            waited = self.engine.now - t.blocked_since
-            self.metrics.record_wait(waited)
-            t.wait_time += waited
-            if self.tracer is not None:
-                self._trace("wait", t, t.blocked_since, waited, detail=names[0])
-            self._advance(t)
-            return
-        now = self.engine.now
-        blocked = np.fromiter(
-            (t.blocked_since for t in threads), dtype=np.float64, count=len(threads)
-        )
-        waited = now - blocked
-        self.metrics.record_wait_batch(waited)
-        waited_list = waited.tolist()
-        blocked_list = blocked.tolist()
-        traced = self.tracer is not None
-        for i, t in enumerate(threads):
-            w = waited_list[i]
-            t.wait_time += w
-            if traced:
-                self._trace("wait", t, blocked_list[i], w, detail=names[i])
-            self._advance(t)
 
     def _occupy_pu(self, t: SimThread, duration: float) -> tuple[float, float]:
         """Serialize *duration* of PU occupancy; returns (start, end).

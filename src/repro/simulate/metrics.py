@@ -11,21 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.topology.objects import ObjType
-
-#: Reusable repeated-index buffer for :meth:`MachineMetrics
-#: .record_wait_batch` (grown on demand, shared by every machine in the
-#: process — it is read-only zeros).
-_ZERO_INDEX = np.zeros(0, dtype=np.intp)
-
-
-def _zero_index(n: int) -> np.ndarray:
-    global _ZERO_INDEX
-    if len(_ZERO_INDEX) < n:
-        _ZERO_INDEX = np.zeros(max(n, 2 * len(_ZERO_INDEX), 64), dtype=np.intp)
-    return _ZERO_INDEX[:n]
 
 
 @dataclass
@@ -65,20 +51,6 @@ class MachineMetrics:
 
     def record_wait(self, duration: float) -> None:
         self.wait_time += duration
-
-    def record_wait_batch(self, waited: np.ndarray) -> None:
-        """Accumulate a whole wakeup cohort's wait durations at once.
-
-        ``np.add.at`` is unbuffered and applies repeated-index additions
-        in element order, so the running total goes through exactly the
-        same sequence of float64 additions as N scalar
-        :meth:`record_wait` calls — bit-identical, which the golden
-        fingerprints and the engine differential harness both pin.
-        """
-        acc = np.empty(1)
-        acc[0] = self.wait_time
-        np.add.at(acc, _zero_index(len(waited)), waited)
-        self.wait_time = float(acc[0])
 
     def record_runq(self, duration: float) -> None:
         self.runq_time += duration

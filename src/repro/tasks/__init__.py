@@ -5,9 +5,9 @@ into :class:`TaskSpace` grids, declaring the data :class:`Region`\\ s
 they read and write plus explicit control dependencies — and compiles
 it down to the existing ORWL locations/operations model
 (:mod:`repro.tasks.compile`), so DAG programs run unmodified on the
-batched engine, flow through the same placement pipeline, and keep the
-determinism contract (bit-identical across engine modes, worker
-counts, and warm-cache reruns).
+event engine, flow through the same placement pipeline, and keep the
+determinism contract (bit-identical across worker counts and
+warm-cache reruns).
 
 Quickstart::
 

@@ -2,7 +2,7 @@
 
 The compilation is a direct dataflow encoding in the existing model —
 no runtime or engine changes, which is the point: DAG programs run on
-the same decentralized event-based runtime, the same batched simulator,
+the same decentralized event-based runtime, the same simulator,
 and the same placement pipeline as the paper's iterative stencils.
 
 * every DAG task becomes one ``orwl_task`` with a single ``main``

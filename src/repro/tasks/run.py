@@ -7,8 +7,7 @@ run the chosen placement policy (through the same
 TreeMatch tiers the stencil experiments use), and execute on a seeded
 :class:`~repro.simulate.Machine`.  Determinism follows from the parts:
 same graph + same machine + same seed = bit-identical run, across
-engine modes and worker counts — the DAG differential suite enforces
-it.
+reruns and worker counts — the DAG differential suite enforces it.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ def run_graph(
     topo: Optional[Topology] = None,
     policy: str = "treematch",
     seed: int = 0,
-    engine_mode: Optional[str] = None,
     record_times: bool = False,
     trace: bool = False,
     control_threads: bool = True,
@@ -106,13 +104,10 @@ def run_graph(
 
         tracer = Tracer()
     if topo is not None:
-        machine = Machine(topo, seed=seed, tracer=tracer, engine_mode=engine_mode)
+        machine = Machine(topo, seed=seed, tracer=tracer)
     else:
         topo, dm = machine_inputs(preset, *preset_args)
-        machine = Machine(
-            topo, distance_model=dm, seed=seed, tracer=tracer,
-            engine_mode=engine_mode,
-        )
+        machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
 
     times = TaskTimes() if record_times else None
     program = compile_graph(graph, times=times)

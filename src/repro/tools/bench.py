@@ -8,11 +8,6 @@ a performance trajectory across commits.  Sections:
   events/second, on a self-rescheduling ping workload.  ``run`` should
   stay within noise of the bare loop (it adds only the runaway guard);
   a ratio well below 1.0 flags an event-loop regression.
-* ``cohort`` — the headline of the batched-engine refactor: barrier
-  cohorts on the paper's 192-PU preset drained by the batched engine
-  vs the scalar reference, in events/second, with the
-  ``batched_over_scalar`` speedup (gated at >= 10x by
-  ``benchmarks/bench_engine_throughput.py``).
 * ``fig1`` — the experiment that matters: a Figure-1 sweep run serially
   (``n_workers=1``, the reference path) and through the process pool
   (``n_workers=0`` = all host cores), with wall-clock seconds, speedup,
@@ -51,9 +46,8 @@ from typing import Any
 from repro.exec.runner import SweepRunner, resolve_workers
 from repro.experiments.ablations import treematch_cost_curve
 from repro.experiments.fig1 import run_fig1
-from repro.simulate.engine import Engine, SimEvent
+from repro.simulate.engine import Engine
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
-from repro.topology import presets
 
 
 def _engine_throughput(n_events: int, mode: str) -> dict[str, float]:
@@ -93,50 +87,6 @@ def bench_engine(n_events: int) -> dict[str, Any]:
         "run_over_stepped": (
             run_loop["events_per_sec"] / stepped["events_per_sec"]
             if stepped["events_per_sec"] > 0 else 0.0
-        ),
-    }
-
-
-def _cohort_drain(mode: str, width: int, rounds: int) -> dict[str, float]:
-    """Drain *rounds* pre-fired barrier wakeups of *width* waiters each."""
-    eng = Engine(mode=mode)
-    waiters = [lambda: None for _ in range(width)]
-    for r in range(rounds):
-        ev = SimEvent(eng, "barrier")
-        for cb in waiters:
-            ev.wait(cb)
-        ev.fire(delay=float(r))
-    t0 = time.perf_counter()
-    eng.run()
-    wall = time.perf_counter() - t0
-    return {
-        "events": float(eng.events_fired),
-        "wall_s": wall,
-        "events_per_sec": eng.events_fired / wall if wall > 0 else 0.0,
-    }
-
-
-def bench_cohort(rounds: int, preset: str = "paper-smp") -> dict[str, Any]:
-    """Batched vs scalar cohort-dispatch throughput on the paper preset.
-
-    The schedule (one barrier wakeup of ``nb_pus`` waiters per round) is
-    built untimed; only the ``engine.run()`` drain is measured, so the
-    number is pure event-dispatch throughput.  Both engines fire the
-    same events to the same final clock — the speedup is the cohort
-    machinery, not reduced work.
-    """
-    width = presets.by_name(preset).nb_pus
-    scalar = _cohort_drain("scalar", width, rounds)
-    batched = _cohort_drain("batched", width, rounds)
-    return {
-        "preset": preset,
-        "width_pus": width,
-        "rounds": rounds,
-        "scalar": scalar,
-        "batched": batched,
-        "batched_over_scalar": (
-            batched["events_per_sec"] / scalar["events_per_sec"]
-            if scalar["events_per_sec"] > 0 else 0.0
         ),
     }
 
@@ -663,14 +613,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.quick:
         engine_events = 200_000
-        cohort_rounds = 300
         core_counts: tuple[int, ...] = (8, 16)
         iterations, n = 2, 1024
         tm_orders: tuple[int, ...] = (16, 32, 64)
         cache_seeds = 3
     else:
         engine_events = 2_000_000
-        cohort_rounds = 1500
         core_counts = (8, 16, 32, 64)
         iterations, n = 3, 8192
         tm_orders = (16, 32, 64, 128, 256)
@@ -693,14 +641,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  stepped: {e['stepped']['events_per_sec']:,.0f} ev/s   "
           f"run: {e['run_loop']['events_per_sec']:,.0f} ev/s   "
           f"ratio: {e['run_over_stepped']:.2f}x")
-
-    print(f"[bench] cohort dispatch, batched vs scalar "
-          f"({cohort_rounds} barrier rounds on paper-smp)...")
-    report["cohort"] = bench_cohort(cohort_rounds)
-    c = report["cohort"]
-    print(f"  scalar: {c['scalar']['events_per_sec']:,.0f} ev/s   "
-          f"batched: {c['batched']['events_per_sec']:,.0f} ev/s   "
-          f"speedup: {c['batched_over_scalar']:.1f}x")
 
     print(f"[bench] fig1 sweep serial vs parallel "
           f"(cores={list(core_counts)}, seeds={args.seeds}, "

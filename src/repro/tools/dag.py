@@ -69,9 +69,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=0,
                         help="sweep worker processes (0 = all host cores, "
                              "1 = serial; results are identical either way)")
-    parser.add_argument("--engine-mode", choices=("batched", "scalar"),
-                        help="discrete-event engine variant (default: "
-                             "process default; results are bit-identical)")
     parser.add_argument("--fingerprint", action="store_true",
                         help="trace every point and record its run "
                              "fingerprint in the JSON dump")
@@ -84,6 +81,11 @@ def main(argv: list[str] | None = None) -> int:
                              "(JSON + text) into DIR")
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
+    if args.cores_per_socket <= 0:
+        parser.error("--cores-per-socket must be positive")
+    if args.cores <= 0 or args.cores % args.cores_per_socket:
+        parser.error(f"--cores {args.cores}: must be whole sockets of "
+                     f"{args.cores_per_socket}")
     apply_cache_arguments(args)
 
     result = run_dag(
@@ -99,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         n_workers=args.workers,
         fingerprint=args.fingerprint,
         perf_report=args.perf_report is not None,
-        engine_mode=args.engine_mode,
     )
     print(result.table())
     if args.perf_report:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 
-from repro.experiments.fig1 import run_fig1
+from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 
 
@@ -35,11 +35,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="replicates per point (1 = the historical "
                              "single-run sweep; > 1 adds mean/CI statistics "
                              "and a speedup-significance verdict)")
-    parser.add_argument("--engine-mode", choices=("batched", "scalar"),
-                        default=None,
-                        help="discrete-event engine variant (default: the "
-                             "process default, batched; scalar is the "
-                             "bit-identical reference)")
     parser.add_argument("--perf-report", metavar="DIR",
                         help="trace every point and write per-point perf "
                              "reports (JSON + text) and per-core-count "
@@ -50,6 +45,10 @@ def main(argv: list[str] | None = None) -> int:
                              "python -m repro.tools.top FILE)")
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
+    for c in args.cores:
+        if c <= 0 or c % CORES_PER_SOCKET:
+            parser.error(f"--cores {c}: core counts must be whole sockets "
+                         f"of {CORES_PER_SOCKET}")
     apply_cache_arguments(args)
 
     runner = None
@@ -72,7 +71,6 @@ def main(argv: list[str] | None = None) -> int:
         runner=runner,
         seeds=args.seeds,
         perf_report=args.perf_report is not None,
-        engine_mode=args.engine_mode,
     )
     if writer is not None:
         writer.flush()

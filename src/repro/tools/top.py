@@ -162,12 +162,6 @@ def render_dashboard(
         if eps > 0:
             line += f"   {eps:,.0f} ev/s (last run)"
         lines.append(line)
-        cohorts = _metric(snapshot, "engine_cohort_size")
-        if cohorts and cohorts.get("count"):
-            lines.append(
-                f"  cohorts {sparkline(cohorts['counts'], width=20)}  "
-                f"({cohorts['count']:,} dispatched)"
-            )
     waits = _value(snapshot, "orwl_waits_total")
     if waits:
         wakeups = _value(snapshot, "orwl_wakeups_total")
@@ -185,11 +179,7 @@ def render_dashboard(
 
 def demo_snapshot() -> dict[str, Any]:
     """A plausible synthetic snapshot (offline rendering, tests)."""
-    from repro.metrics.core import (
-        LATENCY_BUCKETS,
-        MetricRegistry,
-        SIZE_BUCKETS,
-    )
+    from repro.metrics.core import LATENCY_BUCKETS, MetricRegistry
 
     reg = MetricRegistry()
     reg.gauge("sweep_progress_total").set(40)
@@ -208,12 +198,6 @@ def demo_snapshot() -> dict[str, Any]:
             warm.observe(LATENCY_BUCKETS[k])
     reg.counter("sim_events_total").inc(2_400_000)
     reg.gauge("engine_events_per_sec").set(1_900_000)
-    cohort = reg.histogram(
-        "engine_cohort_size", buckets=SIZE_BUCKETS[:16], stable=False
-    )
-    for k, n in ((0, 500), (5, 120), (7, 90)):
-        for _ in range(n):
-            cohort.observe(SIZE_BUCKETS[k])
     reg.counter("orwl_waits_total").inc(88_000)
     reg.counter("orwl_wakeups_total").inc(88_000)
     snap = reg.snapshot()

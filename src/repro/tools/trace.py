@@ -185,7 +185,13 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag):
                 parser.error(f"--{flag} needs a live run; "
                              "it cannot audit an --input stream")
-        events = tuple(read_jsonl(args.input))
+        try:
+            events = tuple(read_jsonl(args.input))
+        except OSError as exc:
+            parser.error(f"--input {args.input}: {exc.strerror or exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            parser.error(f"--input {args.input}: not a JSONL trace stream "
+                         f"({exc})")
         source = args.input
     else:
         topo = resolve_topology(args.topology)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.comm import patterns
 from repro.comm.matrix import CommMatrix
+from repro.simulate.engine import Engine, SimulationError
 from repro.topology import presets
 from repro.topology.builder import TopologyBuilder, flat_topology
 from repro.topology.objects import ObjType
@@ -59,3 +60,41 @@ def clustered_matrix():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+#: Two loops that drain the event queue; every schedule must come out
+#: the same under both.  "batched": ``Engine.run`` drains the queue in
+#: one call, the path every simulation takes.  "scalar": the reference
+#: loop below pops one event per ``Engine.step`` call and keeps the
+#: ``until`` and ``max_events`` bookkeeping itself.
+DRAIN_MODES = ("batched", "scalar")
+
+
+def step_drain(engine, until=None, max_events=500_000_000):
+    """Reference drain: ``Engine.run`` rebuilt from single steps."""
+    step_drain.calls += 1
+    fired = 0
+    while engine.pending:
+        if until is not None and engine._heap[0][0] > until:
+            engine._now = until
+            break
+        engine.step()
+        fired += 1
+        if fired > max_events:
+            raise SimulationError(f"exceeded max_events={max_events}")
+    return engine.now
+
+
+@pytest.fixture
+def mode(request, monkeypatch):
+    """Select a drain loop (parametrize ``mode`` over DRAIN_MODES with
+    ``indirect=True``).  Under "scalar" every ``Engine.run`` in the
+    test, including the one inside ``Machine.run``, is the reference
+    loop, and the test fails if it never ran."""
+    if request.param == "batched":
+        yield request.param
+        return
+    monkeypatch.setattr(Engine, "run", step_drain)
+    step_drain.calls = 0
+    yield request.param
+    assert step_drain.calls > 0, "the scalar drain never ran"

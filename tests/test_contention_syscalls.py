@@ -9,8 +9,9 @@ Three families the main machine tests skirt around:
   at transfer *start* (load is sampled when the transfer is scheduled),
   which is exactly the DES approximation the model documents;
 * **oversubscribed wakeup ordering** — more waiters than PUs released by
-  one fire must resume in registration order, identically in both
-  engine modes (the batched release path is a single cohort entry).
+  one fire must resume in registration order, identically under both
+  drain loops of ``tests/conftest.py`` (one ``Engine.run`` call, or
+  single ``Engine.step`` calls).
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from __future__ import annotations
 import pytest
 
 from repro.simulate.contention import ContentionConfig, ContentionModel
-from repro.simulate.engine import ENGINE_MODES
+from repro.simulate.engine import Engine
 from repro.simulate.machine import Machine
 from repro.simulate.syscalls import Compute, Receive, ReceiveFromNode, Wait
 from repro.topology.builder import flat_topology
+
+from .conftest import DRAIN_MODES, step_drain
 from repro.topology.objects import ObjType
 
 
@@ -191,10 +194,10 @@ class TestContentionModelUnits:
 
 class TestOversubscribedWakeups:
     @staticmethod
-    def _barrier_run(topo, mode, n_threads):
+    def _barrier_run(topo, n_threads):
         """*n_threads* threads on 2 PUs park on one event; a firer
         releases them all.  Returns (machine, resume order, final t)."""
-        m = Machine(topo, seed=0, engine_mode=mode)
+        m = Machine(topo, seed=0)
         ev = m.new_event()
         order: list[int] = []
         for k in range(n_threads):
@@ -215,26 +218,23 @@ class TestOversubscribedWakeups:
         m.set_body(firer, fire_body())
         return m, order, m.run()
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_wakeup_in_registration_order(self, small_topo, mode):
-        _, order, _ = self._barrier_run(small_topo, mode, 6)
+        _, order, _ = self._barrier_run(small_topo, 6)
         assert order == [0, 1, 2, 3, 4, 5]
 
-    def test_modes_agree_on_oversubscribed_barrier(self, small_topo):
-        runs = {
-            mode: self._barrier_run(small_topo, mode, 8)
-            for mode in ENGINE_MODES
-        }
-        m_s, order_s, t_s = runs["scalar"]
-        m_b, order_b, t_b = runs["batched"]
-        assert order_b == order_s
-        assert t_b == t_s
-        assert m_b.metrics.summary() == m_s.metrics.summary()
-        assert m_b.engine.events_fired == m_s.engine.events_fired
+    def test_modes_agree_on_oversubscribed_barrier(self, small_topo, monkeypatch):
+        m_a, order_a, t_a = self._barrier_run(small_topo, 8)
+        monkeypatch.setattr(Engine, "run", step_drain)
+        m_b, order_b, t_b = self._barrier_run(small_topo, 8)
+        assert order_b == order_a
+        assert t_b == t_a
+        assert m_b.metrics.summary() == m_a.metrics.summary()
+        assert m_b.engine.events_fired == m_a.engine.events_fired
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_wait_time_accounts_queueing(self, small_topo, mode):
         """Every waiter's park time lands in wait_time; with 3 waiters
         per PU the serialized computes keep the total deterministic."""
-        m, _, _ = self._barrier_run(small_topo, mode, 6)
+        m, _, _ = self._barrier_run(small_topo, 6)
         assert m.metrics.wait_time > 0.0

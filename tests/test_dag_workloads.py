@@ -3,7 +3,7 @@
 The golden fingerprints pin byte-exact behaviour of the whole stack —
 graph construction, dependency inference, ORWL lowering, placement,
 and the simulated execution — for one small tiled-Cholesky and one BFS
-instance.  Serial, parallel-engine-mode, and warm-cache runs must all
+instance.  Serial, parallel, repeated and warm-cache runs must all
 reproduce them (the differential suite broadens this to random DAGs).
 
 If a deliberate model change moves them, regenerate with::
@@ -34,6 +34,8 @@ from repro.kernels.cholesky import CholeskyConfig, build_cholesky_graph
 from repro.kernels.divconq import DivConqConfig, build_divconq_graph
 from repro.tasks import run_graph, topological_check
 from repro.util.validate import ValidationError
+
+from .conftest import DRAIN_MODES
 
 GOLDEN_CHOLESKY = CholeskyConfig(blocks=3, tile=64)
 GOLDEN_BFS = BfsConfig(n_vertices=64, extra_degree=2.0, parts=4, graph_seed=11)
@@ -176,8 +178,11 @@ class TestGoldenSchedules:
         )
 
     @pytest.mark.parametrize("family", sorted(GOLDEN))
-    @pytest.mark.parametrize("engine_mode", ["batched", "scalar"])
-    def test_fingerprint_pinned_across_engines(self, family, engine_mode):
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
+    def test_fingerprint_pinned_across_engines(self, family, mode):
+        """The golden schedule comes out of both drain loops of
+        ``tests/conftest.py``: one ``Engine.run`` call, or single
+        ``Engine.step`` calls."""
         _, fp = GOLDEN[family]
         res = run_graph(
             golden_graph(family),
@@ -186,11 +191,10 @@ class TestGoldenSchedules:
             policy="treematch",
             seed=0,
             trace=True,
-            engine_mode=engine_mode,
         )
         assert res.fingerprint() == fp, (
-            f"{family} golden schedule moved under the {engine_mode} "
-            "engine; serial == parallel == cached is the contract"
+            f"{family} golden schedule moved under the {mode} drain; "
+            "serial == parallel == cached is the contract"
         )
 
     @pytest.mark.parametrize("family", sorted(GOLDEN))
@@ -205,4 +209,7 @@ class TestGoldenSchedules:
                 seed=0,
                 trace=True,
             )
-            assert res.fingerprint() == fp
+            assert res.fingerprint() == fp, (
+                f"{family} golden schedule moved; serial == parallel == "
+                "cached is the contract"
+            )

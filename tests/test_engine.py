@@ -1,15 +1,19 @@
 """Tests for the discrete-event engine and SimEvent.
 
-Most cases run on the default (batched) engine; the scalar reference is
-covered by the same suite via the ``mode`` parametrization plus the
-full cross-mode harness in ``tests/test_engine_differential.py``.
+Cases parametrized over ``mode`` run under both drain loops of
+``tests/conftest.py``: one ``Engine.run`` call ("batched") and a
+reference loop of single ``Engine.step`` calls ("scalar").  The
+randomized ordering laws (against a minimal reference engine) live in
+``tests/test_engine_differential.py``.
 """
 
 import math
 
 import pytest
 
-from repro.simulate.engine import ENGINE_MODES, Engine, SimEvent, SimulationError
+from repro.simulate.engine import Engine, SimEvent, SimulationError
+
+from .conftest import DRAIN_MODES
 
 
 class TestEngine:
@@ -167,27 +171,48 @@ class TestNonFiniteDelays:
     ``delay < 0`` is False for NaN, so the old negative-delay guard let
     NaN through — and one NaN timestamp silently corrupts heap ordering
     (every comparison against NaN is False).  All scheduling entry
-    points must reject non-finite values up front, in both modes.
+    points must reject non-finite values up front, also once the
+    engine has drained events and moved its clock.
     """
 
     BAD = [float("nan"), float("inf"), -float("inf"), -1.0]
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @staticmethod
+    def _drained() -> Engine:
+        """An engine whose clock a drain has moved to 1.0."""
+        e = Engine()
+        e.schedule(1.0, lambda: None)
+        assert e.run() == 1.0
+        return e
+
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     @pytest.mark.parametrize("delay", BAD, ids=repr)
     def test_schedule_rejects(self, mode, delay):
         with pytest.raises(SimulationError, match="finite"):
-            Engine(mode=mode).schedule(delay, lambda: None)
+            Engine().schedule(delay, lambda: None)
+        e = self._drained()
+        with pytest.raises(SimulationError, match="finite"):
+            e.schedule(delay, lambda: None)
+        assert e.pending == 0
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     @pytest.mark.parametrize("time", BAD, ids=repr)
     def test_at_rejects(self, mode, time):
         with pytest.raises(SimulationError):
-            Engine(mode=mode).at(time, lambda: None)
+            Engine().at(time, lambda: None)
+        e = self._drained()
+        with pytest.raises(SimulationError):
+            e.at(time, lambda: None)
+        assert e.pending == 0
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     @pytest.mark.parametrize("delay", BAD, ids=repr)
     def test_fire_rejects(self, mode, delay):
-        ev = SimEvent(Engine(mode=mode))
+        ev = SimEvent(Engine())
+        ev.wait(lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            ev.fire(delay)
+        ev = SimEvent(self._drained())
         ev.wait(lambda: None)
         with pytest.raises(SimulationError, match="finite"):
             ev.fire(delay)
@@ -207,18 +232,13 @@ class TestNonFiniteDelays:
 
 
 class TestEngineModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine mode"):
-            Engine(mode="turbo")
+    """A fire with N waiters is N ordinary events at one timestamp,
+    whichever loop drains them."""
 
-    def test_default_mode_is_batched(self):
-        assert Engine().mode == "batched"
-        assert ENGINE_MODES[0] == "batched"
-
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_pending_counts_every_waiter(self, mode):
-        """A cohort heap entry still counts as N pending events."""
-        e = Engine(mode=mode)
+        """Every released waiter is one pending event."""
+        e = Engine()
         ev = SimEvent(e)
         for k in range(5):
             ev.wait(lambda: None)
@@ -228,9 +248,10 @@ class TestEngineModes:
         assert e.pending == 0
         assert e.events_fired == 5
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_cohort_counts_toward_events_fired(self, mode):
-        e = Engine(mode=mode)
+        """All waiters of one fire (its cohort) count one event each."""
+        e = Engine()
         ev = SimEvent(e)
         for _ in range(7):
             ev.wait(lambda: None)
@@ -239,12 +260,11 @@ class TestEngineModes:
         e.run()
         assert e.events_fired == 8
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_schedule_after_fire_sorts_after_cohort(self, mode):
-        """seq reservation: a post-fire schedule at the same timestamp
-        must run after every waiter of the cohort, as it would have
-        with one heap entry per waiter."""
-        e = Engine(mode=mode)
+        """A post-fire schedule at the same timestamp runs after every
+        waiter of the fire (higher seq)."""
+        e = Engine()
         ev = SimEvent(e)
         log = []
         for k in range(3):
@@ -254,11 +274,11 @@ class TestEngineModes:
         e.run()
         assert log == [("w", 0), ("w", 1), ("w", 2), ("late", None)]
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_zero_delay_from_cohort_joins_timestamp(self, mode):
         """A waiter scheduling at zero delay runs at the same simulated
-        time, after the rest of the cohort (higher seq)."""
-        e = Engine(mode=mode)
+        time, after the rest of the released waiters (higher seq)."""
+        e = Engine()
         ev = SimEvent(e)
         log = []
         ev.wait(lambda: e.schedule(0.0, lambda: log.append(("z", e.now))))
@@ -267,9 +287,11 @@ class TestEngineModes:
         e.run()
         assert log == [("w", 1.0), ("z", 1.0)]
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_step_drains_cohorts_too(self, mode):
-        e = Engine(mode=mode)
+        """``step`` fires one waiter per call; a drain after it finds
+        nothing left and keeps the clock."""
+        e = Engine()
         ev = SimEvent(e)
         log = []
         for k in range(4):
@@ -280,12 +302,13 @@ class TestEngineModes:
             steps += 1
         assert log == [0, 1, 2, 3]
         assert e.events_fired == 4
-        # Batched mode drains the whole cohort as one heap entry.
-        assert steps == (1 if mode == "batched" else 4)
+        assert steps == 4
+        assert e.run() == 1.0
+        assert e.events_fired == 4
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_run_until_with_pending_cohort(self, mode):
-        e = Engine(mode=mode)
+        e = Engine()
         ev = SimEvent(e)
         for _ in range(3):
             ev.wait(lambda: None)
@@ -297,9 +320,9 @@ class TestEngineModes:
         e.run()
         assert e.pending == 0
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_max_events_guard_with_cohorts(self, mode):
-        e = Engine(mode=mode)
+        e = Engine()
 
         def loop():
             ev = SimEvent(e)
@@ -312,9 +335,9 @@ class TestEngineModes:
         with pytest.raises(SimulationError, match="max_events"):
             e.run(max_events=500)
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
     def test_probe_called_once_per_logical_event(self, mode):
-        e = Engine(mode=mode)
+        e = Engine()
         seen = []
         e.probe = seen.append
         ev = SimEvent(e)
@@ -325,11 +348,10 @@ class TestEngineModes:
         e.run()
         assert seen == [2.0] * 5 + [3.0]
 
-    def test_repr_counts_waiters_in_both_modes(self):
-        for mode in ENGINE_MODES:
-            ev = SimEvent(Engine(mode=mode), "b")
-            for _ in range(3):
-                ev.wait(lambda: None)
-            assert "3 waiting" in repr(ev)
-            ev.fire()
-            assert "fired" in repr(ev)
+    def test_repr_counts_waiters(self):
+        ev = SimEvent(Engine(), "b")
+        for _ in range(3):
+            ev.wait(lambda: None)
+        assert "3 waiting" in repr(ev)
+        ev.fire()
+        assert "fired" in repr(ev)

@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.metrics import core
-from repro.metrics.bridge import MetricsProbe, cohort_sink
+from repro.metrics.bridge import MetricsProbe
 from repro.metrics.bus import SnapshotWriter, read_snapshot
 from repro.metrics.core import (
     Counter,
@@ -369,16 +369,6 @@ def test_metrics_probe_filter_spec_roundtrip():
     expected = sum(1 for ev in events if EventFilter.parse(spec)(ev))
     assert reg.counter("observe_events_bridged_total").value == expected == 2
     assert reg.counter("orwl_transfers_total").value == 0
-
-
-def test_cohort_sink_observes_sizes():
-    reg = MetricRegistry()
-    sink = cohort_sink(reg)
-    sink(1)
-    sink(192)
-    hist = reg.get("engine_cohort_size")
-    assert hist.count == 2
-    assert hist.stable is False
 
 
 # -- snapshot bus ----------------------------------------------------------

@@ -2,8 +2,7 @@
 
 The acceptance-critical case is byte determinism: with metrics enabled,
 the *stable* snapshot of a Figure-1 sweep must be byte-identical
-between serial and parallel execution and between the batched and
-scalar engines.  Also here: the observe-exporter-under-parallel-sweep
+between serial and parallel execution.  Also here: the observe-exporter-under-parallel-sweep
 satellite (JSONL interleaving from pool workers must never corrupt the
 stream) and end-to-end runs of the ``bench history`` drift gate.
 """
@@ -35,7 +34,7 @@ def _clean_metrics(monkeypatch):
     core.reset_registry()
 
 
-def _stable_fig1(n_workers: int, engine_mode: str | None = None) -> str:
+def _stable_fig1(n_workers: int) -> str:
     core.reset_registry()
     core.enable()
     run_fig1(
@@ -46,7 +45,6 @@ def _stable_fig1(n_workers: int, engine_mode: str | None = None) -> str:
         n_workers=n_workers,
         fingerprint=True,
         seeds=2,
-        engine_mode=engine_mode,
         point_cache=False,
     )
     return core.registry().to_json(stable_only=True)
@@ -61,9 +59,6 @@ class TestStableSnapshotDeterminism:
         metrics = json.loads(serial)["metrics"]
         assert metrics["sim_runs_total"]["value"] > 0
         assert metrics["sweep_points_total"]["value"] == 6  # 3 impls × 2 seeds
-
-    def test_batched_equals_scalar(self):
-        assert _stable_fig1(1, "batched") == _stable_fig1(1, "scalar")
 
     def test_unstable_metrics_exist_but_are_excluded(self):
         core.enable()
@@ -106,8 +101,6 @@ class TestRuntimeInstrumentation:
         reg = core.registry()
         assert reg.counter("sim_runs_total").value == 1
         assert reg.counter("sim_events_total").value == machine.engine.events_fired
-        assert machine.engine.metrics_sink is not None  # cohort sink wired
-        assert reg.get("engine_cohort_size") is not None
 
     def test_tracer_bridges_orwl_events(self, small_topo):
         core.enable()
@@ -122,7 +115,6 @@ class TestRuntimeInstrumentation:
 
     def test_disabled_run_records_nothing(self, small_topo):
         machine = self._machine(small_topo)
-        assert machine.engine.metrics_sink is None
         machine.run()
         assert len(core.registry()) == 0
 
@@ -232,7 +224,6 @@ def _report(stamp: str, warm_p50: float) -> dict:
         "meta": {"timestamp": stamp},
         "placement_service": {"warm_p50_s": warm_p50,
                               "queries_per_s": 3000.0},
-        "cohort": {"batched_over_scalar": 20.0},
     }
 
 

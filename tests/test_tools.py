@@ -3,8 +3,10 @@
 import pytest
 
 from repro.comm import patterns
+from repro.tools import dag as dag_cli
 from repro.tools import fig1 as fig1_cli
 from repro.tools import lstopo as lstopo_cli
+from repro.tools import trace as trace_cli
 from repro.tools import treematch as tm_cli
 from repro.tools._common import resolve_topology
 from repro.topology import serialize
@@ -86,6 +88,50 @@ class TestFig1Cli:
         lines = dest.read_text().splitlines()
         assert lines[0].startswith("implementation,")
         assert len(lines) == 4  # header + 3 implementations
+
+    @pytest.mark.parametrize("cores", ["7", "0"])
+    def test_partial_socket_rejected_before_sweep(self, cores, monkeypatch, capsys):
+        monkeypatch.setattr(fig1_cli, "run_fig1", _no_sweep)
+        _assert_usage_error(capsys, fig1_cli.main, ["--cores", "8", cores])
+
+
+class TestDagCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cores", "7"], ["--cores", "-8"], ["--cores-per-socket", "0"]],
+    )
+    def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(dag_cli, "run_dag", _no_sweep)
+        _assert_usage_error(capsys, dag_cli.main, argv)
+
+
+class TestTraceCli:
+    def test_missing_input_rejected(self, tmp_path, capsys):
+        err = _assert_usage_error(
+            capsys, trace_cli.main, ["--input", str(tmp_path / "absent.jsonl")]
+        )
+        assert "absent.jsonl" in err
+
+    def test_malformed_input_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        err = _assert_usage_error(capsys, trace_cli.main, ["--input", str(bad)])
+        assert "not a JSONL trace stream" in err
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep must not start on a usage error")
+
+
+def _assert_usage_error(capsys, main, argv) -> str:
+    """*main(argv)* exits 2 with a one-line error and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    return err
 
 
 class TestSimulateCli:
