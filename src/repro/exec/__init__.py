@@ -18,17 +18,14 @@ the repo's determinism contract intact:
   fingerprints (``tests/test_exec.py`` pins this);
 * **per-point seeds** — :func:`derive_seed` derives stable,
   process-independent child seeds from a base seed and a point key;
-* **worker-side caching** — :mod:`repro.exec.cache` memoizes topology
-  and :class:`~repro.topology.distance.DistanceModel` construction per
-  preset inside each worker (LRU-bounded), so a 192-PU distance matrix
-  is built once per process, not once per point;
+* **worker-side construction LRU** — :mod:`repro.exec.cache` memoizes
+  topology and :class:`~repro.topology.distance.DistanceModel`
+  construction per preset inside each process (LRU-bounded), so a
+  192-PU distance matrix is built once per worker, not once per point;
 * **placement memo** — :func:`cached_tree_match` keys TreeMatch results
   on ``(topology fingerprint, comm-matrix digest, params)``; a
   replicated sweep derives each seed-independent mapping once, with an
   optional on-disk tier shared across workers and runs;
-* **zero-copy shared topologies** — :mod:`repro.exec.shm` exports
-  distance tables into ``multiprocessing.shared_memory`` once per
-  sweep; workers attach read-only numpy views instead of rebuilding;
 * **content-addressed point cache** — :class:`~repro.exec.cache.PointCache`
   stores whole sweep-point results under ``sha256(fn ⊕ kwargs ⊕ schema)``,
   so re-running a sweep only simulates the delta (``--no-cache`` on

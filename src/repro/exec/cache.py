@@ -1,31 +1,33 @@
 """Construction, placement, and sweep-point caches.
 
-Three tiers, all bit-identical to the uncached paths (a cached object
-or result is byte-for-byte what the cold computation would produce;
+Two caching tiers plus a per-process construction LRU, all
+bit-identical to the uncached paths (a cached object or result is
+byte-for-byte what the cold computation would produce;
 ``tests/test_exec.py`` pins this with determinism fingerprints):
 
-* **Construction caches** — :func:`cached_topology` /
-  :func:`cached_distance_model` memoize per-process topology and
-  :class:`~repro.topology.distance.DistanceModel` construction, keyed
-  by preset.  Building the model runs an O(P²) LCA sweep, so a sweep
-  touching the same machine shape many times pays it once per process.
-  Both caches are LRU-bounded so a long mega-topology sweep cannot grow
-  worker memory without limit.
-* **Placement memo** — :func:`cached_tree_match` memoizes TreeMatch
-  results keyed by ``(topology fingerprint, sha-256 comm-matrix digest,
-  algorithm params)``.  Placement is seed-independent, so an N-seed
-  replicated sweep derives each mapping once instead of N times; an
-  optional on-disk store (under :func:`cache_dir`) shares mappings
-  across worker processes and across runs.
-* **Point cache** — :class:`PointCache` is a content-addressed on-disk
-  store of whole sweep-point results, keyed by
+* **Tier 1: placement memo** — :func:`cached_tree_match` memoizes
+  TreeMatch results keyed by ``(topology fingerprint, sha-256
+  comm-matrix digest, algorithm params)``.  Placement is
+  seed-independent, so an N-seed replicated sweep derives each mapping
+  once instead of N times; an optional on-disk store (under
+  :func:`cache_dir`) shares mappings across worker processes and
+  across runs.
+* **Tier 2: point cache** — :class:`PointCache` is a content-addressed
+  on-disk store of whole sweep-point results, keyed by
   ``sha256(schema version ⊕ function ⊕ kwargs)`` (the seed travels in
   the kwargs).  Re-running a sweep after adding seeds or points only
   simulates the delta; :class:`~repro.exec.runner.SweepRunner` consults
   it before dispatching.
+* **Construction LRU** — :func:`cached_topology` /
+  :func:`cached_distance_model` memoize per-process topology and
+  :class:`~repro.topology.distance.DistanceModel` construction, keyed
+  by preset.  Building the model runs an O(P²) LCA sweep, so a sweep
+  touching the same machine shape many times pays it once per process
+  (each pool worker builds its own).  Both caches are LRU-bounded so a
+  long mega-topology sweep cannot grow worker memory without limit.
 
 Configuration travels through environment variables so pool workers
-(fork *and* spawn) inherit it: ``REPRO_CACHE=off`` disables every tier
+(fork *and* spawn) inherit it: ``REPRO_CACHE=off`` disables both tiers
 (the ``--no-cache`` escape hatch), ``REPRO_CACHE_DIR`` roots the
 on-disk tiers.  :func:`configure_cache` sets both.  Without a cache
 dir, the in-process tiers still run (they are pure memoization); no
@@ -99,7 +101,7 @@ def configure_cache(
 ) -> None:
     """Set the process-wide (and child-inherited) cache configuration.
 
-    ``enabled=False`` switches every tier off — the ``--no-cache`` cold
+    ``enabled=False`` switches both tiers off — the ``--no-cache`` cold
     path.  *directory* roots the on-disk tiers (placement memo spillover
     and :func:`default_point_cache`); ``None`` keeps caching purely
     in-process.
@@ -247,10 +249,9 @@ def cached_distance_model(
     """A shared :class:`DistanceModel` over :func:`cached_topology`.
 
     *costs* selects a table from :data:`COST_TABLES` (``"default"`` or
-    ``"cluster"``).  When the parent process published the model's
-    tables into shared memory (see :mod:`repro.exec.shm`), the model is
-    assembled zero-copy from read-only views instead of re-running the
-    O(P²) LCA sweep.
+    ``"cluster"``).  Every process builds its own model on first use
+    (pool workers included) and keeps it in the LRU; a build is cheap
+    next to a single sweep point.
     """
     try:
         table = COST_TABLES[costs]
@@ -260,28 +261,12 @@ def cached_distance_model(
         ) from None
     key = (preset, args, costs)
     model = _MODELS.get(key)
-    if model is not None:
-        return model
-    topo = cached_topology(preset, *args)
-    tables = None
-    if cache_enabled():
-        from repro.exec import shm
-
-        tables = shm.attach_tables(shm.shm_key(preset, args, costs))
-    if tables is not None:
-        model = DistanceModel.from_tables(
-            topo,
-            tables["lca_depth"],
-            tables["lca_type"],
-            level_costs=dict(table),
-            lat_table=tables["lat_table"],
-            bw_table=tables["bw_table"],
+    if model is None:
+        model = DistanceModel(
+            cached_topology(preset, *args), level_costs=dict(table)
         )
-        _bump("model_shm_attach")
-    else:
-        model = DistanceModel(topo, level_costs=dict(table))
         _bump("model_build")
-    _MODELS.put(key, model)
+        _MODELS.put(key, model)
     return model
 
 
@@ -294,24 +279,6 @@ def machine_inputs(
     """
     model = cached_distance_model(preset, *args, costs=costs)
     return model.topo, model
-
-
-def normalize_machine_spec(spec: Any) -> tuple[str, tuple, str]:
-    """Normalize a machine spec to ``(preset, args, costs)``.
-
-    Accepted shapes: ``"paper"``, ``("paper",)``,
-    ``("paper-smp", (24, 8))``, ``("paper-smp", (24, 8), "default")``.
-    This is the key format of :attr:`SweepRunner.shared_topologies`.
-    """
-    if isinstance(spec, str):
-        return spec, (), "default"
-    spec = tuple(spec)
-    if not spec or not isinstance(spec[0], str) or len(spec) > 3:
-        raise ValidationError(f"bad machine spec {spec!r}")
-    preset = spec[0]
-    args = tuple(spec[1]) if len(spec) > 1 else ()
-    costs = spec[2] if len(spec) > 2 else "default"
-    return preset, args, costs
 
 
 def clear_cache() -> Optional[int]:
@@ -528,7 +495,7 @@ def cached_tree_match(
 
 
 # ---------------------------------------------------------------------------
-# Tier 3: the content-addressed point cache
+# Tier 2: the content-addressed point cache
 # ---------------------------------------------------------------------------
 
 

@@ -122,7 +122,7 @@ def _run_chunk(
     """Worker body: run one chunk, return ``(index, result)`` pairs plus
     the chunk's cache-counter delta and (when enabled) its metric delta.
 
-    Cache hits (placement memo, shared-memory attaches) happen inside
+    Cache hits (placement memo, construction caches) happen inside
     worker processes, invisible to the parent; snapshotting the
     counters around the chunk and shipping the delta home is what lets
     the parent aggregate sweep-wide hit rates.  The metric registry
@@ -181,13 +181,6 @@ class SweepRunner:
         Optional :class:`~repro.exec.cache.PointCache`.  Tasks carrying
         a ``cache_key`` are looked up before dispatch (hits fill their
         result slot without running anything) and stored after.
-    shared_topologies:
-        Machine specs (see
-        :func:`repro.exec.cache.normalize_machine_spec`) whose
-        :class:`~repro.topology.distance.DistanceModel` tables the
-        parent exports into shared memory before opening the pool, so
-        workers attach read-only views instead of rebuilding them.
-        Ignored on the serial path and under ``REPRO_CACHE=off``.
     """
 
     def __init__(
@@ -199,7 +192,6 @@ class SweepRunner:
         on_event: Optional[ProgressCallback] = None,
         mp_context: Optional[str] = None,
         point_cache: Optional[cache_mod.PointCache] = None,
-        shared_topologies: Sequence[Any] = (),
     ) -> None:
         self.n_workers = resolve_workers(n_workers)
         if chunk_size is not None and chunk_size <= 0:
@@ -215,7 +207,6 @@ class SweepRunner:
             mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
         self.point_cache = point_cache
-        self.shared_topologies = list(shared_topologies)
         #: diagnostics from the last :meth:`map` call.
         self.last_stats: dict[str, Any] = {}
 
@@ -356,7 +347,7 @@ class SweepRunner:
             if mode == "serial":
                 self._run_serial(tasks, results, t0, total)
             else:
-                worker_stats = self._map_parallel(tasks, results, t0, total, todo)
+                worker_stats = self._pool_loop(tasks, results, t0, total, todo)
         self._store_to_cache(tasks, results, todo)
 
         cache_totals = cache_mod.stats_delta(stats_before)
@@ -427,52 +418,6 @@ class SweepRunner:
             if tasks[i].cache_key and results[i] is not _MISSING:
                 self.point_cache.put(tasks[i].cache_key, results[i])
 
-    def _export_shared_topologies(self):
-        """Publish DistanceModel tables for the pool (or ``None``).
-
-        Builds each requested model in the parent (warming its own
-        cache as a side effect) and exports the tables; any shared-
-        memory-level failure (``/dev/shm`` full, no implementation)
-        degrades to workers building their own models.
-        """
-        if not self.shared_topologies or not cache_mod.cache_enabled():
-            return None
-        from repro.exec import shm
-
-        specs = [
-            cache_mod.normalize_machine_spec(s) for s in self.shared_topologies
-        ]
-        store = shm.SharedTopologyStore()
-        try:
-            for preset, args, costs in specs:
-                model = cache_mod.cached_distance_model(
-                    preset, *args, costs=costs
-                )
-                store.export_model(shm.shm_key(preset, args, costs), model)
-            store.publish()
-        except (OSError, ValueError, MemoryError):
-            store.close()
-            cache_mod.bump_stat("shm_degrade")
-            return None
-        return store
-
-    def _map_parallel(
-        self,
-        tasks: Sequence[Task],
-        results: list,
-        t0: float,
-        total: int,
-        todo: Sequence[int],
-    ) -> dict[str, int]:
-        worker_stats: dict[str, int] = {}
-        store = self._export_shared_topologies()
-        try:
-            self._pool_loop(tasks, results, t0, total, todo, worker_stats)
-        finally:
-            if store is not None:
-                store.close()
-        return worker_stats
-
     def _pool_loop(
         self,
         tasks: Sequence[Task],
@@ -480,8 +425,10 @@ class SweepRunner:
         t0: float,
         total: int,
         todo: Sequence[int],
-        worker_stats: dict[str, int],
-    ) -> None:
+    ) -> dict[str, int]:
+        """Run the *todo* slots on a process pool; returns the workers'
+        summed cache-counter deltas."""
+        worker_stats: dict[str, int] = {}
         ctx = multiprocessing.get_context(self.mp_context)
         positions = self._chunk_indices(
             len(todo), [tasks[i].weight for i in todo]
@@ -549,7 +496,7 @@ class SweepRunner:
                             detail=f"{remaining} task(s) rerun in-process",
                         )
                         self._run_serial(tasks, results, t0, total)
-                        return
+                        return worker_stats
                     raise ExecError(
                         f"worker pool crashed {crashes} time(s); "
                         f"{remaining} of {total} task(s) unfinished "
@@ -561,6 +508,7 @@ class SweepRunner:
                 )
             else:
                 pending = []
+        return worker_stats
 
 
 def run_sweep(

@@ -451,9 +451,6 @@ def run_dag(
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
-        shared_topologies=[
-            ("paper-smp", (n_cores // cores_per_socket, cores_per_socket), "default")
-        ],
     )
     for point in sweep.points:
         result.points.append(point.first)

@@ -436,7 +436,6 @@ def run_fig1(
     seeds: int = 1,
     confidence: float = 0.95,
     point_cache: Any = None,
-    shared_topologies: Optional[Sequence[Any]] = None,
 ) -> Fig1Result:
     """The full Figure-1 sweep.
 
@@ -465,17 +464,7 @@ def run_fig1(
     (:func:`repro.exec.cache.resolve_point_cache`: ``None`` = the
     environment default, ``False`` = off); re-running a cached sweep
     only simulates points not stored yet, bit-identically.
-    *shared_topologies* overrides the machine specs whose distance
-    tables parallel sweeps export into shared memory (default: every
-    swept machine shape).
     """
-    if shared_topologies is None:
-        # run_point builds "paper-smp" machines at its default socket
-        # width; export exactly those shapes for the pool workers.
-        shared_topologies = [
-            ("paper-smp", (c // CORES_PER_SOCKET, CORES_PER_SOCKET), "default")
-            for c in core_counts
-        ]
     result = Fig1Result(iterations=iterations, n=n, n_seeds=seeds)
     specs = [
         ReplicateSpec(
@@ -504,7 +493,6 @@ def run_fig1(
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
-        shared_topologies=shared_topologies,
     )
     for point in sweep.points:
         result.points.append(point.first)

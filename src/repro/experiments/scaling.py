@@ -460,10 +460,8 @@ def run_scaling(
     so the runner's chunker dispatches 4096-core points alone instead
     of queueing light points behind them.
 
-    Parallel sweeps export every swept machine's distance tables into
-    shared memory (workers attach read-only views — on the 4096-PU
-    preset that is the difference between one table and one per
-    worker); *point_cache* follows
+    Each process (every pool worker included) builds a swept machine's
+    distance model once, on first use.  *point_cache* follows
     :func:`repro.exec.cache.resolve_point_cache` (``None`` = the
     environment default, ``False`` = off), making nightly re-runs
     incremental.
@@ -509,7 +507,6 @@ def run_scaling(
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
-        shared_topologies=[(preset, (), "default") for preset, _ in sized],
     )
     for point in sweep.points:
         result.points.append(point.first)

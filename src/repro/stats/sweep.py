@@ -117,7 +117,6 @@ def run_replicated(
     n_workers: int = 1,
     on_event: Optional[ProgressCallback] = None,
     point_cache: Any = None,
-    shared_topologies: Sequence[Any] = (),
 ) -> ReplicatedSweep:
     """Run every spec *seeds* times and group the results per point.
 
@@ -131,8 +130,6 @@ def run_replicated(
     (``None`` = the environment default, ``False`` = off): when a cache
     is active, every task gets its content address as ``cache_key`` and
     the runner serves stored replicates without re-simulating.
-    *shared_topologies* forwards machine specs to the runner's
-    shared-memory export (parallel sweeps only).
     """
     specs = list(specs)
     if seeds < 1:
@@ -160,8 +157,6 @@ def run_replicated(
         runner = SweepRunner(n_workers=n_workers)
     if cache is not None and runner.point_cache is None:
         runner.point_cache = cache
-    if shared_topologies and not runner.shared_topologies:
-        runner.shared_topologies = list(shared_topologies)
     if on_event is not None:
         runner.add_callback(on_event)
     t0 = time.perf_counter()

@@ -4,7 +4,7 @@ Every sweep CLI defaults to incremental re-runs: placements and point
 results are stored under ``.repro-cache/`` (see :mod:`repro.exec.cache`)
 so repeating or extending a sweep only simulates the delta.  Results
 are bit-identical either way; ``--no-cache`` is the cold-path escape
-hatch that disables every tier.
+hatch that disables both caching tiers.
 
 The flags translate to :func:`repro.exec.cache.configure_cache`, which
 speaks through environment variables so pool workers inherit the
@@ -29,8 +29,8 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable every caching tier — placement memo, shared-memory "
-             "topologies, point results — and recompute everything "
+        help="disable both caching tiers — placement memo and point "
+             "results — and recompute everything "
              "(the cold path the cached results are verified against)",
     )
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from repro.topology import presets, serialize
 from repro.topology.builder import from_spec
@@ -41,3 +43,22 @@ def resolve_topology(source: str) -> Topology:
         sys.exit(
             f"error: {source!r} is not a preset, file, or synthetic spec ({exc})"
         )
+
+
+def require_whole_sockets(
+    parser: argparse.ArgumentParser, cores: Iterable[int], per_socket: int
+) -> None:
+    """Reject, through ``parser.error`` (exit 2), any core count that is
+    not a positive number of whole sockets of *per_socket* cores."""
+    for c in cores:
+        if c <= 0 or c % per_socket:
+            parser.error(f"--cores {c}: core counts must be whole sockets "
+                         f"of {per_socket}")
+
+
+def require_positive(parser: argparse.ArgumentParser, **values: int) -> None:
+    """Reject, through ``parser.error`` (exit 2), any count below 1;
+    each keyword names a flag without its dashes (``seeds=args.seeds``)."""
+    for name, value in values.items():
+        if value < 1:
+            parser.error(f"--{name.replace('_', '-')} must be >= 1, got {value}")

@@ -15,6 +15,7 @@ import json
 
 from repro.experiments.dag import POLICIES, WORKLOADS, run_dag
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
+from repro.tools._common import require_positive, require_whole_sockets
 
 
 def _name_list(universe: tuple[str, ...], what: str):
@@ -83,9 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cores_per_socket <= 0:
         parser.error("--cores-per-socket must be positive")
-    if args.cores <= 0 or args.cores % args.cores_per_socket:
-        parser.error(f"--cores {args.cores}: must be whole sockets of "
-                     f"{args.cores_per_socket}")
+    require_whole_sockets(parser, [args.cores], args.cores_per_socket)
+    require_positive(parser, seeds=args.seeds)
     apply_cache_arguments(args)
 
     result = run_dag(

@@ -15,6 +15,7 @@ import csv
 
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
+from repro.tools._common import require_positive, require_whole_sockets
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,10 +46,8 @@ def main(argv: list[str] | None = None) -> int:
                              "python -m repro.tools.top FILE)")
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
-    for c in args.cores:
-        if c <= 0 or c % CORES_PER_SOCKET:
-            parser.error(f"--cores {c}: core counts must be whole sockets "
-                         f"of {CORES_PER_SOCKET}")
+    require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
+    require_positive(parser, iterations=args.iterations, seeds=args.seeds)
     apply_cache_arguments(args)
 
     runner = None

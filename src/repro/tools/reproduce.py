@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.fig1 import run_fig1
+from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.experiments.plotting import plot_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
+from repro.tools._common import require_positive, require_whole_sockets
 
 
 #: (claim id, description, paper value, extractor, band check)
@@ -58,7 +59,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cores", type=int, nargs="+",
                         default=[8, 16, 32, 64, 96, 192],
-                        help="core counts to sweep (whole sockets of 8)")
+                        help="core counts to sweep (whole sockets of "
+                             f"{CORES_PER_SOCKET})")
     parser.add_argument("--workers", type=int, default=0,
                         help="sweep worker processes (0 = all host cores, "
                              "1 = serial; results are identical either way)")
@@ -68,6 +70,8 @@ def main(argv: list[str] | None = None) -> int:
                              "replicate-0 trajectory the claims are graded on")
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
+    require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
+    require_positive(parser, iterations=args.iterations, seeds=args.seeds)
     apply_cache_arguments(args)
 
     print("Reproducing: Gustedt, Jeannot, Mansouri — 'Optimizing Locality by")

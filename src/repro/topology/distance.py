@@ -188,21 +188,6 @@ class DistanceModel:
         lca_depth, lca_type = _lca_tables(self.topo)
         # Same PU: core-local (warm cache), not the PU object itself.
         np.fill_diagonal(lca_type, int(ObjType.CORE))
-        self._install_tables(lca_depth, lca_type)
-
-    def _install_tables(
-        self,
-        lca_depth: np.ndarray,
-        lca_type: np.ndarray,
-        lat_table: Optional[np.ndarray] = None,
-        bw_table: Optional[np.ndarray] = None,
-    ) -> None:
-        """Wire finalized tables in (shared by build and zero-copy paths).
-
-        *lca_type* must already have its diagonal core-filled; the
-        tables are installed as-is and never written to afterwards, so
-        read-only shared-memory views are fine.
-        """
         self._lca_depth = lca_depth
         self._lca_type = lca_type
         self._hops: Optional[np.ndarray] = None
@@ -211,19 +196,18 @@ class DistanceModel:
         self._os_to_logical = {
             pu.os_index: pu.logical_index for pu in self.topo.pus()
         }
-        if lat_table is None or bw_table is None:
-            machine_cost = self.level_costs.get(
-                ObjType.MACHINE, DEFAULT_LEVEL_COSTS[ObjType.MACHINE]
-            )
-            max_type = max(int(t) for t in ObjType)
-            lat_table = np.zeros(max_type + 1, dtype=np.float64)
-            bw_table = np.full(
-                max_type + 1, machine_cost.bandwidth, dtype=np.float64
-            )
-            for t in ObjType:
-                costs = self.level_costs.get(t, machine_cost)
-                lat_table[int(t)] = costs.latency
-                bw_table[int(t)] = costs.bandwidth
+        machine_cost = self.level_costs.get(
+            ObjType.MACHINE, DEFAULT_LEVEL_COSTS[ObjType.MACHINE]
+        )
+        max_type = max(int(t) for t in ObjType)
+        lat_table = np.zeros(max_type + 1, dtype=np.float64)
+        bw_table = np.full(
+            max_type + 1, machine_cost.bandwidth, dtype=np.float64
+        )
+        for t in ObjType:
+            costs = self.level_costs.get(t, machine_cost)
+            lat_table[int(t)] = costs.latency
+            bw_table[int(t)] = costs.bandwidth
         self._lat_table = lat_table
         self._bw_table = bw_table
         # The same per-type tables as plain Python lists, indexed by
@@ -232,34 +216,6 @@ class DistanceModel:
         self.level_types = [ObjType(v) for v in range(len(lat_table))]
         self.level_latency: list[float] = lat_table.tolist()
         self.level_bandwidth: list[float] = bw_table.tolist()
-
-    @classmethod
-    def from_tables(
-        cls,
-        topo: Topology,
-        lca_depth: np.ndarray,
-        lca_type: np.ndarray,
-        level_costs: Optional[dict[ObjType, LinkCosts]] = None,
-        lat_table: Optional[np.ndarray] = None,
-        bw_table: Optional[np.ndarray] = None,
-    ) -> "DistanceModel":
-        """Assemble a model around externally provided pairwise tables.
-
-        This is the zero-copy path of :mod:`repro.exec.shm`: the tables
-        come from a finalized model of the *same* topology (diagonal
-        already core-filled), typically as read-only shared-memory
-        views, and are never copied or mutated — skipping the O(P²) LCA
-        sweep entirely.  *lat_table* / *bw_table* default to rebuilding
-        the (tiny) flat cost tables from *level_costs*.
-        """
-        model = cls.__new__(cls)
-        model.topo = topo
-        model.level_costs = (
-            dict(level_costs) if level_costs is not None
-            else dict(DEFAULT_LEVEL_COSTS)
-        )
-        model._install_tables(lca_depth, lca_type, lat_table, bw_table)
-        return model
 
     # -- lookups (hot path: called per halo exchange in the simulator) ------
 

@@ -1,14 +1,19 @@
 """The parallel sweep executor: determinism, crash recovery, caching.
 
 The contract under test (see ``repro.exec``): a sweep's results are in
-input order and bit-identical no matter how many workers ran it; worker
-crashes are retried and, past the retry budget, the remainder finishes
-serially in-process; ordinary task exceptions propagate unchanged.
+input order and bit-identical no matter how many workers ran it or how
+they were started; worker crashes are retried and, past the retry
+budget, the remainder finishes serially in-process; ordinary task
+exceptions propagate unchanged.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +36,6 @@ from repro.exec import (
     run_sweep,
     topology_fingerprint,
 )
-from repro.exec import shm
 from repro.exec.cache import (
     _LRUDict,
     TOPOLOGY_CACHE_CAP,
@@ -473,127 +477,93 @@ class TestPointCacheSweep:
         assert warm.last_stats["cache"].get("point_hit") == 4
 
 
-class TestSharedTopologies:
-    """Tier 2: zero-copy shared-memory DistanceModel tables."""
+#: Pool start methods the determinism suite runs a sweep under.
+START_METHODS = tuple(
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
+)
 
-    PRESET = ("paper-smp", (2, 8), "default")
+#: Child-interpreter body of the spawn sweep.  The resource tracker is
+#: a separate process writing to the inherited stderr descriptor, which
+#: pytest's capture cannot see; a child interpreter's stderr it can.
+_SPAWN_SWEEP = """
+import pickle, sys
+from repro.exec import SweepRunner
+from repro.experiments.fig1 import run_fig1
 
-    def _fresh(self):
-        clear_cache()
-        shm.detach_all()
+common = pickle.loads(sys.stdin.buffer.read())
+runner = SweepRunner(n_workers=2, mp_context="spawn")
+sys.stdout.buffer.write(pickle.dumps(run_fig1(runner=runner, **common).points))
+"""
 
-    def test_export_attach_round_trip(self):
-        self._fresh()
-        model = cached_distance_model("paper-smp", 2, 8)
-        key = shm.shm_key(*self.PRESET)
-        with shm.SharedTopologyStore() as store:
-            store.export_model(key, model)
-            store.publish()
-            tables = shm.attach_tables(key)
-            assert tables is not None
-            for name in shm.TABLE_NAMES:
-                np.testing.assert_array_equal(
-                    tables[name], getattr(model, f"_{name}")
-                )
-                assert not tables[name].flags.writeable
 
-            # A model assembled from the shared views is bit-identical.
-            clear_cache()
-            before = cache_stats()
-            attached = cached_distance_model("paper-smp", 2, 8)
-            assert stats_delta(before).get("model_shm_attach") == 1
-            np.testing.assert_array_equal(
-                attached._lca_depth, model._lca_depth
-            )
-            np.testing.assert_array_equal(attached._lca_type, model._lca_type)
-        self._fresh()
+def _spawn_sweep(common: dict) -> tuple[list, str]:
+    """Run ``run_fig1(**common)`` on a 2-worker spawn pool in a child
+    interpreter; returns its points and its stderr."""
+    import repro
 
-    def test_close_unlinks_segments(self):
-        self._fresh()
-        from multiprocessing import shared_memory
-
-        model = cached_distance_model("paper-smp", 2, 8)
-        key = shm.shm_key(*self.PRESET)
-        store = shm.SharedTopologyStore()
-        store.export_model(key, model)
-        store.publish()
-        names = [
-            spec["segment"] for spec in store.manifest[key].values()
-        ]
-        store.close()
-        shm.detach_all()
-        assert os.environ.get(shm.ENV_MANIFEST) is None
-        assert shm.attach_tables(key) is None
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        clear_cache()
-
-    def test_worker_crash_leaves_no_segments(self, tmp_path):
-        """A sweep whose workers die must still unlink every segment."""
-        self._fresh()
-        from multiprocessing import shared_memory
-
-        manifests = []
-        runner = SweepRunner(
-            n_workers=2, chunk_size=1, max_retries=0,
-            shared_topologies=[self.PRESET],
-            on_event=lambda e: manifests.append(
-                os.environ.get(shm.ENV_MANIFEST)
-            ),
-        )
-        sentinel = str(tmp_path / "crashed")
-        tasks = [
-            Task(_crash_once, {"x": i, "sentinel": sentinel}) for i in range(4)
-        ]
-        assert runner.map(tasks) == [0, 1, 4, 9]
-        assert runner.last_stats["serial_fallback"] is True
-
-        published = [m for m in manifests if m]
-        assert published, "the store never published a manifest"
-        import json
-
-        names = [
-            spec["segment"]
-            for entry in json.loads(published[0]).values()
-            for spec in entry.values()
-        ]
-        assert names
-        assert os.environ.get(shm.ENV_MANIFEST) is None
-        shm.detach_all()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        clear_cache()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SWEEP],
+        input=pickle.dumps(common),
+        capture_output=True,
+        env=env,
+        timeout=600,
+    )
+    stderr = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 0, stderr
+    return pickle.loads(proc.stdout), stderr
 
 
 class TestSerialParallelDeterminism:
-    """The headline guarantee: worker count never changes the science."""
+    """The headline guarantee: neither worker count nor start method
+    changes the science."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
         common = dict(
-            core_counts=(8, 16), iterations=2, n=1024, seed=7, fingerprint=True
+            core_counts=(8, 16), iterations=2, n=1024, seed=7,
+            fingerprint=True, point_cache=False,
         )
-        serial = run_fig1(n_workers=1, **common)
-        parallel = run_fig1(n_workers=2, **common)
-        return serial, parallel
+        serial = run_fig1(n_workers=1, **common).points
+        pooled, stderr = {}, {}
+        for method in START_METHODS:
+            if method == "spawn":
+                pooled[method], stderr[method] = _spawn_sweep(common)
+            else:
+                runner = SweepRunner(n_workers=2, mp_context=method)
+                pooled[method] = run_fig1(runner=runner, **common).points
+                assert runner.last_stats["mode"] == "parallel"
+        return serial, pooled, stderr
 
     def test_same_point_order(self, sweeps):
-        serial, parallel = sweeps
-        assert [(p.implementation, p.n_cores) for p in serial.points] == [
-            (p.implementation, p.n_cores) for p in parallel.points
-        ]
+        serial, pooled, _ = sweeps
+        for points in pooled.values():
+            assert [(p.implementation, p.n_cores) for p in serial] == [
+                (p.implementation, p.n_cores) for p in points
+            ]
 
     def test_metrics_bit_identical(self, sweeps):
-        serial, parallel = sweeps
-        for a, b in zip(serial.points, parallel.points):
-            assert a.time == b.time  # == on floats: bit-exact, no tolerance
-            assert a.local_fraction == b.local_fraction
-            assert a.migrations == b.migrations
-            assert a.remote_bytes == b.remote_bytes
+        serial, pooled, _ = sweeps
+        for method, points in pooled.items():
+            for a, b in zip(serial, points):
+                # == on floats: bit-exact, no tolerance
+                assert a.time == b.time, method
+                assert a.local_fraction == b.local_fraction, method
+                assert a.migrations == b.migrations, method
+                assert a.remote_bytes == b.remote_bytes, method
 
     def test_determinism_fingerprints_identical(self, sweeps):
-        serial, parallel = sweeps
-        for a, b in zip(serial.points, parallel.points):
-            assert a.fingerprint and a.fingerprint == b.fingerprint
+        serial, pooled, _ = sweeps
+        for method, points in pooled.items():
+            for a, b in zip(serial, points):
+                assert a.fingerprint and a.fingerprint == b.fingerprint, method
+
+    def test_spawn_sweep_prints_no_traceback(self, sweeps):
+        _, _, stderr = sweeps
+        if "spawn" not in stderr:
+            pytest.skip("no spawn start method on this platform")
+        assert "Traceback" not in stderr["spawn"], stderr["spawn"]

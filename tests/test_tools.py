@@ -89,16 +89,29 @@ class TestFig1Cli:
         assert lines[0].startswith("implementation,")
         assert len(lines) == 4  # header + 3 implementations
 
-    @pytest.mark.parametrize("cores", ["7", "0"])
-    def test_partial_socket_rejected_before_sweep(self, cores, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--cores", "8", "7"], id="7"),
+            pytest.param(["--cores", "8", "0"], id="0"),
+            pytest.param(["--iterations", "0"], id="iterations0"),
+            pytest.param(["--seeds", "0"], id="seeds0"),
+        ],
+    )
+    def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
         monkeypatch.setattr(fig1_cli, "run_fig1", _no_sweep)
-        _assert_usage_error(capsys, fig1_cli.main, ["--cores", "8", cores])
+        _assert_usage_error(capsys, fig1_cli.main, argv)
 
 
 class TestDagCli:
     @pytest.mark.parametrize(
         "argv",
-        [["--cores", "7"], ["--cores", "-8"], ["--cores-per-socket", "0"]],
+        [
+            ["--cores", "7"],
+            ["--cores", "-8"],
+            ["--cores-per-socket", "0"],
+            ["--seeds", "0"],
+        ],
     )
     def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
         monkeypatch.setattr(dag_cli, "run_dag", _no_sweep)
@@ -189,6 +202,21 @@ class TestReproduceCli:
         assert rc == 0, out
         assert "[PASS] C2" in out
         assert "All claims reproduced." in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cores", "7"],
+            ["--cores", "8", "0"],
+            ["--iterations", "0"],
+            ["--seeds", "0"],
+        ],
+    )
+    def test_bad_argument_rejected_before_sweep(self, argv, monkeypatch, capsys):
+        from repro.tools import reproduce as rep_cli
+
+        monkeypatch.setattr(rep_cli, "run_fig1", _no_sweep)
+        _assert_usage_error(capsys, rep_cli.main, argv)
 
 
 class TestDiscover:
