@@ -26,6 +26,10 @@ from repro.util.validate import (
 class CommMatrix:
     """A symmetric, zero-diagonal, non-negative communication matrix.
 
+    Immutable: the constructor copies *data* into an array it marks
+    read-only, and every transform returns a new matrix.  That is what
+    lets :func:`repro.exec.cache.matrix_digest` hash a matrix once.
+
     Parameters
     ----------
     data:
@@ -50,9 +54,11 @@ class CommMatrix:
             m = m + m.T
         else:
             check_symmetric(m, "communication matrix")
-        m = m.copy()
+            m = m.copy()
         np.fill_diagonal(m, 0.0)
+        m.flags.writeable = False
         self._m = m
+        self._digest: str | None = None  # set by cache.matrix_digest
         n = m.shape[0]
         if labels is None:
             self._labels = tuple(f"t{i}" for i in range(n))
@@ -106,9 +112,7 @@ class CommMatrix:
     @property
     def values(self) -> np.ndarray:
         """Read-only view of the underlying matrix."""
-        v = self._m.view()
-        v.flags.writeable = False
-        return v
+        return self._m.view()
 
     def volume(self, i: int, j: int) -> float:
         """Pairwise volume between entities *i* and *j*."""
@@ -142,7 +146,7 @@ class CommMatrix:
         """Scale so the max entry is 1 (the zero matrix stays zero)."""
         peak = float(self._m.max()) if self._m.size else 0.0
         if peak == 0.0:
-            return CommMatrix(self._m.copy(), labels=self._labels)
+            return CommMatrix(self._m, labels=self._labels)
         return CommMatrix(self._m / peak, labels=self._labels)
 
     def permuted(self, perm: Sequence[int]) -> "CommMatrix":
@@ -230,8 +234,16 @@ class CommMatrix:
             return NotImplemented
         return self.order == other.order and np.array_equal(self._m, other._m)
 
-    def __hash__(self) -> int:  # matrices are mutable-ish; identity hash
+    def __hash__(self) -> int:
+        # Identity hash: O(1), where a content hash would sha-256 the
+        # whole matrix.  Content identity is matrix_digest's job.
         return id(self)
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy arrays unpickle writeable; re-freeze so the memoised
+        # digest stays valid.
+        self.__dict__.update(state)
+        self._m.flags.writeable = False
 
     def __repr__(self) -> str:
         return (

@@ -316,17 +316,27 @@ def matrix_digest(matrix: Union["CommMatrix", np.ndarray]) -> str:
     """Content sha-256 of a communication matrix (values, shape, labels).
 
     Flipping any single cell flips the digest, so a memoized placement
-    can never be served for a different communication pattern.
+    can never be served for a different communication pattern.  A
+    :class:`~repro.comm.matrix.CommMatrix` is immutable, so its digest
+    is computed once and kept on the instance; a raw array is mutable
+    and is hashed afresh on every call.
     """
-    values = np.ascontiguousarray(
-        np.asarray(getattr(matrix, "values", matrix), dtype=np.float64)
-    )
+    if isinstance(matrix, np.ndarray):
+        return _hash_matrix(matrix, ())
+    if matrix._digest is None:
+        matrix._digest = _hash_matrix(matrix.values, matrix.labels)
+    return matrix._digest
+
+
+def _hash_matrix(values: np.ndarray, labels: Sequence[str]) -> str:
+    """The one digest formula: ``repr(shape)``, the float64 C-order
+    bytes (through the buffer protocol, no ``tobytes()`` copy), then
+    0x1f and the UTF-8 bytes of each label."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     h = hashlib.sha256()
     h.update(repr(values.shape).encode("utf-8"))
-    h.update(values.tobytes())
-    for label in getattr(matrix, "labels", ()):
-        h.update(b"\x1f")
-        h.update(str(label).encode("utf-8"))
+    h.update(values)
+    h.update(b"".join(b"\x1f" + label.encode("utf-8") for label in labels))
     return h.hexdigest()
 
 

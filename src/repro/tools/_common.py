@@ -62,3 +62,11 @@ def require_positive(parser: argparse.ArgumentParser, **values: int) -> None:
     for name, value in values.items():
         if value < 1:
             parser.error(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def require_nonnegative(parser: argparse.ArgumentParser, **values: int) -> None:
+    """Like :func:`require_positive`, but 0 is allowed (``--workers 0``
+    means all host cores)."""
+    for name, value in values.items():
+        if value < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0, got {value}")

@@ -15,7 +15,11 @@ import json
 
 from repro.experiments.dag import POLICIES, WORKLOADS, run_dag
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
-from repro.tools._common import require_positive, require_whole_sockets
+from repro.tools._common import (
+    require_nonnegative,
+    require_positive,
+    require_whole_sockets,
+)
 
 
 def _name_list(universe: tuple[str, ...], what: str):
@@ -85,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.cores_per_socket <= 0:
         parser.error("--cores-per-socket must be positive")
     require_whole_sockets(parser, [args.cores], args.cores_per_socket)
-    require_positive(parser, seeds=args.seeds)
+    require_positive(parser, scale=args.scale, seeds=args.seeds)
+    require_nonnegative(parser, workers=args.workers)
     apply_cache_arguments(args)
 
     result = run_dag(

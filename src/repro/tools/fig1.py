@@ -15,7 +15,11 @@ import csv
 
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
-from repro.tools._common import require_positive, require_whole_sockets
+from repro.tools._common import (
+    require_nonnegative,
+    require_positive,
+    require_whole_sockets,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,7 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
     require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
-    require_positive(parser, iterations=args.iterations, seeds=args.seeds)
+    require_positive(parser, iterations=args.iterations, n=args.n, seeds=args.seeds)
+    require_nonnegative(parser, workers=args.workers)
     apply_cache_arguments(args)
 
     runner = None

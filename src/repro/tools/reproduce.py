@@ -17,7 +17,11 @@ import argparse
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.experiments.plotting import plot_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
-from repro.tools._common import require_positive, require_whole_sockets
+from repro.tools._common import (
+    require_nonnegative,
+    require_positive,
+    require_whole_sockets,
+)
 
 
 #: (claim id, description, paper value, extractor, band check)
@@ -72,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
     require_positive(parser, iterations=args.iterations, seeds=args.seeds)
+    require_nonnegative(parser, workers=args.workers)
     apply_cache_arguments(args)
 
     print("Reproducing: Gustedt, Jeannot, Mansouri — 'Optimizing Locality by")

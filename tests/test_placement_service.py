@@ -22,6 +22,8 @@ Four pillars:
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -30,10 +32,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm import patterns
 from repro.comm.matrix import CommMatrix
+from repro.exec import cache as cache_module
 from repro.exec.cache import (
     cache_stats,
     cached_tree_match,
     clear_cache,
+    matrix_digest,
     reset_cache_stats,
     stats_delta,
 )
@@ -476,6 +480,60 @@ class TestFailureInvalidatesCache:
         svc.drain(0)
         drained_key = svc.query_sync(clustered_matrix).key
         assert failed_key != drained_key
+
+
+class TestMatrixDigestOnce:
+    """The service hashes a :class:`CommMatrix` once and keeps none alive
+    but the active one."""
+
+    def test_miss_repair_and_warm_queries_hash_once(
+        self, paper_topo_small, monkeypatch
+    ):
+        calls = []
+        real = cache_module._hash_matrix
+
+        def counting(values, labels):
+            calls.append(values.shape)
+            return real(values, labels)
+
+        monkeypatch.setattr(cache_module, "_hash_matrix", counting)
+        clear_cache()
+        matrix = _random_matrix(32, seed=21)
+        svc = PlacementService(paper_topo_small)
+        miss = svc.query_sync(matrix)
+        svc.fail(miss.mapping.pu(0))
+        repair = svc.query_sync(matrix)
+        svc.restore(miss.mapping.pu(0))
+        warm = [svc.query_sync(matrix) for _ in range(100)]
+        assert not miss.cached and not repair.cached and repair.moved
+        assert all(d.cached for d in warm)
+        assert calls == [(32, 32)]
+
+    def test_decision_digest_matches_on_hit_and_miss(self, paper_topo_small):
+        clear_cache()
+        matrix = _random_matrix(32, seed=22)
+        svc = PlacementService(paper_topo_small)
+        miss = svc.query_sync(matrix)
+        hit = svc.query_sync(matrix)
+        assert not miss.cached and hit.cached
+        assert miss.matrix_digest == hit.matrix_digest == matrix_digest(matrix)
+
+    def test_service_retains_only_the_active_matrix(self, paper_topo_small):
+        clear_cache()
+        svc = PlacementService(paper_topo_small)
+        refs = []
+        for seed in range(20):
+            matrix = _random_matrix(32, seed=100 + seed)
+            refs.append(weakref.ref(matrix))
+            svc.query_sync(matrix)
+            if seed % 5 == 4:
+                svc.fail(seed)
+                svc.query_sync(matrix)
+                svc.restore(seed)
+        del matrix
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert alive == [svc._active_matrix]
 
 
 # ---------------------------------------------------------------------------

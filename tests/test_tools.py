@@ -96,6 +96,8 @@ class TestFig1Cli:
             pytest.param(["--cores", "8", "0"], id="0"),
             pytest.param(["--iterations", "0"], id="iterations0"),
             pytest.param(["--seeds", "0"], id="seeds0"),
+            pytest.param(["--n", "0"], id="n0"),
+            pytest.param(["--workers", "-1"], id="workers-1"),
         ],
     )
     def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
@@ -111,11 +113,30 @@ class TestDagCli:
             ["--cores", "-8"],
             ["--cores-per-socket", "0"],
             ["--seeds", "0"],
+            ["--scale", "0"],
+            ["--workers", "-1"],
         ],
     )
     def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
         monkeypatch.setattr(dag_cli, "run_dag", _no_sweep)
         _assert_usage_error(capsys, dag_cli.main, argv)
+
+
+class TestScalingCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seeds", "0"],
+            ["--iterations", "0"],
+            ["--cells-per-core", "0"],
+            ["--workers", "-1"],
+        ],
+    )
+    def test_bad_count_rejected_before_sweep(self, argv, monkeypatch, capsys):
+        from repro.tools import scaling as scaling_cli
+
+        monkeypatch.setattr(scaling_cli, "run_scaling", _no_sweep)
+        _assert_usage_error(capsys, scaling_cli.main, argv)
 
 
 class TestTraceCli:
@@ -210,6 +231,7 @@ class TestReproduceCli:
             ["--cores", "8", "0"],
             ["--iterations", "0"],
             ["--seeds", "0"],
+            ["--workers", "-1"],
         ],
     )
     def test_bad_argument_rejected_before_sweep(self, argv, monkeypatch, capsys):
