@@ -24,6 +24,7 @@ Best-of-N timing to shed noise on shared runners.
 
 import time
 
+from repro.exec.cache import clear_cache
 from repro.experiments.dag import build_workload
 from repro.tasks import compile_graph, run_graph
 
@@ -34,10 +35,16 @@ MIN_DISPATCH_TASKS_PER_S = 400.0
 
 
 def compile_throughput(workload: str) -> tuple[float, int]:
-    """Best-of-N tasks/second through build + compile."""
+    """Best-of-N tasks/second through a cold build + compile.
+
+    ``build_workload`` memoises its graphs per process, so every round
+    clears the construction cache first: a warm round would time a
+    dictionary lookup against the floor.
+    """
     best = 0.0
     n_tasks = 0
     for _ in range(TIMING_ROUNDS):
+        clear_cache()
         t0 = time.perf_counter()
         graph = build_workload(workload, scale=SCALE)
         compile_graph(graph)

@@ -59,6 +59,7 @@ class CommMatrix:
         m.flags.writeable = False
         self._m = m
         self._digest: str | None = None  # set by cache.matrix_digest
+        self._hash: int | None = None  # set by __hash__
         n = m.shape[0]
         if labels is None:
             self._labels = tuple(f"t{i}" for i in range(n))
@@ -235,15 +236,20 @@ class CommMatrix:
         return self.order == other.order and np.array_equal(self._m, other._m)
 
     def __hash__(self) -> int:
-        # Identity hash: O(1), where a content hash would sha-256 the
-        # whole matrix.  Content identity is matrix_digest's job.
-        return id(self)
+        # Over the values only, like __eq__ (labels do not take part, so
+        # matrix_digest is the wrong hash); + 0.0 maps -0.0 to 0.0, which
+        # compare equal.  Computed once: the array is read-only.
+        if self._hash is None:
+            self._hash = hash((self._m.shape, (self._m + 0.0).tobytes()))
+        return self._hash
 
     def __setstate__(self, state: dict) -> None:
         # numpy arrays unpickle writeable; re-freeze so the memoised
-        # digest stays valid.
+        # digest stays valid.  Python's hash of bytes is salted per
+        # process, so a pickled hash is dropped.
         self.__dict__.update(state)
         self._m.flags.writeable = False
+        self._hash = None
 
     def __repr__(self) -> str:
         return (

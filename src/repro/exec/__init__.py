@@ -19,9 +19,10 @@ the repo's determinism contract intact:
 * **per-point seeds** — :func:`derive_seed` derives stable,
   process-independent child seeds from a base seed and a point key;
 * **worker-side construction LRU** — :mod:`repro.exec.cache` memoizes
-  topology and :class:`~repro.topology.distance.DistanceModel`
-  construction per preset inside each process (LRU-bounded), so a
-  192-PU distance matrix is built once per worker, not once per point;
+  topology, :class:`~repro.topology.distance.DistanceModel` and frozen
+  :class:`~repro.tasks.graph.TaskGraph` construction inside each
+  process (LRU-bounded), so a 192-PU distance matrix or an E7 DAG is
+  built once per worker, not once per point;
 * **placement memo** — :func:`cached_tree_match` keys TreeMatch results
   on ``(topology fingerprint, comm-matrix digest, params)``; a
   replicated sweep derives each seed-independent mapping once, with an
@@ -48,6 +49,7 @@ from repro.exec.cache import (
     cache_enabled,
     cache_stats,
     cached_distance_model,
+    cached_task_graph,
     cached_topology,
     cached_tree_match,
     clear_cache,
@@ -84,6 +86,7 @@ __all__ = [
     "cache_enabled",
     "cache_stats",
     "cached_distance_model",
+    "cached_task_graph",
     "cached_topology",
     "cached_tree_match",
     "clear_cache",

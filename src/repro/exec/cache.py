@@ -18,13 +18,24 @@ byte-for-byte what the cold computation would produce;
   the kwargs).  Re-running a sweep after adding seeds or points only
   simulates the delta; :class:`~repro.exec.runner.SweepRunner` consults
   it before dispatching.
-* **Construction LRU** — :func:`cached_topology` /
-  :func:`cached_distance_model` memoize per-process topology and
-  :class:`~repro.topology.distance.DistanceModel` construction, keyed
-  by preset.  Building the model runs an O(P²) LCA sweep, so a sweep
-  touching the same machine shape many times pays it once per process
-  (each pool worker builds its own).  Both caches are LRU-bounded so a
-  long mega-topology sweep cannot grow worker memory without limit.
+* **Construction LRU** — per-process memos of the static inputs a
+  sweep point rebuilds, each LRU-bounded so a long sweep cannot grow
+  worker memory without limit, each counted in :func:`cache_stats`:
+
+  - :func:`cached_topology` (``topology_build``) — preset topologies;
+  - :func:`cached_distance_model` (``model_build``) — the
+    :class:`~repro.topology.distance.DistanceModel` over one, an O(P²)
+    LCA sweep;
+  - :func:`cached_task_graph` (``graph_build``) — frozen
+    :class:`~repro.tasks.graph.TaskGraph` instances, keyed by what
+    built them (:func:`repro.experiments.dag.build_workload`).  A graph
+    depends on neither the placement policy nor the simulation seed,
+    so every point of a sweep shares one, along with its memoised
+    digest and communication matrix.
+
+  A sweep touching the same machine shape or DAG many times pays each
+  build once per process; forked pool workers inherit what the parent
+  built, spawned ones build their own.
 
 Configuration travels through environment variables so pool workers
 (fork *and* spawn) inherit it: ``REPRO_CACHE=off`` disables both tiers
@@ -63,6 +74,7 @@ from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.comm.matrix import CommMatrix
+    from repro.tasks.graph import TaskGraph
     from repro.topology.cpuset import CpuSet
     from repro.treematch.algorithm import TreeMatchResult
 
@@ -80,6 +92,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: LRU capacity of the per-process topology / distance-model caches.
 TOPOLOGY_CACHE_CAP = 32
+
+#: LRU capacity of the per-process task-graph cache.  A resident graph
+#: may carry its dense task×task matrix (766 tasks ≈ 4.7 MB), hence a
+#: smaller cap than the topologies'.
+GRAPH_CACHE_CAP = 16
 
 #: LRU capacity of the in-process placement memo.
 PLACEMENT_CACHE_CAP = 256
@@ -219,6 +236,7 @@ class _LRUDict(OrderedDict):
 
 _TOPOLOGIES: _LRUDict = _LRUDict(TOPOLOGY_CACHE_CAP)
 _MODELS: _LRUDict = _LRUDict(TOPOLOGY_CACHE_CAP)
+_GRAPHS: _LRUDict = _LRUDict(GRAPH_CACHE_CAP)
 _PLACEMENTS: _LRUDict = _LRUDict(PLACEMENT_CACHE_CAP)
 
 
@@ -281,12 +299,30 @@ def machine_inputs(
     return model.topo, model
 
 
+def cached_task_graph(
+    key: tuple, build: Callable[[], "TaskGraph"]
+) -> "TaskGraph":
+    """Fetch the graph cached under *key*, or ``build()`` and freeze it.
+
+    *key* must name everything *build* depends on.  The returned graph
+    is shared and frozen (:meth:`~repro.tasks.graph.TaskGraph.freeze`),
+    so any attempt to extend it raises instead of corrupting the other
+    holders.
+    """
+    graph = _GRAPHS.get(key)
+    if graph is None:
+        graph = build().freeze()
+        _GRAPHS.put(key, graph)
+        _bump("graph_build")
+    return graph
+
+
 def clear_cache() -> Optional[int]:
     """Drop all in-process cached objects; returns how many were dropped."""
-    n = len(_TOPOLOGIES) + len(_MODELS) + len(_PLACEMENTS)
-    _TOPOLOGIES.clear()
-    _MODELS.clear()
-    _PLACEMENTS.clear()
+    caches = (_TOPOLOGIES, _MODELS, _GRAPHS, _PLACEMENTS)
+    n = sum(len(c) for c in caches)
+    for c in caches:
+        c.clear()
     return n
 
 

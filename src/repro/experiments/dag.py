@@ -26,8 +26,10 @@ the makespan) — the DAG-intrinsic bound no placement can beat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional, Sequence
 
+from repro.exec.cache import cached_task_graph
 from repro.exec.runner import SweepRunner
 from repro.kernels.bfs import BfsConfig, build_bfs_graph
 from repro.kernels.cholesky import CholeskyConfig, build_cholesky_graph
@@ -59,20 +61,32 @@ def build_workload(
     simulation seed so replicates re-run the same DAG under different
     machine jitter (that separation is what makes the comparisons
     paired per DAG instance).
+
+    The graph is built once per process and key
+    (:func:`repro.exec.cache.cached_task_graph`) and returned **shared
+    and frozen**: every policy and simulation seed of a sweep runs the
+    same object, and ``spawn`` / ``region`` on it raise.
     """
     if scale < 1:
         raise ValidationError(f"scale must be >= 1, got {scale}")
+    if workload not in WORKLOADS:
+        raise ValidationError(f"unknown workload {workload!r}; one of {WORKLOADS}")
+    return cached_task_graph(
+        (workload, int(scale), int(graph_seed), int(parts)),
+        partial(_build_workload, workload, scale, graph_seed, parts),
+    )
+
+
+def _build_workload(
+    workload: str, scale: int, graph_seed: int, parts: int
+) -> TaskGraph:
     if workload == "cholesky":
         return build_cholesky_graph(CholeskyConfig(blocks=3 + scale, tile=96))
     if workload == "bfs":
         return build_bfs_graph(
             BfsConfig(n_vertices=128 * scale, parts=parts, graph_seed=graph_seed)
         )
-    if workload == "divconq":
-        return build_divconq_graph(
-            DivConqConfig(depth=3 + scale, split_seed=graph_seed)
-        )
-    raise ValidationError(f"unknown workload {workload!r}; one of {WORKLOADS}")
+    return build_divconq_graph(DivConqConfig(depth=3 + scale, split_seed=graph_seed))
 
 
 @dataclass

@@ -169,8 +169,12 @@ def dag_matrix(graph: TaskGraph) -> CommMatrix:
 
     Equal (bit-for-bit) to aggregating the compiled program's static
     ORWL extraction to task granularity; ``tests/test_tasks.py`` pins
-    the equivalence.
+    the equivalence.  A frozen graph keeps its matrix: both are
+    immutable, so every later call returns the same object, and with it
+    the matrix's memoised digest.
     """
+    if graph._matrix is not None:
+        return graph._matrix
     n = graph.n_tasks
     if n == 0:
         raise ValidationError(f"graph {graph.name!r} has no tasks")
@@ -178,4 +182,7 @@ def dag_matrix(graph: TaskGraph) -> CommMatrix:
     for u, v, nbytes in graph.edges():
         m[u, v] += nbytes
         m[v, u] += nbytes
-    return CommMatrix(m, labels=[t.name for t in graph.tasks()])
+    matrix = CommMatrix(m, labels=[t.name for t in graph.tasks()])
+    if graph.frozen:
+        graph._matrix = matrix
+    return matrix

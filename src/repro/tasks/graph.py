@@ -28,7 +28,10 @@ The graph is a pure description.  :mod:`repro.tasks.compile` lowers it
 onto ORWL locations/operations and :mod:`repro.tasks.run` executes the
 result on the simulator; :meth:`TaskGraph.digest` content-addresses the
 structure so cached placements and sweep points are keyed by the DAG
-they were computed for.
+they were computed for.  :meth:`TaskGraph.freeze` ends construction:
+a frozen graph rejects further ``spawn`` / ``region`` calls, so it can
+be shared (:func:`repro.experiments.dag.build_workload` hands out one
+frozen graph per key) and its digest computed once.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.comm.matrix import CommMatrix
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -152,7 +158,8 @@ class TaskGraph:
 
     The builder API (``region`` / ``space`` / ``spawn``) is the whole
     frontend; everything else is introspection consumed by the compiler,
-    the placement pipeline, and the tests.
+    the placement pipeline, and the tests.  After :meth:`freeze` the
+    builder calls raise and :meth:`digest` is memoised.
     """
 
     def __init__(self, name: str) -> None:
@@ -166,11 +173,39 @@ class TaskGraph:
         self._last_writer: dict[str, int] = {}
         #: (producer, consumer) -> payload bytes (0.0 = pure sync edge).
         self._edges: dict[tuple[int, int], float] = {}
+        self._frozen = False
+        #: memoised digest (frozen graphs only).
+        self._digest: Optional[str] = None
+        #: memoised :func:`repro.tasks.compile.dag_matrix` (frozen only).
+        self._matrix: Optional["CommMatrix"] = None
 
     # -- declaration --------------------------------------------------------
 
+    def freeze(self) -> "TaskGraph":
+        """End construction; returns the graph itself.
+
+        A frozen graph raises :class:`ValidationError` on ``spawn`` and
+        ``region``, which is what makes it safe to share and to memoise
+        its :meth:`digest` and :func:`repro.tasks.compile.dag_matrix`.
+        Freezing is one-way and idempotent.
+        """
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise ValidationError(
+                f"graph {self.name!r} is frozen; build a new TaskGraph to "
+                "change it"
+            )
+
     def region(self, name: str, nbytes: float) -> Region:
         """Declare a data region; names are unique graph-wide."""
+        self._check_mutable()
         if name in self.regions:
             raise ValidationError(f"duplicate region {name!r}")
         region = Region(name, float(nbytes))
@@ -211,6 +246,7 @@ class TaskGraph:
         *writes* drive the dependency inference described in the module
         docstring; *deps* add explicit zero-byte control edges.
         """
+        self._check_mutable()
         name = task if isinstance(task, str) else task.name
         if not name:
             raise ValidationError("task needs a non-empty name")
@@ -370,8 +406,18 @@ class TaskGraph:
         platform-independent, and insertion-order-independent (regions
         are hashed sorted; tasks and edges are already canonical —
         spawn order *is* part of the structure).  This is what keys DAG
-        sweep points and pins golden schedules in the tests.
+        sweep points and pins golden schedules in the tests.  A frozen
+        graph computes it once.
         """
+        if self._digest is not None:
+            return self._digest
+        digest = self._hash_structure()
+        if self._frozen:
+            self._digest = digest
+        return digest
+
+    def _hash_structure(self) -> str:
+        """The digest formula itself (never memoised)."""
         h = hashlib.sha256()
 
         def feed_str(s: str) -> None:

@@ -328,7 +328,7 @@ def bench_dag(
 
     Compile throughput is tasks/second through
     :func:`repro.tasks.compile_graph` over the three workload families
-    (graph build included — the number a user-facing frontend spends
+    (a cold graph build included — what a user-facing frontend spends
     before the first simulated event).  The sweep half mirrors the
     ``fig1`` section: the same E7 run serially and through the process
     pool with ``point_cache=False``, every replicate fingerprinted, and
@@ -336,11 +336,13 @@ def bench_dag(
     means and Bind-vs-NoBind speedups are the deterministic rows the
     regression gate checks.
     """
+    from repro.exec.cache import clear_cache
     from repro.experiments.dag import build_workload, run_dag
     from repro.tasks import compile_graph
 
     compile_rows = []
     for workload in ("cholesky", "bfs", "divconq"):
+        clear_cache()  # time the graph build, not the memo lookup
         t0 = time.perf_counter()
         graph = build_workload(workload, scale=scale)
         compile_graph(graph)

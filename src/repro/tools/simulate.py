@@ -14,7 +14,7 @@ import argparse
 
 from repro.core.api import ExperimentConfig, run_lk23
 from repro.placement.policies import POLICY_REGISTRY
-from repro.tools._common import resolve_topology
+from repro.tools._common import require_positive, resolve_topology
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,6 +37,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--report", action="store_true",
                         help="print the placement report too")
     args = parser.parse_args(argv)
+    require_positive(parser, n=args.n, iterations=args.iterations)
+    if args.tasks is not None:
+        require_positive(parser, tasks=args.tasks)
 
     topo = resolve_topology(args.topology)
     cfg = ExperimentConfig(

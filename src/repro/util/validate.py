@@ -28,8 +28,15 @@ def check_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = 1e-9) -> np.ndarray:
-    """Validate that *m* is square and symmetric (within *rtol*)."""
+    """Validate that *m* is square and symmetric (within *rtol*).
+
+    An exactly symmetric matrix (every extractor builds one) passes on
+    the cheap ``array_equal`` test; only the rest pay the tolerant
+    ``allclose``, which allocates several temporaries of *m*'s size.
+    """
     a = check_square_matrix(m, name)
+    if np.array_equal(a, a.T):
+        return a
     if a.size and not np.allclose(a, a.T, rtol=rtol, atol=1e-12):
         worst = float(np.abs(a - a.T).max())
         raise ValidationError(f"{name} must be symmetric (max |m - m.T| = {worst:g})")

@@ -68,6 +68,67 @@ class TestCommMatrixConstruction:
             m.values[0, 1] = 3
 
 
+class TestSymmetryCheck:
+    """``check_symmetric``: exact symmetry short-circuits the tolerant test
+    without changing what it accepts."""
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError):
+            CommMatrix([[0, np.nan], [np.nan, 0]])
+
+    def test_out_of_tolerance_rejected(self):
+        with pytest.raises(ValidationError):
+            CommMatrix([[0, 1.0], [1.0 + 1e-6, 0]])
+
+    def test_within_tolerance_accepted_as_given(self):
+        m = CommMatrix([[0, 1.0], [1.0 + 1e-12, 0]])
+        assert m.volume(0, 1) == 1.0
+        assert m.volume(1, 0) == 1.0 + 1e-12
+
+    def test_exactly_symmetric_skips_allclose(self, monkeypatch):
+        def no_allclose(*args, **kwargs):
+            raise AssertionError("allclose ran on an exactly symmetric matrix")
+
+        monkeypatch.setattr(np, "allclose", no_allclose)
+        rng = np.random.default_rng(3)
+        a = rng.random((50, 50))
+        m = CommMatrix(a + a.T)
+        assert m.order == 50
+
+
+class TestCommMatrixHash:
+    """Equal matrices hash equal: the hash covers the values only."""
+
+    def test_equal_values_one_set_element(self):
+        a = np.array([[0, 2.0, 1], [2.0, 0, 3], [1, 3, 0]])
+        assert len({CommMatrix(a), CommMatrix(a)}) == 1
+
+    def test_labels_do_not_split_equal_matrices(self):
+        a = [[0, 2.0], [2.0, 0]]
+        x, y = CommMatrix(a, labels=["a", "b"]), CommMatrix(a, labels=["c", "d"])
+        assert x == y
+        assert len({x, y}) == 1
+
+    def test_negative_zero_hashes_like_zero(self):
+        neg = CommMatrix([[0, -0.0], [-0.0, 0]])
+        pos = CommMatrix([[0, 0.0], [0.0, 0]])
+        assert neg == pos
+        assert len({neg, pos}) == 1
+
+    def test_different_values_differ(self):
+        assert CommMatrix([[0, 1], [1, 0]]) != CommMatrix([[0, 2], [2, 0]])
+        assert len({CommMatrix([[0, 1], [1, 0]]), CommMatrix.zeros(2)}) == 2
+
+    def test_hash_survives_pickle(self):
+        import pickle
+
+        m = CommMatrix([[0, 5.0], [5.0, 0]])
+        hash(m)
+        clone = pickle.loads(pickle.dumps(m))
+        assert hash(clone) == hash(m)
+        assert len({m, clone}) == 1
+
+
 class TestCommMatrixOps:
     def test_total_volume_counts_pairs_once(self):
         m = CommMatrix([[0, 4], [4, 0]])

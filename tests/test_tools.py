@@ -180,6 +180,20 @@ class TestSimulateCli:
         assert "processing" in out
         assert "NUMA-local" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--tasks", "0"], id="tasks0"),
+            pytest.param(["--n", "-5"], id="n-5"),
+            pytest.param(["--iterations", "0"], id="iterations0"),
+        ],
+    )
+    def test_bad_count_rejected_before_run(self, argv, monkeypatch, capsys):
+        from repro.tools import simulate as sim_cli
+
+        monkeypatch.setattr(sim_cli, "run_lk23", _no_sweep)
+        _assert_usage_error(capsys, sim_cli.main, argv)
+
     def test_report_flag(self, capsys):
         from repro.tools import simulate as sim_cli
 
