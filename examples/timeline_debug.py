@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Visualize what the runtime actually did: an ASCII execution timeline.
 
-Runs a small LK23 decomposition with the machine's timeline recorder
-enabled and renders a Gantt-style chart per PU — compute bursts as
-``#``, data transfers as ``=``.  Comparing the bound and unbound charts
+Runs a small LK23 decomposition under a tracer, builds the timeline
+from its events and renders a Gantt-style chart per PU — compute
+bursts as ``#``, data transfers as ``=``.  Comparing the bound and unbound charts
 makes the placement effect *visible*: bound runs show dense, even rows;
 unbound runs show ragged rows and idle gaps where the balancer moved
 threads around.
@@ -12,9 +12,10 @@ Run:  python examples/timeline_debug.py
 """
 
 from repro.kernels import Lk23Config, build_program
+from repro.observe import Tracer
 from repro.orwl import Runtime
 from repro.placement import bind_program
-from repro.simulate import Machine
+from repro.simulate import Machine, Timeline
 from repro.topology import presets
 
 
@@ -23,11 +24,12 @@ def run_with_timeline(policy: str):
     cfg = Lk23Config(n=1024, grid_rows=2, grid_cols=4, iterations=3)
     prog = build_program(cfg)
     plan = bind_program(prog, topo, policy=policy)
-    machine = Machine(topo, seed=3, timeline=True)
+    tracer = Tracer()
+    machine = Machine(topo, seed=3, tracer=tracer)
     result = Runtime(
         prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
     ).run()
-    return machine.timeline, result
+    return Timeline.from_events(tracer.events), result
 
 
 def main() -> None:

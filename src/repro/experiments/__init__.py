@@ -3,7 +3,8 @@
 * :mod:`~repro.experiments.fig1` — the paper's Figure 1 (LK23 processing
   time for ORWL-Bind / ORWL-NoBind / OpenMP across core counts) plus
   the three scalar claims (11 s minimum, 5× vs OpenMP, 2.8× vs NoBind)
-  and the "fails beyond one or two sockets" crossover check.
+  and the "fails beyond one or two sockets" crossover check; also the
+  one LK23 runner (``run_implementation``) every LK23 point goes through.
 * :mod:`~repro.experiments.ablations` — the design-choice studies from
   DESIGN.md (mapping quality vs baselines, algorithm cost, control
   strategies, oversubscription, affinity-extraction fidelity).
@@ -13,6 +14,8 @@
 * :mod:`~repro.experiments.dag` — E7: Bind/NoBind/service placement on
   the :mod:`repro.tasks` DAG workload families (tiled Cholesky,
   level-synchronous BFS, divide-and-conquer), paired and Holm-corrected.
+* :mod:`~repro.experiments.paired` — the lookups, paired verdicts, JSON
+  sections and table footer the scaling and E7 results share.
 """
 
 from repro.experiments.fig1 import (

@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
+from repro.experiments.paired import point_time
 from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
@@ -144,7 +145,7 @@ def run_cluster_lk23(
         seeds=seeds,
         base_seed=seed,
         scope="cluster",
-        value_of=_cluster_point_time,
+        value_of=point_time,
         n_workers=n_workers,
     )
     out: dict[str, ClusterPoint] = {}
@@ -154,10 +155,6 @@ def run_cluster_lk23(
             point.time_stats = p.stats
         out[point.policy] = point
     return out
-
-
-def _cluster_point_time(point: ClusterPoint) -> float:
-    return point.time
 
 
 def table(points: dict[str, ClusterPoint]) -> str:

@@ -14,13 +14,14 @@ comparing the placement policies:
 * ``service`` — the dedicated-service-core strategy of PR 8.
 
 Statistics are the matched-seed paired layer of
-:mod:`repro.experiments.scaling`: every policy replays the same seed
-schedule per workload, per-workload comparisons are paired sign-flip
-permutation tests, and Holm–Bonferroni corrects each baseline's family
-across the three workloads.  With ``perf_report``, points carry the
-:func:`repro.perf.analyze` report plus a DAG-specific critical-path
-attribution (span flops, busy time along the span, span fraction of
-the makespan) — the DAG-intrinsic bound no placement can beat.
+:mod:`repro.experiments.paired` (shared with the scaling sweep): every
+policy replays the same seed schedule per workload, per-workload
+comparisons are paired sign-flip permutation tests, and Holm–Bonferroni
+corrects each baseline's family across the three workloads.  With
+``perf_report``, points carry the :func:`repro.perf.analyze` report
+plus a DAG-specific critical-path attribution (span flops, busy time
+along the span, span fraction of the makespan) — the DAG-intrinsic
+bound no placement can beat.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from typing import Any, Optional, Sequence
 
 from repro.exec.cache import cached_task_graph
 from repro.exec.runner import SweepRunner
+from repro.experiments.fig1 import analyze_run
+from repro.experiments.paired import PairedSweep, collect_sweep, point_time
 from repro.kernels.bfs import BfsConfig, build_bfs_graph
 from repro.kernels.cholesky import CholeskyConfig, build_cholesky_graph
 from repro.kernels.divconq import DivConqConfig, build_divconq_graph
 from repro.stats.aggregate import SeedStats
-from repro.stats.significance import PairedVerdict, compare_paired, correct_verdicts
 from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.tasks.graph import TaskGraph
 from repro.tasks.run import run_graph
@@ -152,16 +154,11 @@ def run_dag_point(
     fp = res.fingerprint() if fingerprint else None
     perf = None
     if perf_report:
-        from repro.perf import analyze
-        from repro.topology.objects import ObjType
-
-        topo = res.machine.topo
-        perf = analyze(
+        perf = analyze_run(
             res.machine.tracer.events,
-            label=f"{workload}/{policy}@{n_cores}",
-            measured_time=res.time,
-            n_pus=topo.nb_pus,
-            n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
+            f"{workload}/{policy}@{n_cores}",
+            res.time,
+            res.machine.topo,
         ).to_json_dict()
         cp_flops, cp_tasks = graph.critical_path()
         times = res.times
@@ -191,13 +188,18 @@ def run_dag_point(
     )
 
 
-def _point_time(point: DagPoint) -> float:
-    return point.time
-
-
 @dataclass
-class DagResult:
-    """All points of an E7 sweep plus the paired statistics."""
+class DagResult(PairedSweep):
+    """All points of an E7 sweep plus the paired statistics.
+
+    Rows are workloads, columns policies; ``bind`` is compared against
+    every other policy.
+    """
+
+    row_axis = "workload"
+    column_axis = "policy"
+    candidate = "bind"
+    family = "workload families"
 
     workloads: list[str] = field(default_factory=list)
     policies: list[str] = field(default_factory=list)
@@ -212,83 +214,21 @@ class DagResult:
         default_factory=dict
     )
 
-    # -- lookups -----------------------------------------------------------
+    def _rows(self) -> list[str]:
+        return self.workloads
 
-    def _missing_key_error(self, workload: str, policy: str) -> KeyError:
-        return KeyError(
-            f"no point (workload={workload!r}, policy={policy!r}); swept "
-            f"{self.workloads or '(none)'} x {self.policies or '(none)'}"
-        )
-
-    def point_of(self, workload: str, policy: str) -> DagPoint:
-        for p in self.points:
-            if p.workload == workload and p.policy == policy:
-                return p
-        raise self._missing_key_error(workload, policy)
-
-    def times_of(self, workload: str, policy: str) -> list[float]:
-        """Replicate times in **replicate order** (the seed pairing)."""
-        try:
-            return [p.time for p in self.replicates[workload, policy]]
-        except KeyError:
-            raise self._missing_key_error(workload, policy) from None
-
-    def mean_time(self, workload: str, policy: str) -> float:
-        try:
-            return self.seed_stats[workload, policy].mean
-        except KeyError:
-            raise self._missing_key_error(workload, policy) from None
-
-    # -- paired significance ----------------------------------------------
-
-    def paired_verdicts(self) -> dict[str, list[tuple[str, PairedVerdict]]]:
-        """Matched-seed Bind comparisons, Holm-corrected per baseline.
-
-        For each baseline policy the family is "Bind vs this baseline on
-        every swept workload"; Holm–Bonferroni runs across that family.
-        Keys are baseline names, values ``(workload, verdict)`` pairs in
-        headline order.
-        """
-        if "bind" not in self.policies:
-            return {}
-        out: dict[str, list[tuple[str, PairedVerdict]]] = {}
-        for baseline in self.policies:
-            if baseline == "bind":
-                continue
-            family = [
-                compare_paired(
-                    baseline,
-                    self.times_of(workload, baseline),
-                    "bind",
-                    self.times_of(workload, "bind"),
-                    alpha=self.alpha,
-                )
-                for workload in self.workloads
-            ]
-            out[baseline] = list(zip(self.workloads, correct_verdicts(family)))
-        return out
-
-    def speedup(self, workload: str, baseline: str) -> float:
-        """Mean-time speedup of Bind over *baseline* on one workload."""
-        return self.mean_time(workload, baseline) / self.mean_time(workload, "bind")
-
-    # -- rendering ---------------------------------------------------------
+    def _columns(self) -> list[str]:
+        return self.policies
 
     def table(self) -> str:
         """The headline table: per-workload times, speedups, p, delta."""
         verdicts = self.paired_verdicts()
-        by_key = {
-            (baseline, workload): v
-            for baseline, rows in verdicts.items()
-            for workload, v in rows
-        }
+        by_key = self._by_key(verdicts)
         name_w = max([len("workload")] + [len(w) for w in self.workloads])
         header = f"{'workload':<{name_w}} {'tasks':>6} {'edges':>6}"
         for policy in self.policies:
             header += f" {policy + ' mean':>14}"
-        for baseline in self.policies:
-            if baseline == "bind":
-                continue
+        for baseline in self._baselines():
             header += f" {'vs ' + baseline:>11} {'p-corr':>8} {'delta':>7}"
         lines = [header, "-" * len(header)]
         for workload in self.workloads:
@@ -299,33 +239,14 @@ class DagResult:
                     row += f" {self.mean_time(workload, policy):>14.6f}"
                 except KeyError:
                     row += f" {'-':>14}"
-            for baseline in self.policies:
-                if baseline == "bind":
-                    continue
-                v = by_key.get((baseline, workload))
-                if v is None:
-                    row += f" {'-':>11} {'-':>8} {'-':>7}"
-                    continue
-                mark = "*" if v.significant else " "
-                p = f"{v.p_corrected:.4f}" if v.p_corrected is not None else "n/a"
-                row += f" {f'{v.speedup_mean:.2f}x{mark}':>11} {p:>8} {v.delta:>+7.2f}"
+            for baseline in self._baselines():
+                row += self._verdict_cells(by_key.get((baseline, workload)), 11)
             lines.append(row)
-        if self.n_seeds > 1:
-            lines.append("")
-            lines.append(
-                f"paired sign-flip permutation tests over {self.n_seeds} matched "
-                f"seeds; p-values Holm-Bonferroni-corrected across the "
-                f"{len(self.workloads)} workload families; * = significant at "
-                f"alpha={self.alpha:g}; delta = Cliff's effect size."
-            )
-            for _baseline, rows in verdicts.items():
-                for workload, v in rows:
-                    lines.append(f"  [{workload}] {v}")
+        lines += self._verdict_footer(verdicts)
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         """JSON-safe dump of the sweep (the CI artifact)."""
-        verdicts = self.paired_verdicts()
         return {
             "format": "repro-dag",
             "workloads": list(self.workloads),
@@ -352,38 +273,7 @@ class DagResult:
                 }
                 for p in self.points
             ],
-            "stats": [
-                {
-                    "workload": workload,
-                    "policy": policy,
-                    "n": s.n,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "stddev": s.stddev,
-                    "ci_lo": s.ci_lo,
-                    "ci_hi": s.ci_hi,
-                    "confidence": s.confidence,
-                }
-                for (workload, policy), s in sorted(self.seed_stats.items())
-            ],
-            "paired_significance": [
-                {
-                    "workload": workload,
-                    "baseline": v.baseline,
-                    "candidate": v.candidate,
-                    "n_pairs": v.n_pairs,
-                    "speedup_mean": v.speedup_mean,
-                    "speedup_ci": [v.speedup_ci_lo, v.speedup_ci_hi],
-                    "delta": v.delta,
-                    "effect": v.effect_label,
-                    "p_value": v.p_value,
-                    "p_corrected": v.p_corrected,
-                    "verdict": v.verdict,
-                    "method": v.method,
-                }
-                for rows in verdicts.values()
-                for workload, v in rows
-            ],
+            **self._paired_json(),
         }
 
 
@@ -460,15 +350,10 @@ def run_dag(
         seeds=seeds,
         base_seed=seed,
         scope="dag",
-        value_of=_point_time,
+        value_of=point_time,
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
     )
-    for point in sweep.points:
-        result.points.append(point.first)
-        result.replicates[point.key] = tuple(point.results)
-        if point.stats is not None:
-            result.seed_stats[point.key] = point.stats
-    return result
+    return collect_sweep(result, sweep)

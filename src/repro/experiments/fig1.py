@@ -20,11 +20,12 @@ the three scalar claims as factor bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
 from repro.exec.runner import SweepRunner
+from repro.experiments.paired import collect_sweep, point_time
 from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.orwl.runtime import Runtime
@@ -35,12 +36,80 @@ from repro.stats.significance import SpeedupVerdict, compare
 from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.util.validate import ValidationError
 
+if TYPE_CHECKING:
+    from repro.observe.tracer import Tracer
+    from repro.perf import PerfReport
+    from repro.topology.distance import DistanceModel
+    from repro.topology.tree import Topology
+
 #: The implementations of the figure, in its legend order.
 IMPLEMENTATIONS = ("orwl-bind", "orwl-nobind", "openmp")
 
 #: Socket width of the paper's SMP; a swept core count must be whole
 #: sockets of it.
 CORES_PER_SOCKET = 8
+
+
+def run_implementation(
+    implementation: str,
+    topo: "Topology",
+    distance_model: "DistanceModel",
+    n: int,
+    iterations: int,
+    seed: int,
+    tracer: Optional["Tracer"] = None,
+) -> tuple[float, Machine]:
+    """Run LK23 as one of :data:`IMPLEMENTATIONS` on one machine.
+
+    One OpenMP worker or ORWL task per PU of *topo*, on an *n* x *n*
+    matrix for *iterations* sweeps.  ORWL-Bind places its tasks with
+    TreeMatch, ORWL-NoBind leaves them to the OS scheduler.  Returns
+    the simulated time and the machine it ran on (its counters are
+    ``machine.metrics``; with *tracer*, its events are
+    ``tracer.events``).  Every LK23 point of the experiments and of
+    ``repro.tools.perf`` runs through here.
+    """
+    if implementation not in IMPLEMENTATIONS:
+        raise ValidationError(
+            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
+        )
+    machine = Machine(topo, distance_model=distance_model, seed=seed, tracer=tracer)
+    n_cores = topo.nb_pus
+    if implementation == "openmp":
+        result = run_openmp_lk23(
+            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
+        )
+        return result.time, machine
+    rows, cols = square_grid_shape(n_cores)
+    prog = build_program(
+        Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
+    )
+    policy = "treematch" if implementation == "orwl-bind" else "nobind"
+    plan = bind_program(prog, topo, policy=policy)
+    runtime = Runtime(
+        prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
+    )
+    return runtime.run().time, machine
+
+
+def analyze_run(
+    events: Sequence, label: str, measured_time: float, topo: "Topology"
+) -> "PerfReport":
+    """The :func:`repro.perf.analyze` report of one traced run on *topo*.
+
+    Utilization and the NUMA traffic matrix are sized by the
+    topology's PU and NUMA-node counts.
+    """
+    from repro.perf import analyze
+    from repro.topology.objects import ObjType
+
+    return analyze(
+        events,
+        label=label,
+        measured_time=measured_time,
+        n_pus=topo.nb_pus,
+        n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
+    )
 
 
 @dataclass
@@ -345,10 +414,6 @@ def run_point(
     With *perf_report*, the run is traced and the point carries the
     JSON form of its :func:`repro.perf.analyze` report in ``perf``.
     """
-    if implementation not in IMPLEMENTATIONS:
-        raise ValidationError(
-            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
-        )
     if n_cores % cores_per_socket != 0:
         raise ValidationError(
             f"core count {n_cores} must be whole sockets of {cores_per_socket}"
@@ -365,26 +430,10 @@ def run_point(
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        metrics = result.metrics
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        cfg = Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        prog = build_program(cfg)
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        runtime = Runtime(
-            prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
-        )
-        run = runtime.run()
-        metrics = run.metrics
-        time = run.time
+    time, machine = run_implementation(
+        implementation, topo, dm, n, iterations, seed, tracer
+    )
+    metrics = machine.metrics
 
     fp = ""
     if fingerprint:
@@ -394,15 +443,8 @@ def run_point(
 
     perf = None
     if perf_report:
-        from repro.perf import analyze
-        from repro.topology.objects import ObjType
-
-        perf = analyze(
-            tracer.events,
-            label=f"{implementation}@{n_cores}",
-            measured_time=time,
-            n_pus=topo.nb_pus,
-            n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
+        perf = analyze_run(
+            tracer.events, f"{implementation}@{n_cores}", time, topo
         ).to_json_dict()
 
     return Fig1Point(
@@ -415,12 +457,6 @@ def run_point(
         fingerprint=fp,
         perf=perf,
     )
-
-
-def _point_time(point: Fig1Point) -> float:
-    """``value_of`` extractor for the replicated sweep (module-level so
-    it stays importable, though aggregation runs in the parent only)."""
-    return point.time
 
 
 def run_fig1(
@@ -488,15 +524,10 @@ def run_fig1(
         seeds=seeds,
         base_seed=seed,
         scope="fig1",
-        value_of=_point_time,
+        value_of=point_time,
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
     )
-    for point in sweep.points:
-        result.points.append(point.first)
-        result.replicates[point.key] = tuple(point.results)
-        if point.stats is not None:
-            result.seed_stats[point.key] = point.stats
-    return result
+    return collect_sweep(result, sweep)

@@ -29,17 +29,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
 from repro.exec.runner import SweepRunner
-from repro.experiments.fig1 import IMPLEMENTATIONS
-from repro.kernels.lk23_orwl import Lk23Config, build_program
-from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
-from repro.orwl.runtime import Runtime
-from repro.placement.binder import bind_program
-from repro.simulate.machine import Machine
+from repro.experiments.fig1 import IMPLEMENTATIONS, analyze_run, run_implementation
+from repro.experiments.paired import PairedSweep, collect_sweep, point_time
 from repro.stats.aggregate import SeedStats
-from repro.stats.significance import PairedVerdict, compare_paired, correct_verdicts
 from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.topology.generate import scaling_sizes
 from repro.util.validate import ValidationError
@@ -99,10 +93,6 @@ def run_scaling_point(
     With *perf_report*, the run is traced and the point carries the
     JSON form of its :func:`repro.perf.analyze` report in ``perf``.
     """
-    if implementation not in IMPLEMENTATIONS:
-        raise ValidationError(
-            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
-        )
     topo, dm = machine_inputs(preset)
     n_cores = topo.nb_pus
     n = matrix_order(n_cores, cells_per_core)
@@ -111,38 +101,14 @@ def run_scaling_point(
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        metrics = result.metrics
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        cfg = Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        prog = build_program(cfg)
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        runtime = Runtime(
-            prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
-        )
-        run = runtime.run()
-        metrics = run.metrics
-        time = run.time
-
+    time, machine = run_implementation(
+        implementation, topo, dm, n, iterations, seed, tracer
+    )
+    metrics = machine.metrics
     perf = None
     if perf_report:
-        from repro.perf import analyze
-        from repro.topology.objects import ObjType
-
-        perf = analyze(
-            tracer.events,
-            label=f"{implementation}@{preset}",
-            measured_time=time,
-            n_pus=topo.nb_pus,
-            n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
+        perf = analyze_run(
+            tracer.events, f"{implementation}@{preset}", time, topo
         ).to_json_dict()
 
     return ScalingPoint(
@@ -158,19 +124,22 @@ def run_scaling_point(
     )
 
 
-def _point_time(point: ScalingPoint) -> float:
-    return point.time
-
-
 @dataclass
-class ScalingResult:
+class ScalingResult(PairedSweep):
     """All points of a machine-size sweep plus the paired statistics.
 
     ``points`` holds replicate 0 of every point (the base-seed run);
     ``replicates`` all N runs per ``(preset, implementation)`` in
     replicate order — order matters, it *is* the seed pairing — and
-    ``seed_stats`` the per-point time aggregates.
+    ``seed_stats`` the per-point time aggregates.  Rows are presets,
+    columns implementations; ORWL-Bind is compared against every other
+    implementation.
     """
+
+    row_axis = "preset"
+    column_axis = "implementation"
+    candidate = "orwl-bind"
+    family = "swept sizes"
 
     presets: list[str] = field(default_factory=list)
     #: preset -> core count, in sweep (ascending-size) order.
@@ -185,74 +154,16 @@ class ScalingResult:
         default_factory=dict
     )
 
-    # -- lookups -----------------------------------------------------------
+    def _rows(self) -> list[str]:
+        return self.presets
 
-    def _missing_key_error(self, preset: str, implementation: str) -> KeyError:
-        return KeyError(
-            f"no point (preset={preset!r}, implementation={implementation!r}); "
-            f"swept presets {self.presets or '(none)'} with implementations "
-            f"{sorted({p.implementation for p in self.points}) or '(none)'}"
-        )
-
-    def point_of(self, preset: str, implementation: str) -> ScalingPoint:
-        for p in self.points:
-            if p.preset == preset and p.implementation == implementation:
-                return p
-        raise self._missing_key_error(preset, implementation)
-
-    def times_of(self, preset: str, implementation: str) -> list[float]:
-        """Replicate times in **replicate order** (the seed pairing)."""
-        try:
-            return [p.time for p in self.replicates[preset, implementation]]
-        except KeyError:
-            raise self._missing_key_error(preset, implementation) from None
-
-    def mean_time(self, preset: str, implementation: str) -> float:
-        try:
-            return self.seed_stats[preset, implementation].mean
-        except KeyError:
-            raise self._missing_key_error(preset, implementation) from None
+    def _columns(self) -> list[str]:
+        return self.implementations()
 
     def implementations(self) -> list[str]:
         """Swept implementations, in the figure's legend order."""
         have = {p.implementation for p in self.points}
         return [impl for impl in IMPLEMENTATIONS if impl in have]
-
-    # -- paired significance ----------------------------------------------
-
-    def paired_verdicts(self) -> dict[str, list[tuple[str, PairedVerdict]]]:
-        """Matched-seed ORWL-Bind comparisons, Holm-corrected per family.
-
-        For each baseline implementation, the family of paired tests is
-        "ORWL-Bind vs this baseline at every swept size"; the
-        Holm–Bonferroni correction runs across that family, so each
-        returned :class:`PairedVerdict` carries both its raw and
-        corrected p-value.  Keys are baseline names; values are
-        ``(preset, verdict)`` pairs in sweep order.
-        """
-        impls = self.implementations()
-        if "orwl-bind" not in impls:
-            return {}
-        out: dict[str, list[tuple[str, PairedVerdict]]] = {}
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
-            family = [
-                compare_paired(
-                    baseline,
-                    self.times_of(preset, baseline),
-                    "orwl-bind",
-                    self.times_of(preset, "orwl-bind"),
-                    alpha=self.alpha,
-                )
-                for preset in self.presets
-            ]
-            out[baseline] = list(zip(self.presets, correct_verdicts(family)))
-        return out
-
-    def speedup(self, preset: str, baseline: str) -> float:
-        """Mean-time speedup of ORWL-Bind over *baseline* at one size."""
-        return self.mean_time(preset, baseline) / self.mean_time(preset, "orwl-bind")
 
     def speedup_curve(self, baseline: str) -> list[tuple[int, float]]:
         """(cores, bind-speedup-over-baseline) in sweep order."""
@@ -285,19 +196,13 @@ class ScalingResult:
         """
         impls = self.implementations()
         verdicts = self.paired_verdicts()
-        by_key = {
-            (baseline, preset): v
-            for baseline, rows in verdicts.items()
-            for preset, v in rows
-        }
+        by_key = self._by_key(verdicts)
         name_w = max([len("preset")] + [len(p) for p in self.presets])
         impl_w = max([10] + [len(i) + 7 for i in impls])
         header = f"{'preset':<{name_w}} {'cores':>6}"
         for impl in impls:
             header += f" {impl + ' mean':>{impl_w}}"
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
+        for baseline in self._baselines():
             tag = "nobind" if baseline == "orwl-nobind" else baseline
             header += f" {'vs ' + tag:>10} {'p-corr':>8} {'delta':>7}"
         lines = [header, "-" * len(header)]
@@ -308,28 +213,10 @@ class ScalingResult:
                     row += f" {self.mean_time(preset, impl):>{impl_w}.4f}"
                 except KeyError:
                     row += f" {'-':>{impl_w}}"
-            for baseline in impls:
-                if baseline == "orwl-bind":
-                    continue
-                v = by_key.get((baseline, preset))
-                if v is None:
-                    row += f" {'-':>10} {'-':>8} {'-':>7}"
-                    continue
-                mark = "*" if v.significant else " "
-                p = f"{v.p_corrected:.4f}" if v.p_corrected is not None else "n/a"
-                row += f" {f'{v.speedup_mean:.2f}x{mark}':>10} {p:>8} {v.delta:>+7.2f}"
+            for baseline in self._baselines():
+                row += self._verdict_cells(by_key.get((baseline, preset)), 10)
             lines.append(row)
-        if self.n_seeds > 1:
-            lines.append("")
-            lines.append(
-                f"paired sign-flip permutation tests over {self.n_seeds} matched "
-                f"seeds; p-values Holm-Bonferroni-corrected across the "
-                f"{len(self.presets)} swept sizes; * = significant at "
-                f"alpha={self.alpha:g}; delta = Cliff's effect size."
-            )
-            for baseline, rows in verdicts.items():
-                for preset, v in rows:
-                    lines.append(f"  [{preset}] {v}")
+        lines += self._verdict_footer(verdicts)
         for baseline in ("orwl-nobind", "openmp"):
             if baseline not in impls or "orwl-bind" not in impls:
                 continue
@@ -349,11 +236,8 @@ class ScalingResult:
         """ASCII chart of the ORWL-Bind speedup curves vs machine size."""
         from repro.experiments.plotting import ascii_plot
 
-        impls = self.implementations()
         series = {}
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
+        for baseline in self._baselines():
             tag = "vs " + ("nobind" if baseline == "orwl-nobind" else baseline)
             series[tag] = [(float(c), s) for c, s in self.speedup_curve(baseline)]
         if not series:
@@ -368,7 +252,6 @@ class ScalingResult:
 
     def to_json_dict(self) -> dict:
         """JSON-safe dump of the sweep (the nightly CI artifact)."""
-        verdicts = self.paired_verdicts()
         return {
             "format": "repro-scaling",
             "presets": list(self.presets),
@@ -394,42 +277,9 @@ class ScalingResult:
                 }
                 for p in self.points
             ],
-            "stats": [
-                {
-                    "preset": preset,
-                    "implementation": impl,
-                    "n": s.n,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "stddev": s.stddev,
-                    "ci_lo": s.ci_lo,
-                    "ci_hi": s.ci_hi,
-                    "confidence": s.confidence,
-                }
-                for (preset, impl), s in sorted(self.seed_stats.items())
-            ],
-            "paired_significance": [
-                {
-                    "preset": preset,
-                    "baseline": v.baseline,
-                    "candidate": v.candidate,
-                    "n_pairs": v.n_pairs,
-                    "speedup_mean": v.speedup_mean,
-                    "speedup_ci": [v.speedup_ci_lo, v.speedup_ci_hi],
-                    "delta": v.delta,
-                    "effect": v.effect_label,
-                    "p_value": v.p_value,
-                    "p_corrected": v.p_corrected,
-                    "verdict": v.verdict,
-                    "method": v.method,
-                }
-                for rows in verdicts.values()
-                for preset, v in rows
-            ],
+            **self._paired_json(),
             "saturation": {
-                baseline: self.saturation(baseline)
-                for baseline in self.implementations()
-                if baseline != "orwl-bind"
+                baseline: self.saturation(baseline) for baseline in self._baselines()
             },
         }
 
@@ -502,15 +352,10 @@ def run_scaling(
         seeds=seeds,
         base_seed=seed,
         scope="scaling",
-        value_of=_point_time,
+        value_of=point_time,
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
     )
-    for point in sweep.points:
-        result.points.append(point.first)
-        result.replicates[point.key] = tuple(point.results)
-        if point.stats is not None:
-            result.seed_stats[point.key] = point.stats
-    return result
+    return collect_sweep(result, sweep)

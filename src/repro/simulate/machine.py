@@ -169,16 +169,14 @@ class Machine:
         do.  0 disables.
     seed:
         Seed for scheduler and jitter randomness.
-    timeline:
-        Record a per-thread activity trace
-        (:class:`repro.simulate.timeline.Timeline`) — off by default as
-        large runs produce many segments.
     tracer:
         Optional :class:`repro.observe.Tracer`; when attached the
         machine emits one structured event per activity (compute,
         transfer, wait, runq, migration), tagged with PU / NUMA node /
         sharing level, and wires the engine and scheduler probes.  See
-        :mod:`repro.observe`.
+        :mod:`repro.observe`; a Gantt view of the run is
+        :meth:`repro.simulate.timeline.Timeline.from_events` of its
+        events.
     """
 
     def __init__(
@@ -190,7 +188,6 @@ class Machine:
         scheduler: Optional[SchedulerConfig] = None,
         compute_jitter: float = 0.0,
         seed: SeedLike = 0,
-        timeline: bool = False,
         core_rate_of: Optional[dict[int, float]] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
@@ -250,12 +247,6 @@ class Machine:
             ObjType.NUMANODE, DEFAULT_LEVEL_COSTS[ObjType.NUMANODE]
         )
         self._started = False
-        if timeline:
-            from repro.simulate.timeline import Timeline
-
-            self.timeline: Optional["Timeline"] = Timeline()
-        else:
-            self.timeline = None
         self.tracer: Optional["Tracer"] = None
         if tracer is not None:
             self.attach_tracer(tracer)
@@ -577,12 +568,6 @@ class Machine:
         if self.tracer is not None:
             self._trace("compute", t, start, duration)
         self._account_balancing(t, duration)
-        if self.timeline is not None:
-            from repro.simulate.timeline import Segment
-
-            self.timeline.record(
-                Segment(t.tid, t.name, "compute", t.current_pu, start, end)
-            )
         t.state = ThreadState.READY
         self.engine.at(end, t.resume_cb or self._resume_fn(t))
 
@@ -626,12 +611,6 @@ class Machine:
         if self.tracer is not None:
             self._trace("transfer", t, start, duration, level=level.name,
                         nbytes=nbytes, detail=f"from-node:{producer_node}")
-        if self.timeline is not None:
-            from repro.simulate.timeline import Segment
-
-            self.timeline.record(
-                Segment(t.tid, t.name, "transfer", t.current_pu, start, end)
-            )
         self.contention.begin(level, producer_node)
         t.transfer_level = level
         t.transfer_node = producer_node

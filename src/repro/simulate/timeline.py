@@ -1,16 +1,19 @@
 """Execution timelines: per-thread activity traces from the simulator.
 
-When enabled (``Machine(..., timeline=True)``) the machine records one
-:class:`Segment` per compute burst and transfer, giving a Gantt-style
-view of a run — which PU did what when, where the lock-wait gaps are.
-Used by the debugging example and by tests that assert scheduling
-behaviour (serialization, preemption, overlap).
+:meth:`Timeline.from_events` builds one :class:`Segment` per compute
+burst and transfer of a traced run (``Machine(..., tracer=Tracer())``),
+giving a Gantt-style view of it — which PU did what when, where the
+lock-wait gaps are.  Used by the debugging example and by tests that
+assert scheduling behaviour (serialization, preemption, overlap).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observe.tracer import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,22 @@ class Timeline:
 
     def __init__(self) -> None:
         self._segments: list[Segment] = []
+
+    @classmethod
+    def from_events(cls, events: Iterable["TraceEvent"]) -> "Timeline":
+        """The segments of a traced run, in stream order.
+
+        One per ``compute`` and ``transfer`` event, spanning
+        ``[ts, ts + dur]`` on the event's PU — the same interval the
+        machine reserved for it.
+        """
+        timeline = cls()
+        for ev in events:
+            if ev.kind in ("compute", "transfer"):
+                timeline.record(
+                    Segment(ev.tid, ev.thread, ev.kind, ev.pu, ev.ts, ev.ts + ev.dur)
+                )
+        return timeline
 
     def record(self, segment: Segment) -> None:
         self._segments.append(segment)

@@ -22,21 +22,14 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
 from repro.exec.runner import derive_seed
-from repro.experiments.fig1 import IMPLEMENTATIONS
+from repro.experiments.fig1 import IMPLEMENTATIONS, analyze_run, run_implementation
 from repro.experiments.scaling import matrix_order
-from repro.kernels.lk23_orwl import Lk23Config, build_program
-from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.observe.tracer import Tracer
-from repro.orwl.runtime import Runtime
 from repro.perf import PerfReport, analyze, attribute_gap, write_folded
-from repro.placement.binder import bind_program
-from repro.simulate.machine import Machine
 from repro.stats.aggregate import summarize_map
 from repro.topology.generate import SCALING_SPECS
-from repro.topology.objects import ObjType
 
 
 def _impl_list(value: str) -> list[str]:
@@ -60,34 +53,10 @@ def run_traced(
 ) -> tuple[PerfReport, list]:
     """One traced run on a generated preset; the report and raw events."""
     topo, dm = machine_inputs(preset)
-    n_cores = topo.nb_pus
     tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        prog = build_program(
-            Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        )
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        time = Runtime(
-            prog, machine, mapping=plan.mapping,
-            control_mapping=plan.control_mapping,
-        ).run().time
+    time, _ = run_implementation(implementation, topo, dm, n, iterations, seed, tracer)
     events = tracer.events
-    report = analyze(
-        events,
-        label=implementation,
-        measured_time=time,
-        n_pus=topo.nb_pus,
-        n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
-    )
-    return report, events
+    return analyze_run(events, implementation, time, topo), events
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +101,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_in:
         from repro.observe.export import read_jsonl
 
-        events = list(read_jsonl(args.trace_in))
+        try:
+            events = list(read_jsonl(args.trace_in))
+        except OSError as exc:
+            parser.error(f"--trace-in {args.trace_in}: {exc.strerror or exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            parser.error(f"--trace-in {args.trace_in}: not a JSONL trace stream "
+                         f"({exc})")
         label = Path(args.trace_in).stem
         reports.append(analyze(events, label=label))
         events_of[label] = events

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.comm.patterns import square_grid_shape
 from repro.core.api import ExperimentConfig, run_lk23
 from repro.placement.policies import POLICY_REGISTRY
 from repro.tools._common import require_positive, resolve_topology
@@ -42,6 +43,13 @@ def main(argv: list[str] | None = None) -> int:
         require_positive(parser, tasks=args.tasks)
 
     topo = resolve_topology(args.topology)
+    tasks = args.tasks if args.tasks is not None else topo.nb_pus
+    rows, cols = square_grid_shape(tasks)
+    if cols > args.n:
+        parser.error(
+            f"{tasks} tasks lay out as a {rows}x{cols} grid, finer than the "
+            f"{args.n}x{args.n} matrix; use fewer --tasks or a larger --n"
+        )
     cfg = ExperimentConfig(
         topology=topo,
         policy=args.policy,

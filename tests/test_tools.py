@@ -153,6 +153,24 @@ class TestTraceCli:
         assert "not a JSONL trace stream" in err
 
 
+class TestPerfCli:
+    def test_missing_trace_rejected(self, tmp_path, capsys):
+        from repro.tools import perf as perf_cli
+
+        err = _assert_usage_error(
+            capsys, perf_cli.main, ["--trace-in", str(tmp_path / "absent.jsonl")]
+        )
+        assert "absent.jsonl" in err
+
+    def test_malformed_trace_rejected(self, tmp_path, capsys):
+        from repro.tools import perf as perf_cli
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        err = _assert_usage_error(capsys, perf_cli.main, ["--trace-in", str(bad)])
+        assert "not a JSONL trace stream" in err
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("the sweep must not start on a usage error")
 
@@ -193,6 +211,22 @@ class TestSimulateCli:
 
         monkeypatch.setattr(sim_cli, "run_lk23", _no_sweep)
         _assert_usage_error(capsys, sim_cli.main, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--n", "1", "--iterations", "1"], id="n1"),
+            pytest.param(["--n", "64", "--tasks", "100000"], id="tasks100000"),
+        ],
+    )
+    def test_grid_finer_than_matrix_rejected(self, argv, monkeypatch, capsys):
+        from repro.tools import simulate as sim_cli
+
+        monkeypatch.setattr(sim_cli, "run_lk23", _no_sweep)
+        err = _assert_usage_error(
+            capsys, sim_cli.main, ["--topology", "small-numa", *argv]
+        )
+        assert "finer than" in err
 
     def test_report_flag(self, capsys):
         from repro.tools import simulate as sim_cli
