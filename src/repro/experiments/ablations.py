@@ -6,17 +6,17 @@ imported by tests to assert the qualitative outcomes.
 
 * :func:`mapping_quality` (A1) — TreeMatch vs the baselines on
   hop-bytes / NUMA-cut for synthetic affinity patterns.
-* :func:`treematch_cost_curve` (A2) — Algorithm 1 wall time vs matrix
-  order ("run at launch time" must stay cheap).
 * :func:`control_strategy_comparison` (A3) — hyperthread reservation vs
   spare cores vs unmapped control threads on HT and non-HT machines.
 * :func:`oversubscription_study` (A4) — tasks ≫ cores.
 * :func:`affinity_extraction_fidelity` (A5) — static vs traced matrix.
+
+A2 (Algorithm 1 launch-time cost) times ``tree_match`` directly in
+``benchmarks/bench_treematch_cost.py``.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Sequence
 
 from repro.comm import patterns
@@ -30,7 +30,6 @@ from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.topology import presets
 from repro.topology.tree import Topology
 from repro.treematch import cost as cost_mod
-from repro.treematch.algorithm import tree_match
 
 
 def _attach_time_stats(row: dict[str, float], stats) -> dict[str, float]:
@@ -84,27 +83,6 @@ def mapping_quality(
         policy = make_policy(name, **kwargs)
         mapping = policy.place(topo, matrix.order, matrix=matrix)
         out[name] = cost_mod.score_report(mapping, matrix, topo)
-    return out
-
-
-def treematch_cost_curve(
-    orders: Sequence[int] = (16, 32, 64, 128, 256, 512),
-    seed: int = 0,
-) -> list[tuple[int, float]]:
-    """A2: wall-clock seconds of Algorithm 1 per matrix order.
-
-    The topology is scaled with the order (one PU per entity) so the
-    measurement isolates algorithmic cost, not oversubscription.
-    """
-    out: list[tuple[int, float]] = []
-    for order in orders:
-        rows, cols = patterns.square_grid_shape(order)
-        matrix = patterns.stencil_2d(rows, cols, edge_volume=100.0)
-        sockets = max(order // 8, 1)
-        topo = presets.paper_smp(sockets, min(order, 8))
-        start = _time.perf_counter()
-        tree_match(topo, matrix)
-        out.append((order, _time.perf_counter() - start))
     return out
 
 

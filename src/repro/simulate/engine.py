@@ -34,8 +34,7 @@ class Engine:
     engine exists per machine, but its attributes are read per event).
     The drain deliberately delegates per-event work to ``step``: on
     CPython 3.11+ the specializing interpreter inlines the call and
-    keeps one hot code path.  ``repro.tools.bench`` guards the
-    throughput of ``run`` against a bare ``step`` loop.
+    keeps one hot code path.
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_events_fired", "probe")

@@ -16,6 +16,7 @@ import csv
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 from repro.tools._common import (
+    require_matrix_fits,
     require_nonnegative,
     require_positive,
     require_whole_sockets,
@@ -53,6 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
     require_positive(parser, iterations=args.iterations, n=args.n, seeds=args.seeds)
     require_nonnegative(parser, workers=args.workers)
+    require_matrix_fits(parser, args.n, max(args.cores), openmp=True)
     apply_cache_arguments(args)
 
     runner = None

@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    topo = resolve_topology(args.topology)
+    topo = resolve_topology(args.topology, parser)
     counts = ", ".join(f"{k}: {v}" for k, v in query.summarize(topo).items())
     print(f"{topo.name} ({counts})")
     if not args.summary:

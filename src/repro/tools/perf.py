@@ -29,6 +29,7 @@ from repro.experiments.scaling import matrix_order
 from repro.observe.tracer import Tracer
 from repro.perf import PerfReport, analyze, attribute_gap, write_folded
 from repro.stats.aggregate import summarize_map
+from repro.tools._common import require_matrix_fits, require_positive
 from repro.topology.generate import SCALING_SPECS
 
 
@@ -93,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="write per-implementation folded stacks "
                              "(<impl>.folded) for flamegraph.pl/speedscope")
     args = parser.parse_args(argv)
+    require_positive(parser, iterations=args.iterations, seeds=args.seeds)
+    if args.n is not None:
+        require_positive(parser, n=args.n)
 
     reports: list[PerfReport] = []
     events_of: dict[str, list] = {}
@@ -119,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         topo, _ = machine_inputs(args.preset)
         n = args.n if args.n is not None else matrix_order(topo.nb_pus)
+        require_matrix_fits(parser, n, topo.nb_pus,
+                            openmp="openmp" in args.impl)
         for impl in args.impl:
             rows = []
             for r in range(args.seeds):

@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
                          f"({exc})")
         source = args.input
     else:
-        topo = resolve_topology(args.topology)
+        topo = resolve_topology(args.topology, parser)
         if args.workload == "ring":
             prog = build_ring(args.stages, args.rounds, args.packet_kib * 1024)
         else:

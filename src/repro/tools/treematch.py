@@ -53,12 +53,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.matrix:
             topo_source = args.matrix
     elif args.matrix:
-        matrix = CommMatrix.load(args.matrix)
+        try:
+            matrix = CommMatrix.load(args.matrix)
+        except OSError as exc:
+            parser.error(f"{args.matrix}: {exc.strerror or exc}")
+        except ValueError as exc:
+            parser.error(f"{args.matrix}: not a communication matrix file "
+                         f"({exc})")
     else:
         parser.error("give a matrix file or --demo")
         return 2  # unreachable; parser.error exits
 
-    topo = resolve_topology(topo_source)
+    topo = resolve_topology(topo_source, parser)
     kwargs = {"seed": args.seed} if args.policy == "random" else {}
     policy = make_policy(args.policy, **kwargs)
     mapping = policy.place(topo, matrix.order, matrix=matrix, labels=matrix.labels)

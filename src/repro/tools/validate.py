@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    topo = resolve_topology(args.topology)
+    topo = resolve_topology(args.topology, parser)
     if args.cluster_costs:
         from repro.topology.distance import cluster_distance_model
 

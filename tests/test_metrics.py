@@ -24,7 +24,6 @@ from repro.metrics.core import (
 )
 from repro.metrics.expose import ExpositionError, parse_exposition, render_text
 from repro.metrics.history import (
-    MIN_SERIES,
     history_report,
     load_reports,
     render_history,
@@ -562,12 +561,10 @@ def test_progress_bar_resets_between_sweeps():
 # -- history ---------------------------------------------------------------
 
 
-def _bench_report(stamp, warm_p50, mean=1.0, ci_hi=1.2):
+def _bench_report(stamp, mean=1.0, ci_hi=1.2):
     return {
         "meta": {"timestamp": stamp},
-        "placement_service": {"warm_p50_s": warm_p50},
         "fig1": {
-            "speedup": 2.0,
             "stats": [
                 {"implementation": "openmp", "cores": 8,
                  "mean": mean, "ci_lo": 0.9, "ci_hi": ci_hi},
@@ -578,56 +575,25 @@ def _bench_report(stamp, warm_p50, mean=1.0, ci_hi=1.2):
 
 def test_history_single_report_is_green(tmp_path):
     p = tmp_path / "BENCH_a.json"
-    p.write_text(json.dumps(_bench_report("2026-01-01T00:00:00", 1e-4)))
+    p.write_text(json.dumps(_bench_report("2026-01-01T00:00:00")))
     reports = load_reports(directory=str(tmp_path), baseline=None)
     assert len(reports) == 1
     result = history_report(reports)
     assert result["ok"]
-    assert all(h["verdict"] == "ok" for h in result["headlines"])
+    assert [r["verdict"] for r in result["stats_rows"]] == ["ok"]
     assert "trajectory green" in render_history(result)
-
-
-def test_history_flags_latency_drift(tmp_path):
-    """A 30% warm-p50 inflation in the newer half must be flagged."""
-    for i in range(8):
-        warm = 1e-4 if i < 4 else 1.3e-4  # +30% > 25% threshold
-        p = tmp_path / f"BENCH_{i}.json"
-        p.write_text(
-            json.dumps(_bench_report(f"2026-01-0{i + 1}T00:00:00", warm))
-        )
-    reports = load_reports(directory=str(tmp_path), baseline=None)
-    result = history_report(reports, threshold=0.25)
-    assert not result["ok"]
-    drifted = {
-        f"{h['section']}.{h['metric']}"
-        for h in result["headlines"]
-        if h["verdict"] == "drift"
-    }
-    assert drifted == {"placement_service.warm_p50_s"}
-    assert any("warm_p50_s" in d for d in result["drifts"])
-
-
-def test_history_noise_without_effect_is_green(tmp_path):
-    # alternating values: big relative medians stay flat, delta ~ 0
-    for i, warm in enumerate([1e-4, 1.3e-4] * 4):
-        p = tmp_path / f"BENCH_{i}.json"
-        p.write_text(
-            json.dumps(_bench_report(f"2026-01-0{i + 1}T00:00:00", warm))
-        )
-    reports = load_reports(directory=str(tmp_path), baseline=None)
-    assert history_report(reports, threshold=0.25)["ok"]
 
 
 def test_history_stats_rows_ci_band_gate(tmp_path):
     rows = [
-        _bench_report("2026-01-01T00:00:00", 1e-4, mean=1.0, ci_hi=1.1),
-        _bench_report("2026-01-02T00:00:00", 1e-4, mean=1.5, ci_hi=1.6),
+        _bench_report("2026-01-01T00:00:00", mean=1.0, ci_hi=1.1),
+        _bench_report("2026-01-02T00:00:00", mean=1.5, ci_hi=1.6),
     ]
     for i, r in enumerate(rows):
         (tmp_path / f"BENCH_{i}.json").write_text(json.dumps(r))
     reports = load_reports(directory=str(tmp_path), baseline=None)
     result = history_report(reports, threshold=0.25)
-    row = next(r for r in result["stats_rows"] if r["key"] == "fig1 openmp@8")
+    row = next(r for r in result["stats_rows"] if r["key"] == "openmp@8")
     # 1.5 > 1.1 × 1.25 = 1.375 → drift against the oldest CI band
     assert row["verdict"] == "drift"
     assert not result["ok"]
@@ -637,10 +603,9 @@ def test_load_reports_skips_garbage(tmp_path):
     (tmp_path / "BENCH_bad.json").write_text("{truncated")
     (tmp_path / "BENCH_nometa.json").write_text('{"fig1": {}}')
     good = tmp_path / "BENCH_ok.json"
-    good.write_text(json.dumps(_bench_report("2026-01-01T00:00:00", 1e-4)))
+    good.write_text(json.dumps(_bench_report("2026-01-01T00:00:00")))
     reports = load_reports(directory=str(tmp_path), baseline=None)
     assert [r["meta"]["_source"] for r in reports] == [str(good)]
-    assert MIN_SERIES >= 2
 
 
 def test_sparkline_shapes():

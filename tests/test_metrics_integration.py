@@ -219,11 +219,11 @@ def read_jsonl_str(text: str):
 # -- bench history end-to-end ----------------------------------------------
 
 
-def _report(stamp: str, warm_p50: float) -> dict:
+def _report(stamp: str, mean: float = 1.0) -> dict:
     return {
         "meta": {"timestamp": stamp},
-        "placement_service": {"warm_p50_s": warm_p50,
-                              "queries_per_s": 3000.0},
+        "dag": {"stats": [{"workload": "bfs", "policy": "bind",
+                           "mean": mean, "ci_lo": 0.9, "ci_hi": 1.1}]},
     }
 
 
@@ -231,15 +231,14 @@ class TestBenchHistoryCli:
     def test_injected_drift_fails_the_gate(self, tmp_path, capsys):
         from repro.tools.bench import main
 
-        for i in range(8):
-            warm = 1e-4 if i < 4 else 1.3e-4  # +30% in the newer half
+        for i, mean in enumerate([1.0, 1.0, 1.4]):  # 1.4 > 1.1 × 1.25
             (tmp_path / f"BENCH_{i}.json").write_text(
-                json.dumps(_report(f"2026-02-0{i + 1}T00:00:00", warm))
+                json.dumps(_report(f"2026-02-0{i + 1}T00:00:00", mean))
             )
         rc = main(["history", "--dir", str(tmp_path), "--baseline", ""])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "DRIFT" in out and "warm_p50_s" in out
+        assert "DRIFT" in out and "dag bfs/bind" in out
         # --no-check reports but stays green for non-gating use
         assert main(["history", "--dir", str(tmp_path), "--baseline", "",
                      "--no-check"]) == 0
@@ -254,11 +253,38 @@ class TestBenchHistoryCli:
         assert rc == 0
         assert "trajectory green" in out
 
+    def test_one_regressed_row_over_committed_baseline_fails(
+        self, tmp_path, capsys
+    ):
+        from repro.tools.bench import main
+
+        with open("benchmarks/baseline_ci.json") as fh:
+            later = json.load(fh)
+        later["meta"]["timestamp"] = "9999-01-01T00:00:00"
+        later["fig1"]["stats"][0]["mean"] *= 2.0
+        (tmp_path / "BENCH_later.json").write_text(json.dumps(later))
+        rc = main(["history", "--dir", str(tmp_path),
+                   "--baseline", "benchmarks/baseline_ci.json"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "1 drift(s) detected" in out
+
+    def test_history_keys_rows_like_the_compare_gate(self):
+        from repro.metrics.history import history_report, load_reports
+        from repro.tools.bench import compare_reports
+
+        baseline = load_reports(["benchmarks/baseline_ci.json"])
+        rows = history_report(baseline)["stats_rows"]
+        passed, _ = compare_reports(baseline[0], baseline[0])
+        gated = {line.split(": mean ")[0] for line in passed if ": mean " in line}
+        assert {r["key"] for r in rows} == gated
+        assert len(gated) == 15
+
     def test_json_output_parses(self, tmp_path, capsys):
         from repro.tools.bench import main
 
         (tmp_path / "BENCH_0.json").write_text(
-            json.dumps(_report("2026-02-01T00:00:00", 1e-4))
+            json.dumps(_report("2026-02-01T00:00:00"))
         )
         rc = main(["history", "--dir", str(tmp_path), "--baseline", "",
                    "--json"])

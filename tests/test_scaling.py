@@ -272,6 +272,80 @@ class TestBenchCompareGate:
         _, failed = compare_reports(baseline, {"fig1": {}})
         assert any("baseline has no fig1 stats" in line for line in failed)
 
+    def test_committed_baseline_gate_lines_are_pinned(self):
+        baseline = self._baseline()
+        passed, failed = compare_reports(baseline, baseline)
+        assert failed == []
+        assert passed == [
+            "openmp@8: mean 0.001654 vs baseline 0.001654 (limit 0.002068)",
+            "openmp@16: mean 0.001074 vs baseline 0.001074 (limit 0.001343)",
+            "orwl-bind@8: mean 0.001807 vs baseline 0.001807 (limit 0.002287)",
+            "orwl-bind@16: mean 0.001115 vs baseline 0.001115 (limit 0.001457)",
+            "orwl-nobind@8: mean 0.003446 vs baseline 0.003446 (limit 0.006393)",
+            "orwl-nobind@16: mean 0.002633 vs baseline 0.002633 (limit 0.003405)",
+            "bit-identical serial/parallel: True",
+            "dag bfs/bind: mean 0.000087 vs baseline 0.000087 (limit 0.000123)",
+            "dag bfs/nobind: mean 0.000099 vs baseline 0.000099 (limit 0.000139)",
+            "dag bfs/service: mean 0.000083 vs baseline 0.000083 (limit 0.000118)",
+            "dag cholesky/bind: mean 0.006216 vs baseline 0.006216 (limit 0.007776)",
+            "dag cholesky/nobind: mean 0.005458 vs baseline 0.005458 (limit 0.006868)",
+            "dag cholesky/service: mean 0.006218 vs baseline 0.006218 (limit 0.007776)",
+            "dag divconq/bind: mean 0.020760 vs baseline 0.020760 (limit 0.025951)",
+            "dag divconq/nobind: mean 0.018444 vs baseline 0.018444 (limit 0.024554)",
+            "dag divconq/service: mean 0.020762 vs baseline 0.020762 (limit 0.025958)",
+            "dag bit-identical serial/parallel: True",
+        ]
+
+    def test_regressed_dag_row_fails(self):
+        baseline = self._baseline()
+        current = json.loads(BASELINE.read_text())
+        row = next(r for r in current["dag"]["stats"]
+                   if (r["workload"], r["policy"]) == ("cholesky", "bind"))
+        row["mean"] *= 2.0
+        _, failed = compare_reports(current, baseline)
+        assert len(failed) == 1
+        assert failed[0].startswith("dag cholesky/bind: mean ")
+        assert "regressed 2.00x" in failed[0]
+
+    def test_lost_dag_bit_identity_fails(self):
+        baseline = self._baseline()
+        current = json.loads(BASELINE.read_text())
+        current["dag"]["bit_identical"] = False
+        _, failed = compare_reports(current, baseline)
+        assert failed == [
+            "dag serial/parallel sweeps no longer bit-identical "
+            "(baseline was bit-identical)"
+        ]
+
+    def test_missing_dag_point_fails(self):
+        baseline = self._baseline()
+        current = json.loads(BASELINE.read_text())
+        current["dag"]["stats"] = [
+            r for r in current["dag"]["stats"]
+            if (r["workload"], r["policy"]) != ("bfs", "nobind")
+        ]
+        _, failed = compare_reports(current, baseline)
+        assert failed == ["dag bfs/nobind: point missing from current run"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--seeds", "0"], id="seeds0"),
+            pytest.param(["--compare", str(BASELINE)], id="compare-seeds1"),
+            pytest.param(["--seeds", "3", "--compare", "/nonexistent.json"],
+                         id="compare-missing"),
+        ],
+    )
+    def test_cli_rejects_bad_arguments_before_sweep(
+        self, argv, monkeypatch, capsys
+    ):
+        from repro.tools import bench as bench_cli
+        from tests.test_tools import _assert_usage_error, _no_sweep
+
+        monkeypatch.setattr(bench_cli, "bench_fig1", _no_sweep)
+        monkeypatch.setattr(bench_cli, "bench_dag", _no_sweep)
+        _assert_usage_error(capsys, bench_cli.main, ["--quick", *argv])
+
     @pytest.mark.slow
     def test_cli_gate_exit_codes(self, tmp_path):
         from repro.tools.bench import main

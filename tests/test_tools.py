@@ -49,6 +49,12 @@ class TestLstopo:
         lstopo_cli.main(["small-numa", "--export", str(dest)])
         assert serialize.load(dest).nb_pus == 8
 
+    def test_non_json_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "topo.json"
+        bad.write_text("not json\n")
+        err = _assert_usage_error(capsys, lstopo_cli.main, [str(bad)])
+        assert "not a topology file" in err
+
 
 class TestTreematchCli:
     def test_demo_mode(self, capsys):
@@ -72,6 +78,17 @@ class TestTreematchCli:
     def test_missing_matrix_errors(self):
         with pytest.raises(SystemExit):
             tm_cli.main([])
+
+    def test_absent_matrix_file_rejected(self, tmp_path, capsys):
+        absent = tmp_path / "absent.mat"
+        err = _assert_usage_error(capsys, tm_cli.main, [str(absent)])
+        assert "absent.mat" in err
+
+    def test_non_matrix_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_text("hello world\n")
+        err = _assert_usage_error(capsys, tm_cli.main, [str(bad), "paper-smp"])
+        assert "not a communication matrix file" in err
 
 
 class TestFig1Cli:
@@ -98,6 +115,7 @@ class TestFig1Cli:
             pytest.param(["--seeds", "0"], id="seeds0"),
             pytest.param(["--n", "0"], id="n0"),
             pytest.param(["--workers", "-1"], id="workers-1"),
+            pytest.param(["--cores", "192", "--n", "100"], id="strips-finer-than-n"),
         ],
     )
     def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
@@ -169,6 +187,23 @@ class TestPerfCli:
         bad.write_text("not json\n")
         err = _assert_usage_error(capsys, perf_cli.main, ["--trace-in", str(bad)])
         assert "not a JSONL trace stream" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--iterations", "0"], id="iterations0"),
+            pytest.param(["--n", "0"], id="n0"),
+            pytest.param(["--seeds", "0"], id="seeds0"),
+            pytest.param(["--n", "10"], id="grid-finer-than-n"),
+            pytest.param(["--n", "100", "--impl", "openmp"],
+                         id="strips-finer-than-n"),
+        ],
+    )
+    def test_bad_count_rejected_before_run(self, argv, monkeypatch, capsys):
+        from repro.tools import perf as perf_cli
+
+        monkeypatch.setattr(perf_cli, "run_traced", _no_sweep)
+        _assert_usage_error(capsys, perf_cli.main, argv)
 
 
 def _no_sweep(*args, **kwargs):
