@@ -67,6 +67,11 @@ class Request:
         return f"<Request {self.tag!r} {self.mode.value} {self.state.value}>"
 
 
+def _ignore_grant(req: Request) -> None:
+    """The grant callback of a FIFO no runtime has wired (or one whose
+    run has finished): grants only change the requests' state."""
+
+
 class FifoError(RuntimeError):
     """Raised on protocol violations (double release, foreign request...)."""
 
@@ -90,7 +95,7 @@ class OrwlFifo:
         name: str = "",
     ) -> None:
         self._queue: Deque[Request] = deque()
-        self._on_grant = on_grant or (lambda req: None)
+        self._on_grant = on_grant or _ignore_grant
         self.name = name
         #: total requests ever inserted (diagnostics).
         self.inserted = 0

@@ -12,9 +12,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
-from repro.orwl.fifo import OrwlFifo, Request
+from repro.orwl.fifo import OrwlFifo, Request, _ignore_grant
 from repro.util.validate import ValidationError
 
 
@@ -64,9 +64,10 @@ class Location:
         #: number of completed writes (payload version).
         self.version: int = 0
 
-    def set_grant_callback(self, cb: Callable[[Request], None]) -> None:
-        """Install the runtime's grant-routing callback (pre-run)."""
-        self.fifo._on_grant = cb
+    def set_grant_callback(self, cb: Optional[Callable[[Request], None]]) -> None:
+        """Install the runtime's grant-routing callback (pre-run);
+        ``None`` detaches it again."""
+        self.fifo._on_grant = cb or _ignore_grant
 
     def note_write(self, tid: int, op_name: str) -> None:
         """Record provenance after a write release."""

@@ -31,11 +31,16 @@ OpBody = Callable[["object"], Generator]
 
 
 class Operation:
-    """One operation of a task — executed by its own thread."""
+    """One operation of a task — executed by its own thread.
 
-    def __init__(self, task: "TaskDecl", name: str, body: OpBody) -> None:
-        self.task = task
-        self.name = f"{task.name}/{name}"
+    It names its task (``task_name``) rather than holding it: a
+    declaration holds no upward link, so a finished program is freed by
+    reference counting alone.
+    """
+
+    def __init__(self, task_name: str, name: str, body: OpBody) -> None:
+        self.task_name = task_name
+        self.name = f"{task_name}/{name}"
         self.short_name = name
         self.body = body
         self.handles: list[Handle] = []
@@ -60,20 +65,24 @@ class Operation:
 
 
 class TaskDecl:
-    """An ``orwl_task``: a named group of operations."""
+    """An ``orwl_task``: a named group of operations.
 
-    def __init__(self, program: "Program", name: str) -> None:
-        self.program = program
+    *op_order* is the program's declaration-order operation list, which
+    :meth:`operation` appends to (the task does not hold the program).
+    """
+
+    def __init__(self, name: str, op_order: list[Operation]) -> None:
         self.name = name
         self.operations: dict[str, Operation] = {}
+        self._op_order = op_order
 
     def operation(self, name: str, body: OpBody) -> Operation:
         """Declare an operation; *name* must be unique within the task."""
         if name in self.operations:
             raise ValidationError(f"task {self.name!r} already has operation {name!r}")
-        op = Operation(self, name, body)
+        op = Operation(self.name, name, body)
         self.operations[name] = op
-        self.program._op_order.append(op)
+        self._op_order.append(op)
         return op
 
     @property
@@ -118,7 +127,7 @@ class Program:
         """Declare (or fetch) a task."""
         if name in self.tasks:
             return self.tasks[name]
-        t = TaskDecl(self, name)
+        t = TaskDecl(name, self._op_order)
         self.tasks[name] = t
         return t
 

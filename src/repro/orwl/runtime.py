@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.comm.trace import CommTracer
 from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
-from repro.orwl.location import Location
 from repro.orwl.program import Operation, Program
 from repro.simulate.engine import SimEvent, SimulationError
 from repro.simulate.machine import Machine, SimThread
@@ -256,10 +255,14 @@ class Runtime:
                 self._control_tids.append(tid)
                 machine.set_body(tid, self._control_body(cq, tid))
 
-        # -- wire grant routing before inserting any request ----------------
-        self._events: dict[int, SimEvent] = {}
+        # -- wire grant routing before inserting any request: routing
+        # depends only on the owner task, so its locations share a router.
+        routers: dict[str, Callable[[Request], None]] = {}
         for loc in program.locations.values():
-            loc.set_grant_callback(self._make_grant_router(loc))
+            owner = loc.owner_task
+            if owner not in routers:
+                routers[owner] = self._make_grant_router(owner)
+            loc.set_grant_callback(routers[owner])
 
         # -- the ORWL init protocol: initial requests ordered by the
         # handles' init phase, then declaration order.  This is the
@@ -306,11 +309,10 @@ class Runtime:
     def trace_id_of_tid(self, tid: int) -> int:
         return self._trace_id_of_tid[tid]
 
-    def _make_grant_router(self, loc: Location):
-        owner = loc.owner_task
+    def _make_grant_router(self, owner: str) -> Callable[[Request], None]:
+        cq = self._control_queue_of_task.get(owner)
 
         def route(req: Request) -> None:
-            cq = self._control_queue_of_task.get(owner)
             if cq is None:
                 # No control thread for this location: direct grant.
                 self._deliver(req, None)
@@ -399,7 +401,13 @@ class Runtime:
         if self._ran:
             raise ValidationError("runtime already ran; build a fresh one")
         self._ran = True
-        total = self.machine.run()
+        try:
+            total = self.machine.run()
+        finally:
+            # The routers close over the runtime, which reaches the
+            # locations: detach them so a finished run frees itself.
+            for loc in self.program.locations.values():
+                loc.set_grant_callback(None)
         return RunResult(
             time=total,
             metrics=self.machine.metrics,

@@ -121,7 +121,7 @@ def task_matrix(program: Program, op_matrix: Optional[CommMatrix] = None) -> Com
     ops = program.operations()
     task_names = list(program.tasks)
     task_index = {name: k for k, name in enumerate(task_names)}
-    row_of = [task_index[op.task.name] for op in ops]
+    row_of = [task_index[op.task_name] for op in ops]
     if op_matrix is None:
         m = _scatter_affinity(program, ops, row_of, len(task_names), 1, True)
         return CommMatrix(m, labels=task_names)

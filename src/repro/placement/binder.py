@@ -108,7 +108,7 @@ def _comm_thread_slots(program: Program) -> tuple[list[int], list[int]]:
     for k, op in enumerate(ops):
         if not op.is_main:
             op_idx.append(k)
-            pair.append(task_index[op.task.name])
+            pair.append(task_index[op.task_name])
     return op_idx, pair
 
 
@@ -261,7 +261,7 @@ def bind_program(
     op_pus = []
     for k, op in enumerate(ops):
         if op.is_main:
-            op_pus.append(main_pu[op.task.name])
+            op_pus.append(main_pu[op.task_name])
         else:
             op_pus.append(comm_pu.get(k, -1))
     mapping = Mapping(tuple(op_pus), tuple(op_labels), policy=placed.policy)

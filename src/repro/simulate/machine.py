@@ -110,13 +110,13 @@ class SimThread:
         #: the thread's reusable resume callback (one closure per thread
         #: instead of one per event; set by Machine.run).
         self.resume_cb: Optional[Callable[[], None]] = None
-        #: the thread's reusable wakeup callback for a Wait (set by
-        #: Machine.run), and the name of the event it is parked on (the
+        #: the thread's reusable wakeup callback for a Wait (built by its
+        #: first Wait), and the name of the event it is parked on (the
         #: wait span's trace detail).
         self.wake_cb: Optional[Callable[[], None]] = None
         self.wait_name = ""
-        #: the thread's reusable end-of-transfer callback (set by
-        #: Machine.run), and the contention slot (sharing level,
+        #: the thread's reusable end-of-transfer callback (built by its
+        #: first transfer), and the contention slot (sharing level,
         #: producer node) of its one in-flight transfer.
         self.transfer_cb: Optional[Callable[[], None]] = None
         self.transfer_level = ObjType.MACHINE
@@ -362,6 +362,10 @@ class Machine:
 
         Raises :class:`SimulationError` with the list of stuck threads if
         the queue drains while threads are still blocked (deadlock).
+
+        Once the engine stops, the machine drops every callback that
+        points back at it (see :meth:`_release_callbacks`), so a finished
+        machine is freed by reference counting alone.
         """
         if self._started:
             raise SimulationError("machine already ran")
@@ -373,15 +377,16 @@ class Machine:
             self.scheduler.occupy(t.current_pu)
             t.state = ThreadState.READY
             t.resume_cb = self._resume_fn(t)
-            t.wake_cb = self._wake_fn(t)
-            t.transfer_cb = self._transfer_done_fn(t)
             if self.tracer is not None:
                 self._trace("thread_start", t, 0.0,
                             detail="bound" if t.is_bound else "unbound")
             self.engine.schedule(0.0, t.resume_cb)
         flush_metrics = _metrics_core.is_enabled()
         wall_t0 = perf_counter() if flush_metrics else 0.0
-        self.engine.run(max_events=max_events)
+        try:
+            self.engine.run(max_events=max_events)
+        finally:
+            self._release_callbacks()
         if flush_metrics:
             from repro.metrics.bridge import record_run
 
@@ -421,6 +426,17 @@ class Machine:
             nbytes=nbytes,
             detail=detail,
         )
+
+    def _release_callbacks(self) -> None:
+        """Drop the closures that tie the machine into reference cycles.
+
+        Each thread's callbacks close over the machine, and the trace
+        observer closes over it from the scheduler; the machine reaches
+        both.  Nothing calls them once the engine has stopped.
+        """
+        for t in self._threads:
+            t.resume_cb = t.wake_cb = t.transfer_cb = None
+        self.scheduler.observer = None
 
     def _resume_fn(self, t: SimThread) -> Callable[[], None]:
         return lambda: self._advance(t)
@@ -472,7 +488,10 @@ class Machine:
             t.state = ThreadState.BLOCKED
             t.blocked_since = self.engine.now
             t.wait_name = sc.event.name
-            sc.event.wait(t.wake_cb)
+            wake = t.wake_cb
+            if wake is None:
+                wake = t.wake_cb = self._wake_fn(t)
+            sc.event.wait(wake)
         elif isinstance(sc, Yield):
             t.state = ThreadState.READY
             self.engine.schedule(0.0, t.resume_cb or self._resume_fn(t))
@@ -615,7 +634,10 @@ class Machine:
         t.transfer_level = level
         t.transfer_node = producer_node
         t.state = ThreadState.READY
-        self.engine.at(end, t.transfer_cb)
+        done = t.transfer_cb
+        if done is None:
+            done = t.transfer_cb = self._transfer_done_fn(t)
+        self.engine.at(end, done)
 
     def _do_receive(self, t: SimThread, producer_tid: int, nbytes: float) -> None:
         self._maybe_pull(t)

@@ -20,6 +20,7 @@ NoBind runs are reproducible.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +68,12 @@ class OsScheduler:
             raise ValueError(f"n_pus must be > 0, got {n_pus}")
         self.config = config or SchedulerConfig()
         self._rng = make_rng(seed)
-        self._load = np.zeros(n_pus, dtype=np.int64)  # threads per PU
+        #: threads per PU, and the least-loaded set kept beside it: the
+        #: least load and the PUs at it in ascending order — the
+        #: candidates ``np.flatnonzero(load == load.min())`` would give.
+        self._load = [0] * n_pus
+        self._low = 0
+        self._at_low = list(range(n_pus))
         #: optional observability probe ``(kind, src_pu, dst_pu)`` fired on
         #: every placement decision — ``"initial"`` / ``"pull"`` /
         #: ``"noise"`` — wired by Machine.attach_tracer.
@@ -76,22 +82,37 @@ class OsScheduler:
     # -- load bookkeeping ----------------------------------------------------
 
     def occupy(self, pu: int) -> None:
-        self._load[pu] += 1
+        load = self._load
+        load[pu] += 1
+        if load[pu] == self._low + 1:  # pu leaves the least-loaded set
+            at_low = self._at_low
+            at_low.remove(pu)
+            if not at_low:
+                # Every PU is above the old least load now, so the new
+                # least-loaded set is the PUs one thread above it.
+                low = self._low = self._low + 1
+                at_low.extend(p for p, n in enumerate(load) if n == low)
 
     def vacate(self, pu: int) -> None:
-        self._load[pu] -= 1
-        assert self._load[pu] >= 0
+        load = self._load
+        load[pu] -= 1
+        n = load[pu]
+        assert n >= 0
+        if n < self._low:
+            self._low = n
+            self._at_low = [pu]
+        elif n == self._low:
+            insort(self._at_low, pu)
 
     def load_of(self, pu: int) -> int:
-        return int(self._load[pu])
+        return self._load[pu]
 
     # -- decisions -----------------------------------------------------------
 
     def initial_pu(self) -> int:
         """Pick a PU for a newly started unbound thread (least loaded)."""
-        lowest = int(self._load.min())
-        candidates = np.flatnonzero(self._load == lowest)
-        choice = int(candidates[self._rng.integers(len(candidates))])
+        candidates = self._at_low
+        choice = candidates[self._rng.integers(len(candidates))]
         if self.observer is not None:
             self.observer("initial", -1, choice)
         return choice
@@ -140,12 +161,16 @@ class OsScheduler:
                 return target
         if self._rng.random() >= self.config.migration_prob:
             return None
-        # Random noise migration toward a lightly loaded PU.
-        load = self._load.copy()
-        load[current_pu] -= 1
-        lowest = int(load.min())
-        candidates = np.flatnonzero(load == lowest)
-        target = int(candidates[self._rng.integers(len(candidates))])
+        # Random noise migration toward a lightly loaded PU, counting the
+        # thread as already gone from its own PU.
+        own = self._load[current_pu] - 1
+        candidates = self._at_low
+        if own < self._low:
+            candidates = [current_pu]
+        elif own == self._low:
+            candidates = candidates.copy()
+            insort(candidates, current_pu)
+        target = candidates[self._rng.integers(len(candidates))]
         if target == current_pu:
             return None
         if self.observer is not None:

@@ -32,20 +32,34 @@ import time
 from repro.comm import patterns
 from repro.comm.matrix import CommMatrix
 from repro.placement.service import Decision, PlacementService
-from repro.tools._common import resolve_topology
+from repro.tools._common import require_positive, resolve_topology
+from repro.topology.tree import Topology
 from repro.treematch import cost
+from repro.util.validate import ValidationError
 
 
-def _load_matrix(args: argparse.Namespace) -> CommMatrix:
+def _load_inputs(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[CommMatrix, Topology]:
+    """The subcommand's matrix and topology; bad input ends the program
+    with one usage line (exit 2) through *parser*."""
     if args.demo is not None:
+        require_positive(parser, demo=args.demo)
         # With --demo the first positional (if any) is the topology.
         if args.matrix:
             args.topology = args.matrix
         side = args.demo
-        return patterns.stencil_2d(side, side, edge_volume=1000.0)
-    if args.matrix:
-        return CommMatrix.load(args.matrix)
-    sys.exit("error: give a matrix file or --demo N")
+        matrix = patterns.stencil_2d(side, side, edge_volume=1000.0)
+    elif args.matrix:
+        try:
+            matrix = CommMatrix.load(args.matrix)
+        except OSError as exc:
+            parser.error(f"{args.matrix}: {exc.strerror or exc}")
+        except ValueError as exc:
+            parser.error(f"{args.matrix}: not a communication matrix file ({exc})")
+    else:
+        parser.error("give a matrix file or --demo N")
+    return matrix, resolve_topology(args.topology, parser)
 
 
 def _decision_dict(decision: Decision, topo, matrix) -> dict:
@@ -78,9 +92,8 @@ def _print_decision(decision: Decision, topo, matrix) -> None:
         print(f"{decision.mapping.labels[t]}\t{pu if pu >= 0 else 'unbound'}")
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    topo = resolve_topology(args.topology)
+def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    matrix, topo = _load_inputs(args, parser)
     service = PlacementService(topo, strategy=args.strategy)
     if args.failed:
         service.fail(*args.failed)
@@ -105,6 +118,10 @@ def serve_request(
     """
     try:
         request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValidationError(
+                f"request must be a JSON object, got {type(request).__name__}"
+            )
         op = request.get("op", "query")
         if op == "query":
             matrix = base_matrix
@@ -115,7 +132,12 @@ def serve_request(
             )
             return _decision_dict(decision, topo, matrix)
         if op in ("fail", "drain", "restore"):
-            getattr(service, op)(*request.get("pus", []))
+            pus = request.get("pus", [])
+            if not isinstance(pus, list) or not all(type(pu) is int for pu in pus):
+                raise ValidationError(
+                    f"'pus' must be a list of PU os indices, got {pus!r}"
+                )
+            getattr(service, op)(*pus)
             return {"ok": True, "epoch": service.epoch}
         if op == "stats":
             return service.stats()
@@ -135,7 +157,7 @@ def serve_request(
         return {"error": str(exc)}
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """One JSON request per stdin line; one JSON decision per stdout line.
 
     Requests: ``{"op": "query", "mode": "auto"}`` (the matrix is the
@@ -155,8 +177,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.metrics import core as metrics_core
 
-    base_matrix = _load_matrix(args)
-    topo = resolve_topology(args.topology)
+    base_matrix, topo = _load_inputs(args, parser)
     metrics_core.enable()
     service = PlacementService(topo, strategy=args.strategy)
     httpd = None
@@ -187,11 +208,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.exec.cache import clear_cache, reset_cache_stats
 
-    matrix = _load_matrix(args)
-    topo = resolve_topology(args.topology)
+    require_positive(parser, iterations=args.iterations)
+    matrix, topo = _load_inputs(args, parser)
     clear_cache()
     reset_cache_stats()
     service = PlacementService(topo, strategy=args.strategy)
@@ -270,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     b.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    return args.fn(args, sub.choices[args.command])
 
 
 if __name__ == "__main__":

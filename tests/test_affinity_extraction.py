@@ -41,7 +41,7 @@ def indicator_aggregate(program: Program, op_matrix: CommMatrix) -> np.ndarray:
     tasks = list(program.tasks)
     indicator = np.zeros((len(tasks), len(ops)))
     for k, op in enumerate(ops):
-        indicator[tasks.index(op.task.name), k] = 1.0
+        indicator[tasks.index(op.task_name), k] = 1.0
     out = indicator @ op_matrix.values @ indicator.T
     np.fill_diagonal(out, 0.0)
     return out

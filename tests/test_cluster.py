@@ -66,11 +66,11 @@ class TestColocateFallback:
         assert plan.control_strategy is ControlStrategy.COLOCATED
         ops = prog.operations()
         main_pu = {
-            op.task.name: plan.mapping.pu(k) for k, op in enumerate(ops) if op.is_main
+            op.task_name: plan.mapping.pu(k) for k, op in enumerate(ops) if op.is_main
         }
         for k, op in enumerate(ops):
             if not op.is_main:
-                assert plan.mapping.pu(k) == main_pu[op.task.name]
+                assert plan.mapping.pu(k) == main_pu[op.task_name]
         assert plan.control_mapping.bound_fraction() == 1.0
 
     def test_default_stays_unmapped(self, small_topo):

@@ -674,6 +674,26 @@ def test_serve_malformed_request_keeps_server_alive(_serve_parts):
     assert serve_request(service, topo, matrix, '{"op": "query"}')["mapping"]
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        pytest.param("[1, 2]", "JSON object", id="list-request"),
+        pytest.param('"query"', "JSON object", id="string-request"),
+        pytest.param('{"op": "fail", "pus": "x"}', "'pus'", id="pus-string"),
+        pytest.param('{"op": "drain", "pus": [1, "2"]}', "'pus'", id="pus-mixed"),
+        pytest.param('{"op": "restore", "pus": 3}', "'pus'", id="pus-int"),
+    ],
+)
+def test_serve_ill_shaped_request_named_in_error(_serve_parts, line, field):
+    from repro.tools.place import serve_request
+
+    service, topo, matrix = _serve_parts
+    out = serve_request(service, topo, matrix, line)
+    assert list(out) == ["error"] and field in out["error"]
+    assert service.epoch == 0  # the fault state is untouched
+    assert serve_request(service, topo, matrix, '{"op": "query"}')["mapping"]
+
+
 # -- HTTP endpoint ---------------------------------------------------------
 
 

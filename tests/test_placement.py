@@ -211,7 +211,7 @@ class TestBinder:
                 main_pu = plan.mapping.pu(k)
                 core = ht_topo.core_of(main_pu)
                 for j, other in enumerate(ops):
-                    if other.task is op.task and not other.is_main:
+                    if other.task_name == op.task_name and not other.is_main:
                         sib_pu = plan.mapping.pu(j)
                         assert ht_topo.core_of(sib_pu) is core
                         assert sib_pu != main_pu
@@ -224,7 +224,7 @@ class TestBinder:
     def test_baseline_control_colocated(self, lk23_small, paper_topo_small):
         plan = bind_program(lk23_small, paper_topo_small, policy="compact")
         ops = lk23_small.operations()
-        main_pu = {op.task.name: plan.mapping.pu(k) for k, op in enumerate(ops) if op.is_main}
+        main_pu = {op.task_name: plan.mapping.pu(k) for k, op in enumerate(ops) if op.is_main}
         for k, name in enumerate(lk23_small.tasks):
             assert plan.control_mapping.pu(k) == main_pu[name]
 

@@ -206,6 +206,36 @@ class TestPerfCli:
         _assert_usage_error(capsys, perf_cli.main, argv)
 
 
+class TestPlaceCli:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["query", "/nonexistent", "small-numa"],
+                         "/nonexistent", id="missing-matrix"),
+            pytest.param(["query", "NOT_A_MATRIX", "small-numa"],
+                         "not a communication matrix file", id="bad-matrix"),
+            pytest.param(["query", "--demo", "8", "NOT_A_MATRIX"],
+                         "not a topology file", id="bad-topology"),
+            pytest.param(["query", "--demo", "0"], "--demo", id="demo0"),
+            pytest.param(["serve", "--demo", "-2"], "--demo", id="serve-demo-2"),
+            pytest.param(["bench", "--demo", "4", "--iterations", "0"],
+                         "--iterations", id="bench-iterations0"),
+            pytest.param(["query"], "--demo N", id="no-matrix"),
+        ],
+    )
+    def test_bad_input_rejected_before_service(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro.tools import place as place_cli
+
+        bad = tmp_path / "bad.mat"
+        bad.write_text("not a matrix\n")
+        argv = [str(bad) if a == "NOT_A_MATRIX" else a for a in argv]
+        monkeypatch.setattr(place_cli, "PlacementService", _no_sweep)
+        err = _assert_usage_error(capsys, place_cli.main, argv)
+        assert message in err
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("the sweep must not start on a usage error")
 
