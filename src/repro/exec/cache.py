@@ -31,7 +31,12 @@ byte-for-byte what the cold computation would produce;
     built them (:func:`repro.experiments.dag.build_workload`).  A graph
     depends on neither the placement policy nor the simulation seed,
     so every point of a sweep shares one, along with its memoised
-    digest and communication matrix.
+    digest, communication matrix and compiled ORWL program;
+  - :func:`cached_lk23_program` (``program_build``) — the LK23 ORWL
+    :class:`~repro.orwl.program.Program` of one
+    :class:`~repro.kernels.lk23_orwl.Lk23Config`.  A program runs any
+    number of times (each :class:`~repro.orwl.runtime.Runtime` re-arms
+    it), so the Bind and NoBind points of every seed share one.
 
   A sweep touching the same machine shape or DAG many times pays each
   build once per process; forked pool workers inherit what the parent
@@ -74,6 +79,8 @@ from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.comm.matrix import CommMatrix
+    from repro.kernels.lk23_orwl import Lk23Config
+    from repro.orwl.program import Program
     from repro.tasks.graph import TaskGraph
     from repro.topology.cpuset import CpuSet
     from repro.treematch.algorithm import TreeMatchResult
@@ -94,9 +101,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 TOPOLOGY_CACHE_CAP = 32
 
 #: LRU capacity of the per-process task-graph cache.  A resident graph
-#: may carry its dense task×task matrix (766 tasks ≈ 4.7 MB), hence a
-#: smaller cap than the topologies'.
+#: may carry its dense task×task matrix (766 tasks ≈ 4.7 MB) and its
+#: compiled program, hence a smaller cap than the topologies'.
 GRAPH_CACHE_CAP = 16
+
+#: LRU capacity of the per-process LK23 program cache: one Figure-1
+#: sweep at one size and iteration count builds one program per core
+#: count (six by default).
+PROGRAM_CACHE_CAP = 8
 
 #: LRU capacity of the in-process placement memo.
 PLACEMENT_CACHE_CAP = 256
@@ -237,6 +249,7 @@ class _LRUDict(OrderedDict):
 _TOPOLOGIES: _LRUDict = _LRUDict(TOPOLOGY_CACHE_CAP)
 _MODELS: _LRUDict = _LRUDict(TOPOLOGY_CACHE_CAP)
 _GRAPHS: _LRUDict = _LRUDict(GRAPH_CACHE_CAP)
+_PROGRAMS: _LRUDict = _LRUDict(PROGRAM_CACHE_CAP)
 _PLACEMENTS: _LRUDict = _LRUDict(PLACEMENT_CACHE_CAP)
 
 
@@ -317,9 +330,27 @@ def cached_task_graph(
     return graph
 
 
+def cached_lk23_program(cfg: "Lk23Config") -> "Program":
+    """Fetch the LK23 ORWL program of *cfg*, or build it
+    (:func:`repro.kernels.lk23_orwl.build_program`, default declaration
+    order).
+
+    The returned program is shared: run it (each runtime re-arms it),
+    but do not declare anything more on it.
+    """
+    program = _PROGRAMS.get(cfg)
+    if program is None:
+        from repro.kernels.lk23_orwl import build_program
+
+        program = build_program(cfg)
+        _PROGRAMS.put(cfg, program)
+        _bump("program_build")
+    return program
+
+
 def clear_cache() -> Optional[int]:
     """Drop all in-process cached objects; returns how many were dropped."""
-    caches = (_TOPOLOGIES, _MODELS, _GRAPHS, _PLACEMENTS)
+    caches = (_TOPOLOGIES, _MODELS, _GRAPHS, _PROGRAMS, _PLACEMENTS)
     n = sum(len(c) for c in caches)
     for c in caches:
         c.clear()

@@ -36,10 +36,11 @@ from typing import Any, Callable, Optional, Sequence
 from repro.exec import cache as cache_mod
 from repro.exec.progress import ProgressCallback, SweepEvent
 from repro.metrics import core as metrics_core
+from repro.util.errors import ReproError
 from repro.util.validate import ValidationError
 
 
-class ExecError(RuntimeError):
+class ExecError(ReproError, RuntimeError):
     """Raised when a sweep cannot be completed (retries exhausted and
     serial fallback disabled)."""
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.comm.patterns import square_grid_shape
-from repro.exec.cache import machine_inputs
+from repro.exec.cache import cached_lk23_program, machine_inputs
 from repro.exec.runner import SweepRunner
 from repro.experiments.paired import collect_sweep, point_time
-from repro.kernels.lk23_orwl import Lk23Config, build_program
+from repro.kernels.lk23_orwl import Lk23Config
 from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
@@ -63,7 +63,9 @@ def run_implementation(
 
     One OpenMP worker or ORWL task per PU of *topo*, on an *n* x *n*
     matrix for *iterations* sweeps.  ORWL-Bind places its tasks with
-    TreeMatch, ORWL-NoBind leaves them to the OS scheduler.  Returns
+    TreeMatch, ORWL-NoBind leaves them to the OS scheduler; both run
+    the one LK23 program of their configuration that this process
+    keeps (:func:`repro.exec.cache.cached_lk23_program`).  Returns
     the simulated time and the machine it ran on (its counters are
     ``machine.metrics``; with *tracer*, its events are
     ``tracer.events``).  Every LK23 point of the experiments and of
@@ -81,7 +83,7 @@ def run_implementation(
         )
         return result.time, machine
     rows, cols = square_grid_shape(n_cores)
-    prog = build_program(
+    prog = cached_lk23_program(
         Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
     )
     policy = "treematch" if implementation == "orwl-bind" else "nobind"

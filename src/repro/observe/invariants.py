@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.observe.tracer import SPAN_KINDS, TraceEvent, Tracer
+from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulate.machine import Machine
@@ -114,7 +115,7 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-class InvariantError(AssertionError):
+class InvariantError(ReproError, AssertionError):
     """Raised by :meth:`InvariantReport.raise_if_violations`."""
 
     def __init__(self, report: InvariantReport) -> None:

@@ -29,6 +29,8 @@ from collections import deque
 from itertools import islice
 from typing import Callable, Deque, Optional
 
+from repro.util.errors import ReproError
+
 
 class AccessMode(enum.Enum):
     """Read (shared) or write (exclusive) access."""
@@ -72,7 +74,7 @@ def _ignore_grant(req: Request) -> None:
     run has finished): grants only change the requests' state."""
 
 
-class FifoError(RuntimeError):
+class FifoError(ReproError, RuntimeError):
     """Raised on protocol violations (double release, foreign request...)."""
 
 

@@ -54,6 +54,12 @@ class Handle:
         self.waiter = -1
         self._request: Optional[Request] = None
 
+    def arm(self, waiter: int) -> None:
+        """Start a run as simulator thread *waiter*, with no request
+        (the runtime's init protocol then inserts the first one)."""
+        self.waiter = waiter
+        self._request = None
+
     # -- protocol steps (called by the runtime/context) ---------------------
 
     @property

@@ -56,7 +56,14 @@ class Location:
         #: the block footprint, not the few-KB frontier.
         self.affinity_bytes = float(affinity_bytes) if affinity_bytes is not None else None
         self.owner_task = owner_task
-        self.fifo = OrwlFifo(name=name)
+        self.rearm(None)
+
+    def rearm(self, on_grant: Optional[Callable[[Request], None]]) -> None:
+        """Start a run: a fresh FIFO whose grants go to *on_grant*, and
+        no provenance.  Every :class:`~repro.orwl.runtime.Runtime`
+        re-arms the locations of the program it runs, so a program can
+        run any number of times."""
+        self.fifo = OrwlFifo(on_grant, name=self.name)
         #: thread id (simulator tid) of the last writer, -1 if never written.
         self.last_writer_tid: int = -1
         #: op name of the last writer ("" if never written).
@@ -65,8 +72,8 @@ class Location:
         self.version: int = 0
 
     def set_grant_callback(self, cb: Optional[Callable[[Request], None]]) -> None:
-        """Install the runtime's grant-routing callback (pre-run);
-        ``None`` detaches it again."""
+        """Replace the grant-routing callback; ``None`` detaches it (a
+        finished run does, so it frees itself)."""
         self.fifo._on_grant = cb or _ignore_grant
 
     def note_write(self, tid: int, op_name: str) -> None:

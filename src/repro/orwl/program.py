@@ -19,12 +19,16 @@ the context helpers (``ctx.compute``, ``ctx.acquire`` ...).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+import weakref
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.orwl.fifo import AccessMode
 from repro.orwl.handle import Handle
 from repro.orwl.location import Location
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.orwl.runtime import Runtime
 
 #: An operation body: called with the OpContext, returns a generator.
 OpBody = Callable[["object"], Generator]
@@ -94,13 +98,22 @@ class TaskDecl:
 
 
 class Program:
-    """The static composition of an ORWL application."""
+    """The static composition of an ORWL application.
+
+    A program can run any number of times: every
+    :class:`~repro.orwl.runtime.Runtime` built on it re-arms the run
+    state its locations and handles carry (FIFOs, provenance, pending
+    requests), so one compiled program per input serves a whole sweep.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.locations: dict[str, Location] = {}
         self.tasks: dict[str, TaskDecl] = {}
         self._op_order: list[Operation] = []
+        #: the runtime that armed the program last.  Weak, so a kept
+        #: program does not keep a finished run (and its machine) alive.
+        self._armed_by: Optional[weakref.ReferenceType["Runtime"]] = None
 
     # -- declaration --------------------------------------------------------
 

@@ -24,6 +24,7 @@ comparison.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
@@ -178,7 +179,17 @@ class OpContext:
 
 
 class Runtime:
-    """Instantiate and execute a :class:`Program` on a :class:`Machine`."""
+    """Instantiate and execute a :class:`Program` on a :class:`Machine`.
+
+    Building a runtime *re-arms* its program: every location gets a
+    fresh FIFO and no provenance, every handle no request and this
+    run's thread as its waiter.  So a program runs any number of times,
+    one runtime after another, and each run is bit-identical to a run
+    of a freshly built program.  Two misuses raise
+    :class:`ValidationError`: building a runtime on a program whose
+    armer is still running, and running a runtime whose program another
+    runtime has re-armed since.
+    """
 
     def __init__(
         self,
@@ -192,7 +203,7 @@ class Runtime:
         Parameters
         ----------
         program:
-            The validated ORWL program.
+            The validated ORWL program (re-armed for this run).
         machine:
             A fresh machine (one run per machine).
         mapping:
@@ -203,6 +214,11 @@ class Runtime:
             declaration order.  ``None`` = unbound control threads.
         """
         program.validate()
+        armer = program._armed_by() if program._armed_by is not None else None
+        if armer is not None and armer._running:
+            raise ValidationError(
+                f"program {program.name!r} is still running under another runtime"
+            )
         self.program = program
         self.machine = machine
         self.config = config or RuntimeConfig()
@@ -227,6 +243,11 @@ class Runtime:
                 f"program has {len(task_names)} tasks"
             )
 
+        # -- re-arm the program for this run (before touching it, so a
+        # runtime armed earlier refuses to run on half-re-armed state).
+        self._running = False
+        program._armed_by = weakref.ref(self)
+
         # -- create op threads (declaration order == thread order) ---------
         self._op_tid: dict[str, int] = {}
         self._trace_id_of_tid: dict[int, int] = {}
@@ -235,7 +256,7 @@ class Runtime:
             tid = machine.add_thread(op.name, bound_pu_os=pu if pu >= 0 else None)
             self._op_tid[op.name] = tid
             for h in op.handles:
-                h.waiter = tid
+                h.arm(tid)
             if self.tracer is not None:
                 self._trace_id_of_tid[tid] = self.tracer.register(op.name)
 
@@ -255,14 +276,15 @@ class Runtime:
                 self._control_tids.append(tid)
                 machine.set_body(tid, self._control_body(cq, tid))
 
-        # -- wire grant routing before inserting any request: routing
-        # depends only on the owner task, so its locations share a router.
+        # -- a fresh FIFO per location, wired to its grant router, before
+        # any request is inserted: routing depends only on the owner
+        # task, so its locations share a router.
         routers: dict[str, Callable[[Request], None]] = {}
         for loc in program.locations.values():
             owner = loc.owner_task
             if owner not in routers:
                 routers[owner] = self._make_grant_router(owner)
-            loc.set_grant_callback(routers[owner])
+            loc.rearm(routers[owner])
 
         # -- the ORWL init protocol: initial requests ordered by the
         # handles' init phase, then declaration order.  This is the
@@ -384,15 +406,22 @@ class Runtime:
         try:
             yield from op.body(ctx)
         finally:
-            for h in op.handles:
-                h.cancel()
-            self._ops_remaining -= 1
-            if self._ops_remaining == 0:
-                for cq in self._control_queue_of_task.values():
-                    cq.shutdown = True
-                    if cq.waiter is not None:
-                        w, cq.waiter = cq.waiter, None
-                        w.fire()
+            # The body of a run that raised is closed whenever its
+            # machine is freed, maybe after another runtime re-armed the
+            # program: then these handles are no longer this run's.
+            if self.program._armed_by() is self:
+                self._finish_op(op)
+
+    def _finish_op(self, op: Operation) -> None:
+        for h in op.handles:
+            h.cancel()
+        self._ops_remaining -= 1
+        if self._ops_remaining == 0:
+            for cq in self._control_queue_of_task.values():
+                cq.shutdown = True
+                if cq.waiter is not None:
+                    w, cq.waiter = cq.waiter, None
+                    w.fire()
 
     # -- execution ----------------------------------------------------------
 
@@ -400,10 +429,16 @@ class Runtime:
         """Execute to completion; returns the :class:`RunResult`."""
         if self._ran:
             raise ValidationError("runtime already ran; build a fresh one")
-        self._ran = True
+        if self.program._armed_by() is not self:
+            raise ValidationError(
+                f"program {self.program.name!r} was re-armed by another "
+                "runtime; build a fresh one"
+            )
+        self._ran = self._running = True
         try:
             total = self.machine.run()
         finally:
+            self._running = False
             # The routers close over the runtime, which reaches the
             # locations: detach them so a finished run frees itself.
             for loc in self.program.locations.values():

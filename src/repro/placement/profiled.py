@@ -7,9 +7,12 @@ communication matrix from what actually moved, and bind the production
 run with it.  Useful when the composition under-specifies traffic
 (data-dependent communication) at the cost of one profiling run.
 
-Programs are single-use (their locations carry FIFO state), so the
-entry point takes a zero-argument *program factory* and instantiates it
-twice: once for the profiling run, once for the bound production plan.
+A program can run any number of times (every runtime re-arms its FIFO
+state), so one instance could serve both runs.  The entry point still
+takes a zero-argument *program factory* and instantiates it twice, once
+for the profiling run and once for the bound production plan, and the
+two must declare the same operations: that checks the factory is
+deterministic, as a production build from the same recipe must be.
 """
 
 from __future__ import annotations

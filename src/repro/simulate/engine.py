@@ -18,10 +18,12 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
+from repro.util.errors import ReproError
+
 _INF = float("inf")
 
 
-class SimulationError(RuntimeError):
+class SimulationError(ReproError, RuntimeError):
     """Raised on engine misuse (non-finite delays, deadlock detection)."""
 
 

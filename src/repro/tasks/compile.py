@@ -116,8 +116,14 @@ def compile_graph(
 
     With *times*, the compiled bodies record per-task simulated
     timestamps into it (see :class:`TaskTimes`) — the hook the golden
-    schedules and the dependency-respect property tests use.
+    schedules and the dependency-respect property tests use — so every
+    such call compiles afresh.  Without them, a frozen graph keeps its
+    program: a program runs any number of times (each
+    :class:`~repro.orwl.runtime.Runtime` re-arms it), so every point of
+    a sweep over one graph shares one compilation.
     """
+    if times is None and graph._program is not None:
+        return graph._program
     graph.validate()
     prog = Program(f"dag:{graph.name}")
     tasks = graph.tasks()
@@ -154,6 +160,8 @@ def compile_graph(
         op.body = _task_body(node, read_handles, write_handles, times)
 
     prog.validate()
+    if times is None and graph.frozen:
+        graph._program = prog
     return prog
 
 

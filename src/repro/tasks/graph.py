@@ -31,7 +31,8 @@ structure so cached placements and sweep points are keyed by the DAG
 they were computed for.  :meth:`TaskGraph.freeze` ends construction:
 a frozen graph rejects further ``spawn`` / ``region`` calls, so it can
 be shared (:func:`repro.experiments.dag.build_workload` hands out one
-frozen graph per key) and its digest computed once.
+frozen graph per key), and its digest, matrix and compiled program are
+each computed once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.comm.matrix import CommMatrix
+    from repro.orwl.program import Program
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -178,6 +180,9 @@ class TaskGraph:
         self._digest: Optional[str] = None
         #: memoised :func:`repro.tasks.compile.dag_matrix` (frozen only).
         self._matrix: Optional["CommMatrix"] = None
+        #: memoised :func:`repro.tasks.compile.compile_graph` without
+        #: recorded times (frozen only; a program runs any number of times).
+        self._program: Optional["Program"] = None
 
     # -- declaration --------------------------------------------------------
 
@@ -186,7 +191,8 @@ class TaskGraph:
 
         A frozen graph raises :class:`ValidationError` on ``spawn`` and
         ``region``, which is what makes it safe to share and to memoise
-        its :meth:`digest` and :func:`repro.tasks.compile.dag_matrix`.
+        its :meth:`digest`, :func:`repro.tasks.compile.dag_matrix` and
+        :func:`repro.tasks.compile.compile_graph`.
         Freezing is one-way and idempotent.
         """
         self._frozen = True

@@ -107,6 +107,24 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+def _request_matrix(value: object) -> CommMatrix:
+    """A request's inline ``"matrix"``: a non-empty square list of rows
+    of numbers, symmetrized like a matrix file."""
+    if not (
+        isinstance(value, list)
+        and value
+        and all(isinstance(row, list) and len(row) == len(value) for row in value)
+        and all(type(x) in (int, float) for row in value for x in row)
+    ):
+        raise ValidationError(
+            "'matrix' must be a non-empty square list of rows of numbers"
+        )
+    try:
+        return CommMatrix(value, symmetrize=True)
+    except ValidationError as exc:
+        raise ValidationError(f"'matrix': {exc}") from None
+
+
 def serve_request(
     service: PlacementService, topo, base_matrix: CommMatrix, line: str
 ) -> dict:
@@ -126,7 +144,7 @@ def serve_request(
         if op == "query":
             matrix = base_matrix
             if "matrix" in request:
-                matrix = CommMatrix(request["matrix"], symmetrize=True)
+                matrix = _request_matrix(request["matrix"])
             decision = service.query_sync(
                 matrix, mode=request.get("mode", "auto")
             )

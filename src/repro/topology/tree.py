@@ -18,9 +18,10 @@ from typing import Iterator, Optional, Sequence
 
 from repro.topology.cpuset import CpuSet
 from repro.topology.objects import ObjType, TopologyObject
+from repro.util.errors import ReproError
 
 
-class TopologyError(ValueError):
+class TopologyError(ReproError, ValueError):
     """Raised for structurally invalid topologies or bad queries."""
 
 

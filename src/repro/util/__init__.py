@@ -5,6 +5,7 @@ Everything in :mod:`repro` that needs randomness takes an explicit seed or
 turns "seed-ish" values into a generator so experiments are reproducible.
 """
 
+from repro.util.errors import ReproError
 from repro.util.rng import make_rng, SeedLike
 from repro.util.validate import (
     check_square_matrix,
@@ -25,5 +26,6 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "ValidationError",
+    "ReproError",
     "get_logger",
 ]

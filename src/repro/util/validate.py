@@ -12,8 +12,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.util.errors import ReproError
 
-class ValidationError(ValueError):
+
+class ValidationError(ReproError, ValueError):
     """Raised when a public API receives structurally invalid input."""
 
 

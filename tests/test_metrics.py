@@ -682,6 +682,13 @@ def test_serve_malformed_request_keeps_server_alive(_serve_parts):
         pytest.param('{"op": "fail", "pus": "x"}', "'pus'", id="pus-string"),
         pytest.param('{"op": "drain", "pus": [1, "2"]}', "'pus'", id="pus-mixed"),
         pytest.param('{"op": "restore", "pus": 3}', "'pus'", id="pus-int"),
+        pytest.param('{"matrix": [[1, 2], [3]]}', "'matrix'", id="matrix-ragged"),
+        pytest.param(
+            '{"matrix": [[1, 2], [3, 4], [5, 6]]}', "'matrix'", id="matrix-non-square"
+        ),
+        pytest.param('{"matrix": "x"}', "'matrix'", id="matrix-string"),
+        pytest.param('{"matrix": [["a", 1], [1, 0]]}', "'matrix'", id="matrix-non-numeric"),
+        pytest.param('{"matrix": [[0, -1], [-1, 0]]}', "'matrix'", id="matrix-negative"),
     ],
 )
 def test_serve_ill_shaped_request_named_in_error(_serve_parts, line, field):

@@ -109,3 +109,24 @@ class TestLog:
         n = len(root.handlers)
         enable_console_logging(logging.DEBUG)
         assert len(root.handlers) == n
+
+
+@pytest.mark.parametrize(
+    "module, name, builtin",
+    [
+        ("repro.util.validate", "ValidationError", ValueError),
+        ("repro.topology.tree", "TopologyError", ValueError),
+        ("repro.simulate.engine", "SimulationError", RuntimeError),
+        ("repro.orwl.fifo", "FifoError", RuntimeError),
+        ("repro.exec.runner", "ExecError", RuntimeError),
+        ("repro.observe.invariants", "InvariantError", AssertionError),
+    ],
+)
+def test_typed_errors_share_one_base_and_keep_their_builtin(module, name, builtin):
+    import importlib
+
+    from repro.util.errors import ReproError
+
+    cls = getattr(importlib.import_module(module), name)
+    assert issubclass(cls, ReproError)
+    assert issubclass(cls, builtin)
