@@ -58,7 +58,7 @@ def build_ring(stages: int, rounds: int, packet_bytes: float) -> Program:
                 ctx.next(write_h)
 
         op.body = body
-    prog.validate()
+    prog.freeze()
     return prog
 
 

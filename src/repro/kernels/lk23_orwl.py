@@ -207,7 +207,7 @@ def build_program(
             out_h.init_phase = 1  # ahead of neighbours' halo imports
             sub.body = _sub_body(cfg, src_h, out_h)
 
-    prog.validate()
+    prog.freeze()
     return prog
 
 

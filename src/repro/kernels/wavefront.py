@@ -120,5 +120,5 @@ def build_wavefront_program(cfg: WavefrontConfig) -> Program:
                         ctx.next(h)
 
             op.body = body
-    prog.validate()
+    prog.freeze()
     return prog

@@ -191,6 +191,12 @@ class OrwlFifo:
         req.state = RequestState.CANCELLED
         self._pump()
 
+    def clear(self) -> None:
+        """Drop every queued request, granted or not, without a grant
+        pass (a failed run's leftovers; see ``Runtime.run``)."""
+        self._queue.clear()
+        self._n_granted = self._n_granted_writes = 0
+
     # -- grant engine -----------------------------------------------------------
 
     def _pump(self) -> None:

@@ -122,6 +122,11 @@ class Handle:
             self.location.fifo.cancel(self._request)
             self._request = None
 
+    def drop(self) -> None:
+        """Forget the live request without touching the FIFO (which a
+        failed run clears as a whole)."""
+        self._request = None
+
     def __repr__(self) -> str:
         state = self._request.state.value if self._request else "idle"
         return f"<Handle {self.op_name!r} {self.mode.value} {self.location.name!r} {state}>"

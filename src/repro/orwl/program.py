@@ -51,9 +51,13 @@ class Operation:
         #: True for the compute-heavy op of the task (used to pair
         #: control threads with their task's main op).
         self.is_main = name == "main"
+        #: set by Program.freeze: no more handles.
+        self._frozen = False
 
     def handle(self, location: Location, mode: AccessMode) -> Handle:
         """Declare an access of this operation to *location*."""
+        if self._frozen:
+            raise _frozen_error(f"handle of operation {self.name!r}")
         h = Handle(location, mode, op_name=self.name)
         self.handles.append(h)
         return h
@@ -79,9 +83,13 @@ class TaskDecl:
         self.name = name
         self.operations: dict[str, Operation] = {}
         self._op_order = op_order
+        #: set by Program.freeze: no more operations.
+        self._frozen = False
 
     def operation(self, name: str, body: OpBody) -> Operation:
         """Declare an operation; *name* must be unique within the task."""
+        if self._frozen:
+            raise _frozen_error(f"operation {name!r} of task {self.name!r}")
         if name in self.operations:
             raise ValidationError(f"task {self.name!r} already has operation {name!r}")
         op = Operation(self.name, name, body)
@@ -97,6 +105,13 @@ class TaskDecl:
         return f"<TaskDecl {self.name!r} {len(self.operations)} ops>"
 
 
+def _frozen_error(what: str) -> ValidationError:
+    return ValidationError(
+        f"cannot declare {what}: its program is frozen; build a new Program "
+        "to change it"
+    )
+
+
 class Program:
     """The static composition of an ORWL application.
 
@@ -104,6 +119,8 @@ class Program:
     :class:`~repro.orwl.runtime.Runtime` built on it re-arms the run
     state its locations and handles carry (FIFOs, provenance, pending
     requests), so one compiled program per input serves a whole sweep.
+    :meth:`freeze` ends its construction, so that the static work of a
+    run is done once.
     """
 
     def __init__(self, name: str) -> None:
@@ -111,11 +128,49 @@ class Program:
         self.locations: dict[str, Location] = {}
         self.tasks: dict[str, TaskDecl] = {}
         self._op_order: list[Operation] = []
+        self._frozen = False
+        #: frozen programs only: the operations in declaration order,
+        #: and every handle in the init protocol's insertion order.
+        self._ops: tuple[Operation, ...] = ()
+        self._init_order: tuple[Handle, ...] = ()
         #: the runtime that armed the program last.  Weak, so a kept
         #: program does not keep a finished run (and its machine) alive.
         self._armed_by: Optional[weakref.ReferenceType["Runtime"]] = None
 
     # -- declaration --------------------------------------------------------
+
+    def freeze(self) -> "Program":
+        """End construction, validating once; returns the program itself.
+
+        A frozen program keeps its operations and the ORWL init
+        protocol's order, which every runtime reads instead of
+        recomputing: all handles sorted by ``init_phase``, ties in
+        declaration order (operation, then handle), as they stand at
+        freeze.  Declaring a location, task, operation or handle then
+        raises :class:`ValidationError`; an operation's ``body`` may
+        still be swapped.  A program that fails :meth:`validate` stays
+        unfrozen.  Freezing is one-way and idempotent; a
+        :class:`~repro.orwl.runtime.Runtime` freezes the program it
+        runs.
+        """
+        if self._frozen:
+            return self
+        self.validate()
+        ops = tuple(self._op_order)
+        handles = [h for op in ops for h in op.handles]
+        handles.sort(key=lambda h: h.init_phase)  # stable: ties keep order
+        self._ops = ops
+        self._init_order = tuple(handles)
+        for task in self.tasks.values():
+            task._frozen = True
+        for op in ops:
+            op._frozen = True
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
 
     def location(
         self,
@@ -130,6 +185,8 @@ class Program:
         affinity extraction assigns to writer/reader pairs of this
         location (see :class:`~repro.orwl.location.Location`).
         """
+        if self._frozen:
+            raise _frozen_error(f"location {name!r}")
         if name in self.locations:
             raise ValidationError(f"duplicate location {name!r}")
         loc = Location(name, nbytes, owner_task=owner_task, affinity_bytes=affinity_bytes)
@@ -140,6 +197,8 @@ class Program:
         """Declare (or fetch) a task."""
         if name in self.tasks:
             return self.tasks[name]
+        if self._frozen:
+            raise _frozen_error(f"task {name!r}")
         t = TaskDecl(name, self._op_order)
         self.tasks[name] = t
         return t

@@ -27,7 +27,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.comm.trace import CommTracer
 from repro.orwl.fifo import AccessMode, Request
@@ -86,7 +86,11 @@ class RunResult:
 
 
 class _ControlQueue:
-    """Service queue of one task's control thread."""
+    """Service queue of one task's control thread.
+
+    It is also the grant callback of the FIFOs the task owns: a grant
+    joins the queue and wakes the control thread if it sleeps.
+    """
 
     __slots__ = ("jobs", "waiter", "shutdown")
 
@@ -94,6 +98,12 @@ class _ControlQueue:
         self.jobs: deque[Request] = deque()
         self.waiter: Optional[SimEvent] = None
         self.shutdown = False
+
+    def __call__(self, req: Request) -> None:
+        self.jobs.append(req)
+        if self.waiter is not None:
+            w, self.waiter = self.waiter, None
+            w.fire()
 
 
 class OpContext:
@@ -188,7 +198,8 @@ class Runtime:
     of a freshly built program.  Two misuses raise
     :class:`ValidationError`: building a runtime on a program whose
     armer is still running, and running a runtime whose program another
-    runtime has re-armed since.
+    runtime has re-armed since.  A run that raises drops the requests
+    it left in the program, so its machine is freed at once.
     """
 
     def __init__(
@@ -203,7 +214,8 @@ class Runtime:
         Parameters
         ----------
         program:
-            The validated ORWL program (re-armed for this run).
+            The ORWL program (frozen here if it is not yet, see
+            :meth:`Program.freeze`; re-armed for this run).
         machine:
             A fresh machine (one run per machine).
         mapping:
@@ -213,7 +225,7 @@ class Runtime:
             PU assignment for the per-task control threads, in task
             declaration order.  ``None`` = unbound control threads.
         """
-        program.validate()
+        program.freeze()
         armer = program._armed_by() if program._armed_by is not None else None
         if armer is not None and armer._running:
             raise ValidationError(
@@ -226,7 +238,7 @@ class Runtime:
         self._type_rows = machine.distances.type_rows()
         self._level_latency = machine.distances.level_latency
 
-        ops = program.operations()
+        ops = program._ops
         n_ops = len(ops)
         if mapping is None:
             mapping = Mapping(tuple(-1 for _ in ops), policy="nobind")
@@ -263,6 +275,8 @@ class Runtime:
         # -- create control threads (one per task) -------------------------
         self._control_queue_of_task: dict[str, _ControlQueue] = {}
         self._control_tids: list[int] = []
+        # Syscalls are immutable: one grant burst serves every grant.
+        self._grant_service = Compute(self.config.grant_cost)
         if self.config.control_threads:
             for k, tname in enumerate(task_names):
                 pu = control_mapping.pu(k) if control_mapping is not None else -1
@@ -276,24 +290,18 @@ class Runtime:
                 self._control_tids.append(tid)
                 machine.set_body(tid, self._control_body(cq, tid))
 
-        # -- a fresh FIFO per location, wired to its grant router, before
-        # any request is inserted: routing depends only on the owner
-        # task, so its locations share a router.
-        routers: dict[str, Callable[[Request], None]] = {}
+        # -- a fresh FIFO per location, before any request is inserted.
+        # Its grants go to the owner task's control queue, or straight
+        # to delivery when the owner has no control thread.
+        queues = self._control_queue_of_task
+        direct = self._grant_direct
         for loc in program.locations.values():
-            owner = loc.owner_task
-            if owner not in routers:
-                routers[owner] = self._make_grant_router(owner)
-            loc.rearm(routers[owner])
+            loc.rearm(queues.get(loc.owner_task, direct))
 
-        # -- the ORWL init protocol: initial requests ordered by the
-        # handles' init phase, then declaration order.  This is the
-        # deterministic global insertion order that seeds every FIFO.
-        all_handles = [(h.init_phase, k, j, h)
-                       for k, op in enumerate(ops)
-                       for j, h in enumerate(op.handles)]
-        all_handles.sort(key=lambda t: t[:3])
-        for _, _, _, h in all_handles:
+        # -- the ORWL init protocol, in the program's frozen init order
+        # (see Program.freeze): the deterministic global insertion
+        # order that seeds every FIFO.
+        for h in program._init_order:
             h.insert_request()
 
         # -- attach op bodies ------------------------------------------------
@@ -331,21 +339,11 @@ class Runtime:
     def trace_id_of_tid(self, tid: int) -> int:
         return self._trace_id_of_tid[tid]
 
-    def _make_grant_router(self, owner: str) -> Callable[[Request], None]:
-        cq = self._control_queue_of_task.get(owner)
-
-        def route(req: Request) -> None:
-            if cq is None:
-                # No control thread for this location: direct grant.
-                self._deliver(req, None)
-                self._trace_grant(-1, req)
-                return
-            cq.jobs.append(req)
-            if cq.waiter is not None:
-                w, cq.waiter = cq.waiter, None
-                w.fire()
-
-        return route
+    def _grant_direct(self, req: Request) -> None:
+        """Grant callback of a location whose owner has no control
+        thread: deliver the grant at once."""
+        self._deliver(req, None)
+        self._trace_grant(-1, req)
 
     def _trace_grant(self, ctl_tid: int, req: Request) -> None:
         """Emit a structured grant event (ctl_tid -1 = direct grant)."""
@@ -385,8 +383,7 @@ class Runtime:
         machine = self.machine
         ctl = machine.thread(ctl_tid)
         jobs = cq.jobs
-        # Syscalls are immutable: one grant burst serves every grant.
-        service = Compute(self.config.grant_cost)
+        service = self._grant_service
         while True:
             while jobs:
                 req = jobs.popleft()
@@ -435,14 +432,13 @@ class Runtime:
                 "runtime; build a fresh one"
             )
         self._ran = self._running = True
+        failed = True
         try:
             total = self.machine.run()
+            failed = False
         finally:
             self._running = False
-            # The routers close over the runtime, which reaches the
-            # locations: detach them so a finished run frees itself.
-            for loc in self.program.locations.values():
-                loc.set_grant_callback(None)
+            self._detach(failed)
         return RunResult(
             time=total,
             metrics=self.machine.metrics,
@@ -451,6 +447,25 @@ class Runtime:
             engine_events=self.machine.engine.events_fired,
             trace=self.machine.tracer,
         )
+
+    def _detach(self, failed: bool) -> None:
+        """Cut the kept program's links into this run.
+
+        The grant callbacks reach the runtime, which reaches the
+        locations, so they are always detached.  A run that raised also
+        leaves requests queued and held, whose grant events reach the
+        machine: they are dropped, so the failed run is freed at once
+        rather than when the next runtime re-arms the program.
+        Provenance stays (it is plain data).
+        """
+        for loc in self.program.locations.values():
+            loc.set_grant_callback(None)
+            if failed:
+                loc.fifo.clear()
+        if failed:
+            for op in self.program._ops:
+                for h in op.handles:
+                    h.drop()
 
     def tid_of_op(self, op_name: str) -> int:
         return self._op_tid[op_name]

@@ -182,9 +182,13 @@ class SimEvent:
             )
         self._fired = True
         self._release_at = self._engine.now + delay
-        waiters, self._waiters = self._waiters, []
+        # Scheduling runs no callback, so the list is stable while it is
+        # walked; a fired event never queues a waiter again (``wait``
+        # schedules late ones directly), so it is emptied, not replaced.
+        waiters = self._waiters
         for cb in waiters:
             self._engine.schedule(delay, cb)
+        waiters.clear()
 
     def __repr__(self) -> str:
         state = "fired" if self._fired else f"{len(self._waiters)} waiting"

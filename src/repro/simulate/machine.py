@@ -66,8 +66,21 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
+#: What a thread's continuation does before it resumes the body
+#: (:attr:`SimThread.resume_kind`): nothing, wait accounting for the
+#: ``Wait`` it woke from, or the end of its in-flight transfer.
+RESUME, WAKE, TRANSFER_DONE = 0, 1, 2
+
+
 class SimThread:
-    """A simulated thread: identity, placement, and its generator body."""
+    """A simulated thread: identity, placement, and its generator body.
+
+    The thread is its own engine callback: calling it resumes the body
+    after whatever :attr:`resume_kind` says its pending continuation
+    ends.  A thread has at most one pending continuation, so the engine
+    and :meth:`SimEvent.wait <repro.simulate.engine.SimEvent.wait>`
+    take the thread itself and no per-thread closure is ever built.
+    """
 
     __slots__ = (
         "tid",
@@ -80,10 +93,9 @@ class SimThread:
         "consumed_since_balance",
         "blocked_since",
         "priority",
-        "resume_cb",
-        "wake_cb",
+        "machine",
+        "resume_kind",
         "wait_name",
-        "transfer_cb",
         "transfer_level",
         "transfer_node",
         "compute_time",
@@ -107,18 +119,16 @@ class SimThread:
         self.current_pu: int = -1
         self.state = ThreadState.NEW
         self.body: Optional[ThreadBody] = None
-        #: the thread's reusable resume callback (one closure per thread
-        #: instead of one per event; set by Machine.run).
-        self.resume_cb: Optional[Callable[[], None]] = None
-        #: the thread's reusable wakeup callback for a Wait (built by its
-        #: first Wait), and the name of the event it is parked on (the
-        #: wait span's trace detail).
-        self.wake_cb: Optional[Callable[[], None]] = None
+        #: the machine running the thread (set by Machine.run, cleared
+        #: once its engine stops), and the kind of its pending
+        #: continuation (RESUME, WAKE or TRANSFER_DONE).
+        self.machine: Optional["Machine"] = None
+        self.resume_kind = RESUME
+        #: the name of the event the thread is parked on (the wait
+        #: span's trace detail).
         self.wait_name = ""
-        #: the thread's reusable end-of-transfer callback (built by its
-        #: first transfer), and the contention slot (sharing level,
-        #: producer node) of its one in-flight transfer.
-        self.transfer_cb: Optional[Callable[[], None]] = None
+        #: the contention slot (sharing level, producer node) of the
+        #: thread's one in-flight transfer.
         self.transfer_level = ObjType.MACHINE
         self.transfer_node = -1
         #: cache-refill seconds to add to the next work item.
@@ -134,6 +144,24 @@ class SimThread:
         self.migrations = 0
         #: simulated time the body finished (-1 while running).
         self.done_at = -1.0
+
+    def __call__(self) -> None:
+        """The thread's continuation: end what it was blocked on, then
+        drive the body until it blocks or finishes."""
+        machine = self.machine
+        assert machine is not None and self.body is not None, "not running"
+        kind = self.resume_kind
+        if kind == WAKE:
+            machine._end_wait(self)
+        elif kind == TRANSFER_DONE:
+            machine.contention.end(self.transfer_level, self.transfer_node)
+        self.state = ThreadState.RUNNING
+        try:
+            sc = next(self.body)
+        except StopIteration:
+            machine._end_thread(self)
+            return
+        machine._perform(self, sc)
 
     @property
     def is_bound(self) -> bool:
@@ -363,8 +391,8 @@ class Machine:
         Raises :class:`SimulationError` with the list of stuck threads if
         the queue drains while threads are still blocked (deadlock).
 
-        Once the engine stops, the machine drops every callback that
-        points back at it (see :meth:`_release_callbacks`), so a finished
+        Once the engine stops, the machine drops every link that points
+        back at it (see :meth:`_release_callbacks`), so a finished
         machine is freed by reference counting alone.
         """
         if self._started:
@@ -376,11 +404,11 @@ class Machine:
             t.current_pu = t.bound_pu if t.is_bound else self.scheduler.initial_pu()
             self.scheduler.occupy(t.current_pu)
             t.state = ThreadState.READY
-            t.resume_cb = self._resume_fn(t)
+            t.machine = self
             if self.tracer is not None:
                 self._trace("thread_start", t, 0.0,
                             detail="bound" if t.is_bound else "unbound")
-            self.engine.schedule(0.0, t.resume_cb)
+            self.engine.schedule(0.0, t)
         flush_metrics = _metrics_core.is_enabled()
         wall_t0 = perf_counter() if flush_metrics else 0.0
         try:
@@ -428,51 +456,32 @@ class Machine:
         )
 
     def _release_callbacks(self) -> None:
-        """Drop the closures that tie the machine into reference cycles.
+        """Drop the links that tie the machine into reference cycles.
 
-        Each thread's callbacks close over the machine, and the trace
-        observer closes over it from the scheduler; the machine reaches
-        both.  Nothing calls them once the engine has stopped.
+        Each thread points back at the machine (its continuation runs
+        there), and the trace observer closes over it from the
+        scheduler; the machine reaches both.  Nothing calls them once
+        the engine has stopped.
         """
         for t in self._threads:
-            t.resume_cb = t.wake_cb = t.transfer_cb = None
+            t.machine = None
         self.scheduler.observer = None
 
-    def _resume_fn(self, t: SimThread) -> Callable[[], None]:
-        return lambda: self._advance(t)
+    def _end_wait(self, t: SimThread) -> None:
+        """Account the ``Wait`` thread *t* wakes from."""
+        waited = self.engine.now - t.blocked_since
+        self.metrics.record_wait(waited)
+        t.wait_time += waited
+        if self.tracer is not None:
+            self._trace("wait", t, t.blocked_since, waited, detail=t.wait_name)
 
-    def _wake_fn(self, t: SimThread) -> Callable[[], None]:
-        def wake() -> None:
-            waited = self.engine.now - t.blocked_since
-            self.metrics.record_wait(waited)
-            t.wait_time += waited
-            if self.tracer is not None:
-                self._trace("wait", t, t.blocked_since, waited, detail=t.wait_name)
-            self._advance(t)
-
-        return wake
-
-    def _transfer_done_fn(self, t: SimThread) -> Callable[[], None]:
-        def complete() -> None:
-            self.contention.end(t.transfer_level, t.transfer_node)
-            self._advance(t)
-
-        return complete
-
-    def _advance(self, t: SimThread) -> None:
-        """Drive the thread's generator until it blocks or finishes."""
-        assert t.body is not None
-        t.state = ThreadState.RUNNING
-        try:
-            sc = next(t.body)
-        except StopIteration:
-            t.state = ThreadState.DONE
-            t.done_at = self.engine.now
-            if self.tracer is not None:
-                self._trace("thread_end", t, self.engine.now)
-            self.scheduler.vacate(t.current_pu)
-            return
-        self._perform(t, sc)
+    def _end_thread(self, t: SimThread) -> None:
+        """Retire thread *t*, whose body has finished."""
+        t.state = ThreadState.DONE
+        t.done_at = self.engine.now
+        if self.tracer is not None:
+            self._trace("thread_end", t, self.engine.now)
+        self.scheduler.vacate(t.current_pu)
 
     def _perform(self, t: SimThread, sc: Syscall) -> None:
         if isinstance(sc, Compute):
@@ -488,13 +497,12 @@ class Machine:
             t.state = ThreadState.BLOCKED
             t.blocked_since = self.engine.now
             t.wait_name = sc.event.name
-            wake = t.wake_cb
-            if wake is None:
-                wake = t.wake_cb = self._wake_fn(t)
-            sc.event.wait(wake)
+            t.resume_kind = WAKE
+            sc.event.wait(t)
         elif isinstance(sc, Yield):
             t.state = ThreadState.READY
-            self.engine.schedule(0.0, t.resume_cb or self._resume_fn(t))
+            t.resume_kind = RESUME
+            self.engine.schedule(0.0, t)
         else:
             raise SimulationError(f"thread {t.tid} yielded non-syscall {sc!r}")
 
@@ -588,7 +596,8 @@ class Machine:
             self._trace("compute", t, start, duration)
         self._account_balancing(t, duration)
         t.state = ThreadState.READY
-        self.engine.at(end, t.resume_cb or self._resume_fn(t))
+        t.resume_kind = RESUME
+        self.engine.at(end, t)
 
     def _account_balancing(self, t: SimThread, consumed: float) -> None:
         """Run the OS balancer for unbound threads per consumed quantum.
@@ -634,10 +643,8 @@ class Machine:
         t.transfer_level = level
         t.transfer_node = producer_node
         t.state = ThreadState.READY
-        done = t.transfer_cb
-        if done is None:
-            done = t.transfer_cb = self._transfer_done_fn(t)
-        self.engine.at(end, done)
+        t.resume_kind = TRANSFER_DONE
+        self.engine.at(end, t)
 
     def _do_receive(self, t: SimThread, producer_tid: int, nbytes: float) -> None:
         self._maybe_pull(t)

@@ -112,7 +112,7 @@ def _task_body(
 def compile_graph(
     graph: TaskGraph, times: Optional[TaskTimes] = None
 ) -> Program:
-    """Compile *graph* into a validated ORWL :class:`Program`.
+    """Compile *graph* into a frozen ORWL :class:`Program`.
 
     With *times*, the compiled bodies record per-task simulated
     timestamps into it (see :class:`TaskTimes`) — the hook the golden
@@ -159,7 +159,7 @@ def compile_graph(
             write_handles.append(h)
         op.body = _task_body(node, read_handles, write_handles, times)
 
-    prog.validate()
+    prog.freeze()
     if times is None and graph.frozen:
         graph._program = prog
     return prog

@@ -226,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         help="render a synthetic frame (no sweep needed)",
     )
     args = parser.parse_args(argv)
+    if not args.interval > 0:
+        parser.error(f"--interval must be > 0 seconds, got {args.interval}")
 
     if args.demo:
         print(render_dashboard(demo_snapshot()))

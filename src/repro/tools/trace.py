@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
 
 from repro.observe import (
     EventFilter,
@@ -72,7 +73,7 @@ def build_ring(stages: int, rounds: int, packet_bytes: float,
                 ctx.next(write_h)
 
         op.body = body
-    prog.validate()
+    prog.freeze()
     return prog
 
 
@@ -174,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="print per-kind duration statistics and "
                              "per-level byte totals of the (filtered) stream")
     args = parser.parse_args(argv)
+    if args.out and not Path(args.out).parent.is_dir():
+        parser.error(f"--out {args.out}: its directory does not exist")
 
     try:
         event_filter = EventFilter.parse(args.filter)

@@ -26,6 +26,8 @@ from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.observe.determinism import run_fingerprint
 from repro.observe.tracer import Tracer
 from repro.orwl import runtime as runtime_mod
+from repro.orwl.fifo import AccessMode
+from repro.orwl.program import Program
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
 from repro.simulate.machine import Machine
@@ -142,6 +144,19 @@ def test_runtime_rearms_every_location_and_handle():
             assert h.request is not None and h.request.waiter == h.waiter
 
 
+def test_failed_run_is_freed_before_the_next_runtime(runtime_refs):
+    program, _ = _program_and_matrix("lk23", fresh=False)
+    with _wrapped_body(program, _raise_after_first_syscall):
+        with pytest.raises(_Boom):
+            _fingerprint(program, None, "nobind", seed=2)
+    gc.collect()
+    assert len(runtime_refs) == 1
+    (runtime, machine), = runtime_refs
+    assert runtime() is None and machine() is None
+    assert all(len(loc.fifo) == 0 for loc in program.locations.values())
+    assert all(h.request is None for op in program.operations() for h in op.handles)
+
+
 def test_runtime_refuses_a_program_still_running():
     program, _ = _program_and_matrix("lk23", fresh=False)
     refused = []
@@ -233,3 +248,108 @@ def test_clear_cache_drops_the_kept_programs():
     assert lk23() is None and dag() is None
     assert cached_lk23_program(LK23) is not None
     assert cache_mod.cache_stats().get("program_build", 0) - before == 2
+
+
+# -- program freeze -------------------------------------------------------------
+
+
+def _ring_program(name: str = "ring") -> Program:
+    """Two tasks passing one token around; valid, not yet frozen."""
+    prog = Program(name)
+    for k in range(2):
+        prog.location(f"t{k}/out", 64.0, owner_task=f"t{k}")
+    for k in range(2):
+        op = prog.task(f"t{k}").operation("main", body=None)
+        write = op.handle(prog.locations[f"t{k}/out"], AccessMode.WRITE)
+        read = op.handle(prog.locations[f"t{1 - k}/out"], AccessMode.READ)
+        read.init_phase = 1
+
+        def body(ctx, write=write, read=read):
+            yield from ctx.acquire(write)
+            ctx.next(write)
+            yield from ctx.acquire(read)
+            yield ctx.compute(seconds=1e-6)
+            ctx.release(read)
+            yield from ctx.acquire(write)
+            ctx.release(write)
+
+        op.body = body
+    return prog
+
+
+def _run_on_small_machine(program: Program) -> Runtime:
+    topo, dm = machine_inputs("paper-smp", 1, 8)
+    runtime = Runtime(program, Machine(topo, distance_model=dm, seed=1))
+    runtime.run()
+    return runtime
+
+
+@pytest.mark.parametrize("declare", [
+    pytest.param(lambda p: p.location("extra", 8.0), id="location"),
+    pytest.param(lambda p: p.task("t9"), id="task"),
+    pytest.param(lambda p: p.tasks["t0"].operation("sub", body=None),
+                 id="operation"),
+    pytest.param(lambda p: p.operations()[0].handle(
+        p.locations["t1/out"], AccessMode.READ), id="handle"),
+])
+def test_declaring_after_freeze_raises(declare):
+    prog = _ring_program()
+    assert prog.freeze() is prog and prog.frozen
+    before = (len(prog.locations), len(prog.tasks), prog.n_operations,
+              [len(op.handles) for op in prog.operations()])
+    with pytest.raises(ValidationError, match="frozen"):
+        declare(prog)
+    assert (len(prog.locations), len(prog.tasks), prog.n_operations,
+            [len(op.handles) for op in prog.operations()]) == before
+    assert prog.task("t0") is prog.tasks["t0"]  # fetching still works
+
+
+def test_frozen_program_keeps_the_init_order_and_swappable_bodies():
+    prog = _ring_program().freeze()
+    assert prog.freeze() is prog  # idempotent
+    assert [(h.op_name, h.location.name) for h in prog._init_order] == [
+        ("t0/main", "t0/out"), ("t1/main", "t1/out"),
+        ("t0/main", "t1/out"), ("t1/main", "t0/out"),
+    ]
+    op = prog.operations()[0]
+    body = op.body
+    calls = []
+
+    def counting(ctx):
+        calls.append(ctx.op.name)
+        yield from body(ctx)
+
+    op.body = counting
+    _run_on_small_machine(prog)
+    assert calls == ["t0/main"]
+
+
+def test_invalid_program_raises_at_freeze_and_at_its_first_runtime():
+    prog = _ring_program()
+    prog.operations()[1].body = None
+    with pytest.raises(ValidationError, match="no body"):
+        prog.freeze()
+    assert not prog.frozen
+    topo, dm = machine_inputs("paper-smp", 1, 8)
+    with pytest.raises(ValidationError, match="no body"):
+        Runtime(prog, Machine(topo, distance_model=dm, seed=1))
+    assert not prog.frozen
+    prog.location("extra", 8.0)  # still open for declarations
+
+
+def test_validate_runs_once_across_runtimes(monkeypatch):
+    calls = []
+    validate = Program.validate
+
+    def counting_validate(self):
+        calls.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(Program, "validate", counting_validate)
+    prog = _ring_program()
+    times = {_run_on_small_machine(prog).machine.engine.now for _ in range(4)}
+    assert calls == ["ring"] and prog.frozen
+    assert len(times) == 1
+    fresh = _run_on_small_machine(_ring_program("fresh"))
+    assert times == {fresh.machine.engine.now}
+    assert calls == ["ring", "fresh"]

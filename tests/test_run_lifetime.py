@@ -1,14 +1,17 @@
 """A finished simulated point frees itself through reference counting,
-and the scheduler's kept least-loaded set decides exactly like a scan.
+a running one builds no closure per thread, and the scheduler's kept
+least-loaded set decides exactly like a scan.
 
-A drained machine drops its threads' callbacks and its trace observer,
-a finished runtime detaches its grant routers, and declarations hold no
-upward links: no point leaves cyclic garbage for the collector.  The
+A drained machine drops its threads' back-links and its trace
+observer, a finished runtime detaches its grant callbacks, and
+declarations hold no upward links: no point leaves cyclic garbage for
+the collector.  The
 scheduler's least-loaded set replaces a numpy scan per decision; the
 scan survives here as the oracle.
 """
 
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.dag import WORKLOADS, run_dag_point
 from repro.experiments.fig1 import IMPLEMENTATIONS, run_point
 from repro.orwl.program import Program
+from repro.simulate import machine as machine_mod
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.util.rng import make_rng
 
@@ -51,6 +55,37 @@ def test_dag_point_leaves_no_cyclic_garbage(family, policy, fingerprint):
         lambda: run_dag_point(family, policy, n_cores=16, cores_per_socket=8,
                               scale=1, seed=1, fingerprint=fingerprint)
     )
+
+
+def _callback_objects() -> Counter:
+    """Live GC-tracked functions and closure cells."""
+    return Counter(
+        type(o).__name__ for o in gc.get_objects()
+        if type(o).__name__ in ("function", "cell")
+    )
+
+
+def test_no_callback_objects_per_thread(monkeypatch):
+    """Mid-run, a point holds no closure per simulated thread: each
+    thread is its own continuation and grants route without closures."""
+    point = dict(n_cores=64, cores_per_socket=8, scale=5, seed=1)
+    run_dag_point("divconq", "bind", **point)  # fills the per-process caches
+    gc.collect()
+    before = _callback_objects()
+    seen = {}
+
+    def probe_at(machine):
+        def probe(now: float) -> None:
+            if machine.engine.events_fired == 3000:
+                seen["threads"] = machine.n_threads
+                seen["grown"] = _callback_objects() - before
+
+        machine.engine.probe = probe
+
+    monkeypatch.setattr(machine_mod, "new_machine_hook", probe_at)
+    run_dag_point("divconq", "bind", **point)
+    assert seen["threads"] > 1000
+    assert seen["grown"]["function"] < 50 and seen["grown"]["cell"] < 50, seen
 
 
 def test_declarations_name_their_task():

@@ -170,6 +170,26 @@ class TestTraceCli:
         err = _assert_usage_error(capsys, trace_cli.main, ["--input", str(bad)])
         assert "not a JSONL trace stream" in err
 
+    def test_out_in_missing_directory_rejected_before_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "absent" / "x.jsonl"
+        monkeypatch.setattr(trace_cli, "Runtime", _no_sweep)
+        err = _assert_usage_error(
+            capsys, trace_cli.main, ["--format", "jsonl", "--out", str(out)]
+        )
+        assert "--out" in err and "does not exist" in err
+
+
+class TestTopCli:
+    @pytest.mark.parametrize("interval", ["-1", "0", "nan"])
+    def test_bad_interval_rejected(self, interval, monkeypatch, capsys):
+        from repro.tools import top as top_cli
+
+        monkeypatch.setattr(top_cli, "read_snapshot", _no_sweep)
+        err = _assert_usage_error(capsys, top_cli.main, ["--interval", interval])
+        assert "--interval" in err
+
 
 class TestPerfCli:
     def test_missing_trace_rejected(self, tmp_path, capsys):
