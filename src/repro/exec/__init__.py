@@ -25,12 +25,9 @@ the repo's determinism contract intact:
   built once per worker, not once per point;
 * **placement memo** — :func:`cached_tree_match` keys TreeMatch results
   on ``(topology fingerprint, comm-matrix digest, params)``; a
-  replicated sweep derives each seed-independent mapping once, with an
-  optional on-disk tier shared across workers and runs;
-* **content-addressed point cache** — :class:`~repro.exec.cache.PointCache`
-  stores whole sweep-point results under ``sha256(fn ⊕ kwargs ⊕ schema)``,
-  so re-running a sweep only simulates the delta (``--no-cache`` on
-  every CLI restores the cold path, bit-identically);
+  replicated sweep derives each seed-independent mapping once per
+  process.  Nothing is kept on disk, so every result comes from the
+  code that is running;
 * **chunked dispatch** — points are shipped in chunks to amortize IPC;
 * **crash resilience** — a dying worker (OOM kill, segfault in a native
   extension) breaks the pool; the runner rebuilds it and retries the
@@ -44,20 +41,14 @@ the repo's determinism contract intact:
 from __future__ import annotations
 
 from repro.exec.cache import (
-    PointCache,
-    cache_dir,
-    cache_enabled,
     cache_stats,
     cached_distance_model,
     cached_task_graph,
     cached_topology,
     cached_tree_match,
     clear_cache,
-    configure_cache,
-    default_point_cache,
     machine_inputs,
     matrix_digest,
-    point_key,
     reset_cache_stats,
     topology_fingerprint,
 )
@@ -78,26 +69,20 @@ from repro.exec.runner import (
 
 __all__ = [
     "ExecError",
-    "PointCache",
     "SweepEvent",
     "SweepRunner",
     "Task",
-    "cache_dir",
-    "cache_enabled",
     "cache_stats",
     "cached_distance_model",
     "cached_task_graph",
     "cached_topology",
     "cached_tree_match",
     "clear_cache",
-    "configure_cache",
-    "default_point_cache",
     "derive_seed",
     "log_progress",
     "ProgressBar",
     "machine_inputs",
     "matrix_digest",
-    "point_key",
     "reset_cache_stats",
     "resolve_workers",
     "run_sweep",

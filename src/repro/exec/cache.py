@@ -1,23 +1,15 @@
-"""Construction, placement, and sweep-point caches.
+"""Construction and placement memos.
 
-Two caching tiers plus a per-process construction LRU, all
-bit-identical to the uncached paths (a cached object or result is
-byte-for-byte what the cold computation would produce;
-``tests/test_exec.py`` pins this with determinism fingerprints):
+Both are per process and bit-identical to the uncached paths (a cached
+object is byte-for-byte what the cold computation would produce;
+``tests/test_exec.py`` pins this with determinism fingerprints).
+Nothing is written to disk, so no entry can outlive the code that
+filled it:
 
-* **Tier 1: placement memo** — :func:`cached_tree_match` memoizes
-  TreeMatch results keyed by ``(topology fingerprint, sha-256
-  comm-matrix digest, algorithm params)``.  Placement is
-  seed-independent, so an N-seed replicated sweep derives each mapping
-  once instead of N times; an optional on-disk store (under
-  :func:`cache_dir`) shares mappings across worker processes and
-  across runs.
-* **Tier 2: point cache** — :class:`PointCache` is a content-addressed
-  on-disk store of whole sweep-point results, keyed by
-  ``sha256(schema version ⊕ function ⊕ kwargs)`` (the seed travels in
-  the kwargs).  Re-running a sweep after adding seeds or points only
-  simulates the delta; :class:`~repro.exec.runner.SweepRunner` consults
-  it before dispatching.
+* **Placement memo** — :func:`cached_tree_match` memoizes TreeMatch
+  results keyed by ``(topology fingerprint, sha-256 comm-matrix
+  digest, algorithm params)``.  Placement is seed-independent, so an
+  N-seed replicated sweep derives each mapping once instead of N times.
 * **Construction LRU** — per-process memos of the static inputs a
   sweep point rebuilds, each LRU-bounded so a long sweep cannot grow
   worker memory without limit, each counted in :func:`cache_stats`:
@@ -41,28 +33,13 @@ byte-for-byte what the cold computation would produce;
   A sweep touching the same machine shape or DAG many times pays each
   build once per process; forked pool workers inherit what the parent
   built, spawned ones build their own.
-
-Configuration travels through environment variables so pool workers
-(fork *and* spawn) inherit it: ``REPRO_CACHE=off`` disables both tiers
-(the ``--no-cache`` escape hatch), ``REPRO_CACHE_DIR`` roots the
-on-disk tiers.  :func:`configure_cache` sets both.  Without a cache
-dir, the in-process tiers still run (they are pure memoization); no
-disk is ever touched.
-
-Every on-disk payload embeds the :data:`CACHE_SCHEMA_VERSION`, its own
-key, and a sha-256 of the pickled value; any mismatch — truncation,
-bit flips, stale schema, renamed files — reads as a transparent miss
-and the value is recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 from collections import OrderedDict
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -85,18 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.cpuset import CpuSet
     from repro.treematch.algorithm import TreeMatchResult
 
-#: Version tag baked into every cache key and on-disk payload.  Bump it
-#: whenever simulation semantics or pickled layouts change; old entries
-#: then read as misses instead of stale hits.
-CACHE_SCHEMA_VERSION = "repro-cache-v1"
-
-#: Environment switches (env vars so pool workers inherit them).
-ENV_CACHE = "REPRO_CACHE"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: The conventional on-disk root the CLIs default to.
-DEFAULT_CACHE_DIR = ".repro-cache"
-
 #: LRU capacity of the per-process topology / distance-model caches.
 TOPOLOGY_CACHE_CAP = 32
 
@@ -118,46 +83,6 @@ COST_TABLES = {
     "default": DEFAULT_LEVEL_COSTS,
     "cluster": CLUSTER_LEVEL_COSTS,
 }
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-
-def configure_cache(
-    enabled: bool = True, directory: Optional[Union[str, Path]] = None
-) -> None:
-    """Set the process-wide (and child-inherited) cache configuration.
-
-    ``enabled=False`` switches both tiers off — the ``--no-cache`` cold
-    path.  *directory* roots the on-disk tiers (placement memo spillover
-    and :func:`default_point_cache`); ``None`` keeps caching purely
-    in-process.
-    """
-    if enabled:
-        os.environ.pop(ENV_CACHE, None)
-    else:
-        os.environ[ENV_CACHE] = "off"
-    if directory is None:
-        os.environ.pop(ENV_CACHE_DIR, None)
-    else:
-        os.environ[ENV_CACHE_DIR] = str(directory)
-
-
-def cache_enabled() -> bool:
-    """Whether any caching tier may serve hits (default: yes)."""
-    return os.environ.get(ENV_CACHE, "").strip().lower() not in (
-        "off", "0", "false", "no",
-    )
-
-
-def cache_dir() -> Optional[Path]:
-    """The on-disk cache root, or ``None`` when disk tiers are off."""
-    if not cache_enabled():
-        return None
-    value = os.environ.get(ENV_CACHE_DIR, "").strip()
-    return Path(value) if value else None
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +335,6 @@ def _hash_matrix(values: np.ndarray, labels: Sequence[str]) -> str:
 def placement_key(topo: Topology, matrix: "CommMatrix", **params: Any) -> str:
     """The placement memo key: topology ⊕ matrix ⊕ algorithm params."""
     h = hashlib.sha256()
-    h.update(CACHE_SCHEMA_VERSION.encode("utf-8"))
-    h.update(b"|placement|")
     h.update(topology_fingerprint(topo).encode("utf-8"))
     h.update(matrix_digest(matrix).encode("utf-8"))
     h.update(repr(sorted(params.items())).encode("utf-8"))
@@ -419,63 +342,7 @@ def placement_key(topo: Topology, matrix: "CommMatrix", **params: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# On-disk payloads (shared by the placement memo and the point cache)
-# ---------------------------------------------------------------------------
-
-
-def _disk_load(path: Path, key: str) -> Optional[tuple[Any]]:
-    """Load one payload; returns ``(value,)`` or ``None`` on any defect.
-
-    Wrong schema, wrong key, sha mismatch, truncation, unpicklable
-    garbage, missing file — all read as a miss; the caller recomputes.
-    A file that *exists* but fails validation additionally bumps the
-    ``disk_corrupt_miss`` counter, separating "never stored" from
-    "stored and rotted" in sweep stats and metrics.
-    """
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_SCHEMA_VERSION
-            or payload.get("key") != key
-        ):
-            _bump("disk_corrupt_miss")
-            return None
-        blob = payload["blob"]
-        if hashlib.sha256(blob).hexdigest() != payload["sha256"]:
-            _bump("disk_corrupt_miss")
-            return None
-        return (pickle.loads(blob),)
-    except FileNotFoundError:
-        return None
-    except Exception:
-        _bump("disk_corrupt_miss")
-        return None
-
-
-def _disk_store(path: Path, key: str, value: Any) -> bool:
-    """Write one payload atomically; best-effort (failure = no cache)."""
-    try:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "blob": blob,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return True
-    except Exception:
-        return False
-
-
-# ---------------------------------------------------------------------------
-# Tier 1: the placement memo
+# The placement memo
 # ---------------------------------------------------------------------------
 
 
@@ -495,10 +362,7 @@ def cached_tree_match(
     Placement depends only on the topology, the communication matrix,
     and the algorithm parameters — never on the simulation seed — so a
     replicated sweep asks for the same mapping once per seed.  Hits are
-    served from an in-process LRU, then from the on-disk store under
-    :func:`cache_dir` (when configured); misses run the algorithm and
-    populate both.  Disabled (a pure pass-through) under
-    ``REPRO_CACHE=off``.
+    served from an in-process LRU; misses run the algorithm and fill it.
 
     *failed* marks dead PU os indices: the mapping is computed by
     :func:`repro.treematch.remap.remap_full` on the surviving PUs, and
@@ -516,27 +380,6 @@ def cached_tree_match(
             "control threads or an allowed cpuset"
         )
 
-    def compute() -> "TreeMatchResult":
-        if failed_t:
-            from repro.treematch.remap import remap_full
-
-            remapped = remap_full(
-                topo, matrix, failed=failed_t, strategy=strategy, refine=refine
-            )
-            return TreeMatchResult(mapping=remapped.mapping)
-        return tree_match(
-            topo,
-            matrix,
-            n_control=n_control,
-            control_pairing=control_pairing,
-            control_volume=control_volume,
-            strategy=strategy,
-            refine=refine,
-            allowed=allowed,
-        )
-
-    if not cache_enabled():
-        return compute()
     key = placement_key(
         topo,
         matrix,
@@ -554,106 +397,24 @@ def cached_tree_match(
     if result is not None:
         _bump("placement_hit")
         return result
-    root = cache_dir()
-    path = None
-    if root is not None:
-        path = Path(root) / "placements" / key[:2] / f"{key}.pkl"
-        loaded = _disk_load(path, key)
-        if loaded is not None:
-            _bump("placement_disk_hit")
-            _PLACEMENTS.put(key, loaded[0])
-            return loaded[0]
     _bump("placement_miss")
-    result = compute()
+    if failed_t:
+        from repro.treematch.remap import remap_full
+
+        remapped = remap_full(
+            topo, matrix, failed=failed_t, strategy=strategy, refine=refine
+        )
+        result = TreeMatchResult(mapping=remapped.mapping)
+    else:
+        result = tree_match(
+            topo,
+            matrix,
+            n_control=n_control,
+            control_pairing=control_pairing,
+            control_volume=control_volume,
+            strategy=strategy,
+            refine=refine,
+            allowed=allowed,
+        )
     _PLACEMENTS.put(key, result)
-    if path is not None:
-        _disk_store(path, key, result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Tier 2: the content-addressed point cache
-# ---------------------------------------------------------------------------
-
-
-def point_key(fn: Callable[..., Any], kwargs: dict[str, Any]) -> str:
-    """Content address of one sweep point: function ⊕ kwargs ⊕ schema.
-
-    The seed is part of *kwargs*, so every replicate has its own key;
-    so do flags like ``fingerprint`` or ``perf_report`` that change
-    what the point computes.
-    """
-    h = hashlib.sha256()
-    h.update(CACHE_SCHEMA_VERSION.encode("utf-8"))
-    h.update(b"|point|")
-    h.update(f"{fn.__module__}.{fn.__qualname__}".encode("utf-8"))
-    for name in sorted(kwargs):
-        h.update(b"\x1f")
-        h.update(name.encode("utf-8"))
-        h.update(b"=")
-        h.update(repr(kwargs[name]).encode("utf-8"))
-    return h.hexdigest()
-
-
-class PointCache:
-    """Content-addressed on-disk store of whole sweep-point results.
-
-    Layout: ``root/<key[:2]>/<key>.pkl``, one verified pickle payload
-    per point (see the module docstring for the corruption contract).
-    ``hits`` / ``misses`` / ``stores`` count this instance's traffic;
-    the process-wide counters get ``point_hit`` / ``point_miss`` too.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def path_of(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str) -> Optional[Any]:
-        loaded = _disk_load(self.path_of(key), key)
-        if loaded is None:
-            self.misses += 1
-            _bump("point_miss")
-            return None
-        self.hits += 1
-        _bump("point_hit")
-        return loaded[0]
-
-    def put(self, key: str, value: Any) -> bool:
-        ok = _disk_store(self.path_of(key), key, value)
-        if ok:
-            self.stores += 1
-        return ok
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
-
-    def __repr__(self) -> str:
-        return f"<PointCache {self.root} hits={self.hits} misses={self.misses}>"
-
-
-def default_point_cache() -> Optional[PointCache]:
-    """The env-configured point cache (``None`` when disk tiers are off)."""
-    root = cache_dir()
-    if root is None:
-        return None
-    return PointCache(Path(root) / "points")
-
-
-def resolve_point_cache(arg: Any) -> Optional[PointCache]:
-    """Resolve an experiment's ``point_cache`` argument.
-
-    ``None`` (and ``True``) mean "the environment default" —
-    :func:`default_point_cache`; ``False`` forces the cache off
-    regardless of environment (benchmarks measuring cold walls use
-    this); a :class:`PointCache` instance passes through as-is.
-    """
-    if arg is False:
-        return None
-    if arg is None or arg is True:
-        return default_point_cache()
-    return arg

@@ -13,7 +13,7 @@ Three ready-made sinks:
   a sweep's schedule lands in the same JSONL/Chrome exports as the
   simulations it ran;
 * :class:`ProgressBar` — a single in-place terminal progress line with
-  a cache-aware ETA.
+  an ETA.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``sweep_end``; ``label`` is the point label, ``detail`` the
 #: rendered :class:`~repro.stats.aggregate.SeedStats`).  In a
 #: replicated sweep each replicate is its own task, so ``point_done``
-#: fires once per replicate with a ``label#s<r>`` suffix; replicates
-#: served by the point cache carry ``detail="cached"``.
+#: fires once per replicate with a ``label#s<r>`` suffix.
 SWEEP_EVENT_KINDS = (
     "sweep_start",
     "point_done",
@@ -121,17 +120,12 @@ def tracer_progress(tracer: "Tracer") -> ProgressCallback:
 
 
 class ProgressBar:
-    """An in-place terminal progress line with a cache-aware ETA.
+    """An in-place terminal progress line with an ETA.
 
-    ``[########------------] 12/40 done (5 cached) eta 12s``
+    ``[########------------] 12/40 done eta 12s``
 
-    Cached points complete in microseconds, so folding them into the
-    per-point cost estimate makes the ETA collapse toward zero the
-    moment a warm sweep starts and then balloon when real work begins.
-    The bar instead derives cost from *simulated* points only —
-    ``elapsed / (done - cached)`` — and projects it over the points
-    still outstanding, which assumes the worst case (none of them
-    cached) and therefore only ever shortens.
+    The ETA projects the mean cost so far, ``elapsed / done``, over the
+    points still outstanding.
 
     Use as an ``on_event`` callback::
 
@@ -146,8 +140,6 @@ class ProgressBar:
     def __init__(self, stream: Optional[TextIO] = None, width: int = 20):
         self.stream = stream if stream is not None else sys.stderr
         self.width = width
-        self.cached = 0
-        self._open = False
 
     def render(self, event: SweepEvent) -> str:
         """The bar line for *event* (pure; exercised directly by tests)."""
@@ -156,26 +148,17 @@ class ProgressBar:
         filled = int(frac * self.width)
         bar = "#" * filled + "-" * (self.width - filled)
         line = f"[{bar}] {event.done}/{event.total} done"
-        if self.cached:
-            line += f" ({self.cached} cached)"
-        simulated = event.done - self.cached
         remaining = event.total - event.done
         if remaining <= 0:
             line += f" in {event.ts:.1f}s"
-        elif simulated > 0 and event.ts > 0:
-            eta = remaining * (event.ts / simulated)
+        elif event.done > 0 and event.ts > 0:
+            eta = remaining * (event.ts / event.done)
             line += f" eta {eta:.0f}s"
         return line
 
     def __call__(self, event: SweepEvent) -> None:
-        if event.kind == "sweep_start":
-            self.cached = 0
-        elif event.kind == "point_done" and event.detail == "cached":
-            self.cached += 1
         if event.kind in ("sweep_start", "point_done", "sweep_end"):
             self.stream.write("\r" + self.render(event) + "\x1b[K")
-            self._open = True
             if event.kind == "sweep_end":
                 self.stream.write("\n")
-                self._open = False
             self.stream.flush()

@@ -91,19 +91,12 @@ class Task:
     4096-core point is dispatched alone instead of serialized behind
     three others in the same chunk.  Weights affect only chunk
     boundaries, never results or their order.
-
-    *cache_key* is the task's content address (see
-    :func:`repro.exec.cache.point_key`); when the runner carries a
-    :class:`~repro.exec.cache.PointCache`, keyed tasks are served from
-    it instead of being dispatched, and computed results are stored
-    back.  ``None`` opts the task out.
     """
 
     fn: Callable[..., Any]
     kwargs: dict[str, Any] = field(default_factory=dict)
     label: str = ""
     weight: float = 1.0
-    cache_key: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.weight > 0:
@@ -178,10 +171,6 @@ class SweepRunner:
         ``multiprocessing`` start-method name (default ``"fork"`` where
         available — workers inherit imported modules, so dispatch cost
         stays in the milliseconds; ``"spawn"`` elsewhere).
-    point_cache:
-        Optional :class:`~repro.exec.cache.PointCache`.  Tasks carrying
-        a ``cache_key`` are looked up before dispatch (hits fill their
-        result slot without running anything) and stored after.
     """
 
     def __init__(
@@ -192,7 +181,6 @@ class SweepRunner:
         serial_fallback: bool = True,
         on_event: Optional[ProgressCallback] = None,
         mp_context: Optional[str] = None,
-        point_cache: Optional[cache_mod.PointCache] = None,
     ) -> None:
         self.n_workers = resolve_workers(n_workers)
         if chunk_size is not None and chunk_size <= 0:
@@ -207,7 +195,6 @@ class SweepRunner:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
-        self.point_cache = point_cache
         #: diagnostics from the last :meth:`map` call.
         self.last_stats: dict[str, Any] = {}
 
@@ -279,7 +266,8 @@ class SweepRunner:
     def _run_serial(
         self, tasks: Sequence[Task], results: list, t0: float, total: int
     ) -> None:
-        """Run every task whose slot is still empty, in order, in-process."""
+        """Run every task whose slot is still empty, in order, in-process
+        (all of them, or what a crashed pool left unfinished)."""
         for i, task in enumerate(tasks):
             if results[i] is not _MISSING:
                 continue
@@ -294,28 +282,22 @@ class SweepRunner:
     def map(self, tasks: Sequence[Task]) -> list[Any]:
         """Run all *tasks*; return their results in input order.
 
-        With a :attr:`point_cache`, keyed tasks whose results are
-        already stored fill their slots up front (one ``point_done``
-        with ``detail="cached"`` each) and only the misses are
-        dispatched; fresh results are stored back afterwards.  Cache
-        counters from the parent *and* the workers land in
-        ``last_stats["cache"]`` and one ``cache_stats`` event.
+        Cache counters (placement memo, construction LRU) from the
+        parent *and* the workers land in ``last_stats["cache"]`` and one
+        ``cache_stats`` event.
         """
         tasks = list(tasks)
         total = len(tasks)
         t0 = time.perf_counter()
         results: list[Any] = [_MISSING] * total
         stats_before = cache_mod.cache_stats()
-        hits = self._prefill_from_cache(tasks, results)
-        todo = [i for i in range(total) if results[i] is _MISSING]
-        mode = "serial" if self.n_workers <= 1 or len(todo) <= 1 else "parallel"
+        mode = "serial" if self.n_workers <= 1 or total <= 1 else "parallel"
         self.last_stats = {
             "n_tasks": total,
             "n_workers": self.n_workers,
             "crashes": 0,
             "serial_fallback": False,
             "mode": mode,
-            "cached_points": len(hits),
         }
         metrics_on = metrics_core.is_enabled()
         if metrics_on:
@@ -324,32 +306,16 @@ class SweepRunner:
             reg.counter("sweep_points_total", "Sweep points requested").inc(
                 total
             )
-            reg.counter(
-                "sweep_points_cached_total",
-                "Points served by the content-addressed cache",
-            ).inc(len(hits))
-            reg.counter(
-                "sweep_points_dispatched_total",
-                "Points actually simulated",
-            ).inc(len(todo))
         self._emit(
             "sweep_start", t0, total=total,
-            detail=f"workers={self.n_workers} mode={mode}"
-            + (f" cached={len(hits)}" if hits else ""),
+            detail=f"workers={self.n_workers} mode={mode}",
         )
-        for done, i in enumerate(hits, 1):
-            self._emit(
-                "point_done", t0, index=i, done=done, total=total,
-                label=tasks[i].label, detail="cached",
-            )
 
         worker_stats: dict[str, int] = {}
-        if todo:
-            if mode == "serial":
-                self._run_serial(tasks, results, t0, total)
-            else:
-                worker_stats = self._pool_loop(tasks, results, t0, total, todo)
-        self._store_to_cache(tasks, results, todo)
+        if mode == "serial":
+            self._run_serial(tasks, results, t0, total)
+        else:
+            worker_stats = self._pool_loop(tasks, results, t0, total)
 
         cache_totals = cache_mod.stats_delta(stats_before)
         cache_mod.merge_stats(cache_totals, worker_stats)
@@ -392,49 +358,18 @@ class SweepRunner:
         assert not any(r is _MISSING for r in results)
         return results
 
-    def _prefill_from_cache(
-        self, tasks: Sequence[Task], results: list
-    ) -> list[int]:
-        """Fill slots served by the point cache; returns the hit indices."""
-        if self.point_cache is None:
-            return []
-        hits: list[int] = []
-        for i, task in enumerate(tasks):
-            if not task.cache_key:
-                continue
-            value = self.point_cache.get(task.cache_key)
-            if value is None:
-                continue
-            results[i] = value
-            hits.append(i)
-        return hits
-
-    def _store_to_cache(
-        self, tasks: Sequence[Task], results: list, todo: Sequence[int]
-    ) -> None:
-        """Store this run's freshly computed keyed results."""
-        if self.point_cache is None:
-            return
-        for i in todo:
-            if tasks[i].cache_key and results[i] is not _MISSING:
-                self.point_cache.put(tasks[i].cache_key, results[i])
-
     def _pool_loop(
         self,
         tasks: Sequence[Task],
         results: list,
         t0: float,
         total: int,
-        todo: Sequence[int],
     ) -> dict[str, int]:
-        """Run the *todo* slots on a process pool; returns the workers'
-        summed cache-counter deltas."""
+        """Run every task on a process pool; returns the workers' summed
+        cache-counter deltas."""
         worker_stats: dict[str, int] = {}
         ctx = multiprocessing.get_context(self.mp_context)
-        positions = self._chunk_indices(
-            len(todo), [tasks[i].weight for i in todo]
-        )
-        pending = [[todo[p] for p in chunk] for chunk in positions]
+        pending = self._chunk_indices(total, [task.weight for task in tasks])
         crashes = 0
         while pending:
             try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exec.cache import cached_task_graph
 from repro.exec.runner import SweepRunner
@@ -292,7 +292,6 @@ def run_dag(
     runner: Optional[SweepRunner] = None,
     fingerprint: bool = False,
     perf_report: bool = False,
-    point_cache: Any = None,
 ) -> DagResult:
     """The full E7 sweep: workload families × placement policies.
 
@@ -301,10 +300,6 @@ def run_dag(
     derived seeds across policies, which is what makes the per-workload
     tests paired.  Point weights scale with task count so the heavy
     Cholesky instances dispatch first under a parallel runner.
-    *point_cache* follows :func:`repro.exec.cache.resolve_point_cache`
-    (``None`` = environment default, ``False`` = off); the DAG digest
-    rides in the spec kwargs via *graph_seed*/*scale*, so a cached point
-    can never be served for a different graph.
     """
     for w in workloads:
         if w not in WORKLOADS:
@@ -354,6 +349,5 @@ def run_dag(
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
-        point_cache=point_cache,
     )
     return collect_sweep(result, sweep)

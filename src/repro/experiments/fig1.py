@@ -20,7 +20,7 @@ the three scalar claims as factor bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import cached_lk23_program, machine_inputs
@@ -473,7 +473,6 @@ def run_fig1(
     runner: Optional[SweepRunner] = None,
     seeds: int = 1,
     confidence: float = 0.95,
-    point_cache: Any = None,
 ) -> Fig1Result:
     """The full Figure-1 sweep.
 
@@ -497,11 +496,6 @@ def run_fig1(
     *confidence* plus all replicate points — see
     :meth:`Fig1Result.stats_table` and
     :meth:`Fig1Result.speedup_verdicts`.
-
-    *point_cache* selects the content-addressed result cache
-    (:func:`repro.exec.cache.resolve_point_cache`: ``None`` = the
-    environment default, ``False`` = off); re-running a cached sweep
-    only simulates points not stored yet, bit-identically.
     """
     result = Fig1Result(iterations=iterations, n=n, n_seeds=seeds)
     specs = [
@@ -530,6 +524,5 @@ def run_fig1(
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
-        point_cache=point_cache,
     )
     return collect_sweep(result, sweep)

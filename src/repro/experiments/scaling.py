@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exec.cache import machine_inputs
 from repro.exec.runner import SweepRunner
@@ -296,7 +296,6 @@ def run_scaling(
     n_workers: int = 1,
     runner: Optional[SweepRunner] = None,
     perf_report: bool = False,
-    point_cache: Any = None,
 ) -> ScalingResult:
     """The full machine-size sweep.
 
@@ -311,10 +310,7 @@ def run_scaling(
     of queueing light points behind them.
 
     Each process (every pool worker included) builds a swept machine's
-    distance model once, on first use.  *point_cache* follows
-    :func:`repro.exec.cache.resolve_point_cache` (``None`` = the
-    environment default, ``False`` = off), making nightly re-runs
-    incremental.
+    distance model once, on first use.
     """
     for impl in implementations:
         if impl not in IMPLEMENTATIONS:
@@ -356,6 +352,5 @@ def run_scaling(
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
-        point_cache=point_cache,
     )
     return collect_sweep(result, sweep)

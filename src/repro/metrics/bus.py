@@ -87,18 +87,10 @@ class SnapshotWriter:
                 event.total
             )
             reg.gauge("sweep_progress_done", "Points completed so far").set(0)
-            reg.gauge(
-                "sweep_progress_cached", "Completed points served from cache"
-            ).set(0)
         elif kind == "point_done":
             reg.gauge("sweep_progress_done", "Points completed so far").set(
                 event.done
             )
-            if event.detail == "cached":
-                reg.gauge(
-                    "sweep_progress_cached",
-                    "Completed points served from cache",
-                ).inc()
         elif kind == "sweep_end":
             reg.gauge("sweep_progress_done", "Points completed so far").set(
                 event.done

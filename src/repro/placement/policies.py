@@ -203,7 +203,7 @@ class TreeMatchPolicy(PlacementPolicy):
             )
         # The memoized front end of tree_match: placement is seed-free,
         # so replicated sweeps derive each mapping once (see
-        # repro.exec.cache; a pure pass-through under REPRO_CACHE=off).
+        # repro.exec.cache).
         result = cached_tree_match(
             topo,
             matrix,

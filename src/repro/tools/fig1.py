@@ -14,7 +14,6 @@ import argparse
 import csv
 
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
-from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 from repro.tools._common import (
     require_matrix_fits,
     require_nonnegative,
@@ -49,13 +48,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="enable telemetry and publish live registry "
                              "snapshots to FILE (watch with "
                              "python -m repro.tools.top FILE)")
-    add_cache_arguments(parser)
     args = parser.parse_args(argv)
     require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
     require_positive(parser, iterations=args.iterations, n=args.n, seeds=args.seeds)
     require_nonnegative(parser, workers=args.workers)
     require_matrix_fits(parser, args.n, max(args.cores), openmp=True)
-    apply_cache_arguments(args)
 
     runner = None
     writer = None

@@ -16,7 +16,6 @@ import argparse
 
 from repro.experiments.fig1 import CORES_PER_SOCKET, run_fig1
 from repro.experiments.plotting import plot_fig1
-from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 from repro.tools._common import (
     require_nonnegative,
     require_positive,
@@ -72,12 +71,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="replicates per point; > 1 reports mean/CI bands "
                              "and significance verdicts on top of the "
                              "replicate-0 trajectory the claims are graded on")
-    add_cache_arguments(parser)
     args = parser.parse_args(argv)
     require_whole_sockets(parser, args.cores, CORES_PER_SOCKET)
     require_positive(parser, iterations=args.iterations, seeds=args.seeds)
     require_nonnegative(parser, workers=args.workers)
-    apply_cache_arguments(args)
 
     print("Reproducing: Gustedt, Jeannot, Mansouri — 'Optimizing Locality by")
     print("Topology-aware Placement for a Task Based Programming Model',")

@@ -14,7 +14,6 @@ import argparse
 import json
 
 from repro.experiments.scaling import CELLS_PER_CORE, DEFAULT_PRESETS, run_scaling
-from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 from repro.tools._common import require_nonnegative, require_positive
 from repro.topology.generate import SCALING_SPECS
 
@@ -69,14 +68,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace every point and write per-point perf "
                              "reports (JSON + text) and per-preset "
                              "top-down gap attributions into DIR")
-    add_cache_arguments(parser)
     args = parser.parse_args(argv)
     require_positive(
         parser, iterations=args.iterations,
         cells_per_core=args.cells_per_core, seeds=args.seeds,
     )
     require_nonnegative(parser, workers=args.workers)
-    apply_cache_arguments(args)
 
     result = run_scaling(
         presets=tuple(args.preset),

@@ -92,16 +92,12 @@ def render_dashboard(
     # -- sweep progress ------------------------------------------------
     total = _value(snapshot, "sweep_progress_total")
     done = _value(snapshot, "sweep_progress_done")
-    cached = _value(snapshot, "sweep_progress_cached")
     if total > 0:
         frac = min(1.0, done / total)
         bar_w = max(10, width - 34)
         filled = int(frac * bar_w)
         bar = _BAR_FILL * filled + _BAR_EMPTY * (bar_w - filled)
-        lines.append(
-            f"sweep    [{bar}] {int(done)}/{int(total)} done"
-            + (f" ({int(cached)} cached)" if cached else "")
-        )
+        lines.append(f"sweep    [{bar}] {int(done)}/{int(total)} done")
     else:
         lines.append("sweep    (no sweep in flight)")
     pps = _value(snapshot, "sweep_points_per_sec")
@@ -113,20 +109,6 @@ def render_dashboard(
         rate_bits.append(f"last sweep {pps:.1f} points/s")
     if rate_bits:
         lines.append(f"rate     {'   '.join(rate_bits)}")
-
-    # -- cache ---------------------------------------------------------
-    hits = _value(snapshot, "sweep_cache_point_hit_total") + _value(
-        snapshot, "exec_cache_point_hit_total"
-    )
-    misses = _value(snapshot, "sweep_cache_point_miss_total") + _value(
-        snapshot, "exec_cache_point_miss_total"
-    )
-    lookups = hits + misses
-    if lookups:
-        lines.append(
-            f"cache    {hits:.0f}/{lookups:.0f} point hits "
-            f"({hits / lookups:.0%})"
-        )
 
     # -- placement service ---------------------------------------------
     queries = _value(snapshot, "placement_queries_total")
@@ -184,10 +166,7 @@ def demo_snapshot() -> dict[str, Any]:
     reg = MetricRegistry()
     reg.gauge("sweep_progress_total").set(40)
     reg.gauge("sweep_progress_done").set(28)
-    reg.gauge("sweep_progress_cached").set(9)
     reg.gauge("sweep_points_per_sec").set(3.7)
-    reg.counter("sweep_cache_point_hit_total", stable=False).inc(9)
-    reg.counter("sweep_cache_point_miss_total", stable=False).inc(19)
     reg.counter("placement_queries_total").inc(1200)
     reg.counter("placement_memo_hits_total").inc(1180)
     warm = reg.histogram(

@@ -127,38 +127,31 @@ class TestSweepIdentity:
         ]
 
     def test_serial_equals_parallel_workers(self):
-        serial = run_dag(n_workers=1, point_cache=False, **self.KW)
-        parallel = run_dag(n_workers=2, point_cache=False, **self.KW)
+        serial = run_dag(n_workers=1, **self.KW)
+        parallel = run_dag(n_workers=2, **self.KW)
         assert self._flat(serial) == self._flat(parallel)
 
-    def test_warm_cache_rerun_is_bit_identical(self, tmp_path):
-        from repro.exec.cache import PointCache
+    def test_warm_cache_rerun_is_bit_identical(self):
+        # the rerun reuses the graphs and programs the first run built
+        from repro.exec.cache import cache_stats, clear_cache, stats_delta
 
-        cold_cache = PointCache(tmp_path / "points")
-        cold = run_dag(n_workers=1, point_cache=cold_cache, **self.KW)
-        assert cold_cache.misses > 0 and cold_cache.hits == 0
-
-        warm_cache = PointCache(tmp_path / "points")
-        warm = run_dag(n_workers=1, point_cache=warm_cache, **self.KW)
-        assert warm_cache.hits > 0 and warm_cache.misses == 0
+        clear_cache()
+        cold = run_dag(n_workers=1, **self.KW)
+        before = cache_stats()
+        warm = run_dag(n_workers=1, **self.KW)
+        assert "graph_build" not in stats_delta(before)
         assert self._flat(cold) == self._flat(warm)
 
-    def test_graph_seed_changes_the_cache_key(self, tmp_path):
-        # a different DAG structure must never be served a cached point
-        from repro.exec.cache import PointCache
+    def test_graph_seed_changes_the_digest_and_points(self):
+        first = run_dag(n_workers=1, graph_seed=0, **self.KW)
+        second = run_dag(n_workers=1, graph_seed=1, **self.KW)
 
-        cache = PointCache(tmp_path / "points")
-        first = run_dag(
-            n_workers=1, point_cache=cache, graph_seed=0, **self.KW
+        def bfs(result):
+            return [row for row in self._flat(result) if row[0] == "bfs"]
+
+        assert {row[4] for row in bfs(first)}.isdisjoint(
+            {row[4] for row in bfs(second)}
         )
-        second = run_dag(
-            n_workers=1, point_cache=cache, graph_seed=1, **self.KW
+        assert all(
+            a[3] != b[3] for a, b in zip(bfs(first), bfs(second))
         )
-        # bfs structure changed with the graph seed -> fresh misses
-        assert cache.misses > len(self._flat(first))
-        bfs_digests = {
-            p.graph_digest
-            for p in first.points + second.points
-            if p.workload == "bfs"
-        }
-        assert len(bfs_digests) == 2

@@ -1,4 +1,4 @@
-"""The parallel sweep executor: determinism, crash recovery, caching.
+"""The parallel sweep executor: determinism, crash recovery, memoization.
 
 The contract under test (see ``repro.exec``): a sweep's results are in
 input order and bit-identical no matter how many workers ran it or how
@@ -21,7 +21,6 @@ import pytest
 from repro.comm import patterns
 from repro.exec import (
     ExecError,
-    PointCache,
     SweepRunner,
     Task,
     cached_distance_model,
@@ -31,7 +30,6 @@ from repro.exec import (
     derive_seed,
     machine_inputs,
     matrix_digest,
-    point_key,
     resolve_workers,
     run_sweep,
     topology_fingerprint,
@@ -40,9 +38,7 @@ from repro.exec.cache import (
     _LRUDict,
     TOPOLOGY_CACHE_CAP,
     _TOPOLOGIES,
-    cache_stats,
     placement_key,
-    stats_delta,
 )
 from repro.experiments.fig1 import Fig1Point, Fig1Result, run_fig1
 from repro.util.validate import ValidationError
@@ -75,6 +71,10 @@ def _crash_once(x: int, sentinel: str) -> int:
 
 def _crash_always(x: int) -> int:
     os._exit(42)
+
+
+def _topology_pus(groups: int) -> int:
+    return cached_topology("paper-smp", groups, 4).nb_pus
 
 
 class TestDeriveSeed:
@@ -157,6 +157,17 @@ class TestProgressEvents:
         runner.map([Task(_square, {"x": i}) for i in range(6)])
         assert sum(1 for e in events if e.kind == "point_done") == 6
         assert sum(1 for e in events if e.kind == "chunk_done") == 3
+
+    def test_cache_stats_event(self):
+        clear_cache()
+        events = []
+        runner = SweepRunner(n_workers=1, on_event=events.append)
+        tasks = [Task(_topology_pus, {"groups": g}) for g in (1, 2, 1, 2)]
+        assert runner.map(tasks) == [4, 8, 4, 8]
+        kinds = [e.kind for e in events]
+        assert kinds.index("cache_stats") < kinds.index("sweep_end")
+        assert runner.last_stats["cache"] == {"topology_build": 2}
+        assert events[kinds.index("cache_stats")].detail == "topology_build=2"
 
 
 class TestErrorPaths:
@@ -249,15 +260,6 @@ class TestFig1TimeIndex:
             Fig1Result().time_of("openmp", 8)
 
 
-def _fig1_rows(result):
-    """Every replicate as a comparable (impl, cores, time, fingerprint) row."""
-    return [
-        (p.implementation, p.n_cores, p.time, p.fingerprint)
-        for reps in result.replicates.values()
-        for p in reps
-    ]
-
-
 class TestLRUBound:
     def test_evicts_least_recently_used(self):
         d = _LRUDict(2)
@@ -282,7 +284,7 @@ class TestLRUBound:
 
 
 class TestPlacementMemo:
-    """Tier 1: tree_match memoized by (topology, matrix, params)."""
+    """tree_match memoized by (topology, matrix, params)."""
 
     def _inputs(self):
         topo = cached_topology("paper-smp", 2, 8)
@@ -303,53 +305,18 @@ class TestPlacementMemo:
         assert base != placement_key(topo, cm, strategy="greedy")
         assert topology_fingerprint(topo) == topology_fingerprint(topo)
 
-    def test_memo_hit_equals_cold_computation(self, monkeypatch):
+    def test_memo_hit_equals_cold_computation(self):
+        from repro.treematch import tree_match
+
         clear_cache()
         topo, cm = self._inputs()
         first = cached_tree_match(topo, cm)
         again = cached_tree_match(topo, cm)
         assert again is first  # in-process LRU hit
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        cold = cached_tree_match(topo, cm)  # pure pass-through
+        cold = tree_match(topo, cm)
         assert cold is not first
         assert cold.mapping == first.mapping
         assert cold.hierarchy == first.hierarchy
-
-    def test_disk_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_cache()
-        topo, cm = self._inputs()
-        before = cache_stats()
-        first = cached_tree_match(topo, cm)
-        assert stats_delta(before).get("placement_miss") == 1
-        stored = list(tmp_path.glob("placements/*/*.pkl"))
-        assert len(stored) == 1
-
-        clear_cache()  # drop the LRU so only the disk copy remains
-        before = cache_stats()
-        second = cached_tree_match(topo, cm)
-        assert stats_delta(before).get("placement_disk_hit") == 1
-        assert second.mapping == first.mapping
-
-    def test_corrupted_disk_entry_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_cache()
-        topo, cm = self._inputs()
-        first = cached_tree_match(topo, cm)
-        [stored] = tmp_path.glob("placements/*/*.pkl")
-        stored.write_bytes(b"not a pickle at all")
-
-        clear_cache()
-        before = cache_stats()
-        second = cached_tree_match(topo, cm)
-        # Corruption reads as a transparent miss, never an error...
-        assert stats_delta(before).get("placement_miss") == 1
-        assert second.mapping == first.mapping
-        # ...and the recomputed result replaced the damaged payload.
-        clear_cache()
-        before = cache_stats()
-        cached_tree_match(topo, cm)
-        assert stats_delta(before).get("placement_disk_hit") == 1
 
     def test_failed_set_is_part_of_the_key(self):
         topo, cm = self._inputs()
@@ -358,35 +325,24 @@ class TestPlacementMemo:
         two = placement_key(topo, cm, strategy="auto", failed=(0, 8))
         assert len({base, one, two}) == 3
 
-    def test_post_failure_query_never_sees_pre_failure_mapping(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression: a failure must invalidate both cache tiers.
+    def test_post_failure_query_never_sees_pre_failure_mapping(self):
+        """Regression: a failure must invalidate the memo.
 
         Before ``failed`` entered the digest, a service that marked a
         PU dead and re-queried would be handed the stale pre-failure
-        mapping — still binding threads to the dead PU.  Exercises the
-        in-process LRU and the disk tier separately.
+        mapping — still binding threads to the dead PU.
         """
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
         topo, cm = self._inputs()
         healthy = cached_tree_match(topo, cm)
         dead = healthy.mapping.pu(0)
 
-        # Memory tier: the healthy mapping is hot in the LRU.
+        # The healthy mapping is hot in the LRU.
         after = cached_tree_match(topo, cm, failed=[dead])
         assert dead not in after.mapping.pu_of
         assert dead in healthy.mapping.pu_of
-
-        # Disk tier: drop the LRU so only on-disk payloads remain.
-        clear_cache()
-        before = cache_stats()
-        again = cached_tree_match(topo, cm, failed=[dead])
-        assert stats_delta(before).get("placement_disk_hit") == 1
-        assert again.mapping == after.mapping
         # The healthy entry is still served for healthy queries.
-        assert cached_tree_match(topo, cm).mapping == healthy.mapping
+        assert cached_tree_match(topo, cm) is healthy
 
     def test_failed_rejects_control_and_allowed(self):
         from repro.topology.cpuset import CpuSet
@@ -399,82 +355,6 @@ class TestPlacementMemo:
             cached_tree_match(
                 topo, cm, allowed=CpuSet(range(4)), failed=[0]
             )
-
-
-class TestPointCacheSweep:
-    """Tier 3: content-addressed whole-point results."""
-
-    COMMON = dict(
-        core_counts=(8,), iterations=2, n=512, seed=3,
-        fingerprint=True, seeds=2, n_workers=1,
-    )
-
-    def test_point_key_sensitive_to_kwargs(self):
-        k1 = point_key(_square, {"x": 1})
-        assert k1 == point_key(_square, {"x": 1})
-        assert k1 != point_key(_square, {"x": 2})
-        assert k1 != point_key(_boom, {"x": 1})
-
-    def test_cached_rerun_bit_identical(self, tmp_path):
-        cold_cache = PointCache(tmp_path / "points")
-        cold = run_fig1(point_cache=cold_cache, **self.COMMON)
-        assert cold_cache.hits == 0
-        assert cold_cache.stores == cold_cache.misses > 0
-
-        warm_cache = PointCache(tmp_path / "points")
-        warm = run_fig1(point_cache=warm_cache, **self.COMMON)
-        assert warm_cache.misses == 0
-        assert warm_cache.hits == cold_cache.stores
-        assert _fig1_rows(warm) == _fig1_rows(cold)
-
-    def test_no_cache_runs_reproduce_cached_runs(self, tmp_path, monkeypatch):
-        cached = run_fig1(
-            point_cache=PointCache(tmp_path / "points"), **self.COMMON
-        )
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        uncached = run_fig1(point_cache=False, **self.COMMON)
-        assert _fig1_rows(uncached) == _fig1_rows(cached)
-
-    def test_corrupted_point_recomputed(self, tmp_path):
-        cold_cache = PointCache(tmp_path / "points")
-        cold = run_fig1(point_cache=cold_cache, **self.COMMON)
-        victim = sorted((tmp_path / "points").glob("*/*.pkl"))[0]
-        victim.write_bytes(b"\x00garbage\x00")
-
-        warm_cache = PointCache(tmp_path / "points")
-        warm = run_fig1(point_cache=warm_cache, **self.COMMON)
-        assert warm_cache.misses == 1  # exactly the damaged entry
-        assert warm_cache.hits == cold_cache.stores - 1
-        assert _fig1_rows(warm) == _fig1_rows(cold)
-
-    def test_cache_stats_event_and_cached_detail(self, tmp_path):
-        cache = PointCache(tmp_path / "points")
-        tasks = [
-            Task(_square, {"x": i}, cache_key=point_key(_square, {"x": i}))
-            for i in range(4)
-        ]
-        events = []
-        cold = SweepRunner(
-            n_workers=1, point_cache=cache, on_event=events.append
-        )
-        assert cold.map(tasks) == [0, 1, 4, 9]
-        kinds = [e.kind for e in events]
-        assert "cache_stats" in kinds
-        assert kinds.index("cache_stats") < kinds.index("sweep_end")
-        assert cold.last_stats["cache"].get("point_miss") == 4
-
-        events.clear()
-        warm = SweepRunner(
-            n_workers=1, point_cache=PointCache(tmp_path / "points"),
-            on_event=events.append,
-        )
-        assert warm.map(tasks) == [0, 1, 4, 9]
-        cached_dones = [
-            e for e in events if e.kind == "point_done" and e.detail == "cached"
-        ]
-        assert len(cached_dones) == 4
-        assert warm.last_stats["cached_points"] == 4
-        assert warm.last_stats["cache"].get("point_hit") == 4
 
 
 #: Pool start methods the determinism suite runs a sweep under.
@@ -526,7 +406,7 @@ class TestSerialParallelDeterminism:
     def sweeps(self):
         common = dict(
             core_counts=(8, 16), iterations=2, n=1024, seed=7,
-            fingerprint=True, point_cache=False,
+            fingerprint=True,
         )
         serial = run_fig1(n_workers=1, **common).points
         pooled, stderr = {}, {}

@@ -381,14 +381,12 @@ def test_snapshot_writer_atomic_and_progress(tmp_path):
     reg.counter("sim_runs_total").inc(3)
     writer = SnapshotWriter(str(path), registry=reg, min_interval=0.0)
     writer(SweepEvent("sweep_start", 0.0, total=10))
-    writer(SweepEvent("point_done", 0.1, index=0, done=1, total=10,
-                      detail="cached"))
+    writer(SweepEvent("point_done", 0.1, index=0, done=1, total=10))
     writer(SweepEvent("point_done", 0.2, index=1, done=2, total=10))
     snap = read_snapshot(str(path))
     m = snap["metrics"]
     assert m["sweep_progress_total"]["value"] == 10.0
     assert m["sweep_progress_done"]["value"] == 2.0
-    assert m["sweep_progress_cached"]["value"] == 1.0
     assert m["sim_runs_total"]["value"] == 3
     assert snap["written_at"] > 0
 
@@ -504,7 +502,8 @@ def test_top_render_dashboard_demo():
     from repro.tools.top import demo_snapshot, render_dashboard
 
     frame = render_dashboard(demo_snapshot())
-    assert "28/40 done (9 cached)" in frame
+    assert "28/40 done" in frame
+    assert "cached" not in frame and "point hits" not in frame
     assert "p50" in frame and "p95" in frame and "p99" in frame
     assert "events" in frame
 
@@ -527,35 +526,22 @@ def test_top_rates_from_prev_snapshot():
 # -- progress bar ----------------------------------------------------------
 
 
-def test_progress_bar_cached_aware_eta():
+def test_progress_bar_eta():
     from repro.exec.progress import ProgressBar, SweepEvent
 
     buf = io.StringIO()
     bar = ProgressBar(stream=buf, width=10)
     bar(SweepEvent("sweep_start", 0.0, total=40))
-    for i in range(1, 6):  # five cache hits, effectively instant
-        bar(SweepEvent("point_done", 0.0, done=i, total=40, detail="cached"))
-    for i in range(6, 13):  # seven simulated points, 6 s elapsed
-        bar(SweepEvent("point_done", (i - 5) * 6.0 / 7, done=i, total=40))
+    for i in range(1, 13):  # twelve points, 6 s elapsed
+        bar(SweepEvent("point_done", i * 0.5, done=i, total=40))
     line = bar.render(SweepEvent("point_done", 6.0, done=12, total=40))
-    assert "12/40 done (5 cached)" in line
-    # ETA from simulated cost only: 6s / 7 simulated × 28 left = 24s,
-    # NOT 6s / 12 done × 28 = 14s (cache hits must not shrink the ETA).
-    assert "eta 24s" in line
+    assert "12/40 done" in line
+    # 6 s / 12 done × 28 left = 14 s
+    assert "eta 14s" in line
     bar(SweepEvent("sweep_end", 30.0, done=40, total=40))
     out = buf.getvalue()
     assert out.endswith("\n")
     assert "40/40 done" in out
-
-
-def test_progress_bar_resets_between_sweeps():
-    from repro.exec.progress import ProgressBar, SweepEvent
-
-    bar = ProgressBar(stream=io.StringIO())
-    bar(SweepEvent("point_done", 1.0, done=1, total=2, detail="cached"))
-    assert bar.cached == 1
-    bar(SweepEvent("sweep_start", 0.0, total=2))
-    assert bar.cached == 0
 
 
 # -- history ---------------------------------------------------------------

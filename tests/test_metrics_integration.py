@@ -45,7 +45,6 @@ def _stable_fig1(n_workers: int) -> str:
         n_workers=n_workers,
         fingerprint=True,
         seeds=2,
-        point_cache=False,
     )
     return core.registry().to_json(stable_only=True)
 
@@ -64,7 +63,7 @@ class TestStableSnapshotDeterminism:
         core.enable()
         run_fig1(
             core_counts=(8,), iterations=1, n=128, seed=0,
-            n_workers=1, point_cache=False,
+            n_workers=1,
         )
         reg = core.registry()
         full = reg.snapshot()["metrics"]
@@ -300,7 +299,7 @@ class TestFig1MetricsFlag:
 
         out = str(tmp_path / "live.json")
         rc = main(["--cores", "8", "--iterations", "1", "--n", "128",
-                   "--workers", "1", "--metrics", out, "--no-cache"])
+                   "--workers", "1", "--metrics", out])
         assert rc == 0
         snap = read_snapshot(out)
         assert snap is not None

@@ -356,7 +356,6 @@ class TestFaultInjection:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(service_mod, "remap_incremental", exploding)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
 
         before = cache_stats()
         with pytest.raises(_Boom):
@@ -402,12 +401,8 @@ class TestFaultInjection:
         assert svc.stats()["inflight"] == 0
 
     def test_concurrent_same_key_queries_compute_exactly_once(
-        self, paper_topo_small, stencil_matrix, monkeypatch
+        self, paper_topo_small, stencil_matrix
     ):
-        # Hermetic: an earlier test may have left REPRO_CACHE_DIR in the
-        # process env (CLI --cache-dir paths export it for workers),
-        # which would turn the one compute into a placement_disk_hit.
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         clear_cache()
         reset_cache_stats()
         svc = PlacementService(paper_topo_small)
@@ -428,9 +423,8 @@ class TestFaultInjection:
         assert svc.stats()["inflight"] == 0
 
     def test_sequential_warm_queries_are_memo_hits(
-        self, paper_topo_small, stencil_matrix, monkeypatch
+        self, paper_topo_small, stencil_matrix
     ):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         clear_cache()
         reset_cache_stats()
         svc = PlacementService(paper_topo_small)

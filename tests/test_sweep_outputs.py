@@ -41,7 +41,7 @@ def _json_sha(doc: dict) -> str:
 
 def test_dag_sweep_outputs_pinned():
     result = run_dag(
-        n_cores=16, scale=1, seeds=2, n_workers=1, point_cache=False,
+        n_cores=16, scale=1, seeds=2, n_workers=1,
         fingerprint=True, perf_report=True,
     )
     assert _json_sha(result.to_json_dict()) == DAG_JSON
@@ -51,7 +51,7 @@ def test_dag_sweep_outputs_pinned():
 def test_scaling_sweep_outputs_pinned():
     result = run_scaling(
         presets=("paper",), iterations=1, cells_per_core=CELLS, seeds=2,
-        n_workers=1, point_cache=False,
+        n_workers=1,
     )
     assert _json_sha(result.to_json_dict()) == SCALING_JSON
     assert _sha(result.speedup_table()) == SCALING_TABLE

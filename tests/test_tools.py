@@ -116,6 +116,7 @@ class TestFig1Cli:
             pytest.param(["--n", "0"], id="n0"),
             pytest.param(["--workers", "-1"], id="workers-1"),
             pytest.param(["--cores", "192", "--n", "100"], id="strips-finer-than-n"),
+            pytest.param(["--no-cache"], id="no-cache"),
         ],
     )
     def test_partial_socket_rejected_before_sweep(self, argv, monkeypatch, capsys):
@@ -254,6 +255,34 @@ class TestPlaceCli:
         monkeypatch.setattr(place_cli, "PlacementService", _no_sweep)
         err = _assert_usage_error(capsys, place_cli.main, argv)
         assert message in err
+
+
+class TestSweepClisLeaveNoState:
+    """A sweep CLI writes nothing into the working directory and leaves
+    no cache switch in the environment: every result is computed by the
+    code that runs it."""
+
+    def test_cwd_and_environ_untouched(self, tmp_path, monkeypatch, capsys):
+        import os
+
+        from repro.tools import reproduce as rep_cli
+        from repro.tools import scaling as scaling_cli
+
+        monkeypatch.chdir(tmp_path)
+        environ = dict(os.environ)
+        small = ["--iterations", "1", "--workers", "1"]
+        assert fig1_cli.main(["--cores", "8", "--n", "128", *small]) == 0
+        assert dag_cli.main(
+            ["--workloads", "bfs", "--policies", "bind", "--cores", "8",
+             "--scale", "1", "--workers", "1"]
+        ) == 0
+        assert scaling_cli.main(
+            ["--preset", "paper", "--cells-per-core", "1024", *small]
+        ) == 0
+        assert rep_cli.main(["--cores", "8", *small]) in (0, 1)
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+        assert dict(os.environ) == environ
 
 
 def _no_sweep(*args, **kwargs):
