@@ -30,12 +30,14 @@ the repo's determinism contract intact:
   code that is running;
 * **chunked dispatch** — points are shipped in chunks to amortize IPC;
 * **crash resilience** — a dying worker (OOM kill, segfault in a native
-  extension) breaks the pool; the runner rebuilds it and retries the
-  unfinished chunks, finally falling back to in-process serial
-  execution so a sweep always completes;
-* **progress events** — :class:`~repro.exec.progress.SweepEvent`
-  callbacks, optionally mirrored into a
-  :class:`repro.observe.Tracer` stream (kind ``"sweep"``).
+  extension) breaks the pool; the runner rebuilds it once and retries
+  the unfinished chunks, then falls back to in-process serial
+  execution, so a sweep always completes; each rebuild and the
+  fallback log a warning;
+* **one record** — with metrics on (:mod:`repro.metrics`), the sweep's
+  counters and its live ``sweep_progress_total``/``sweep_progress_done``
+  gauges land in the registry; an optional zero-argument ``on_point``
+  hook runs after every completed point.
 """
 
 from __future__ import annotations
@@ -52,24 +54,14 @@ from repro.exec.cache import (
     reset_cache_stats,
     topology_fingerprint,
 )
-from repro.exec.progress import (
-    ProgressBar,
-    SweepEvent,
-    log_progress,
-    tracer_progress,
-)
 from repro.exec.runner import (
-    ExecError,
     SweepRunner,
     Task,
     derive_seed,
     resolve_workers,
-    run_sweep,
 )
 
 __all__ = [
-    "ExecError",
-    "SweepEvent",
     "SweepRunner",
     "Task",
     "cache_stats",
@@ -79,13 +71,9 @@ __all__ = [
     "cached_tree_match",
     "clear_cache",
     "derive_seed",
-    "log_progress",
-    "ProgressBar",
     "machine_inputs",
     "matrix_digest",
     "reset_cache_stats",
     "resolve_workers",
-    "run_sweep",
     "topology_fingerprint",
-    "tracer_progress",
 ]

@@ -106,8 +106,7 @@ def bump_stat(key: str, n: int = 1) -> None:
 
     Public so that layers built on the cache (the placement service's
     single-flight and phase-detection counters) report through the same
-    :func:`cache_stats` snapshot the tests and sweep runner already
-    consume.
+    :func:`cache_stats` snapshot the tests and benchmarks already read.
     """
     _bump(key, n)
 
@@ -117,8 +116,9 @@ def stats_delta(
 ) -> dict[str, int]:
     """Counter increments between two snapshots (zero entries dropped).
 
-    Pool workers fork with the parent's counters already non-zero; the
-    runner snapshots around each chunk and ships only the delta home.
+    *after* defaults to this process's counters now, so a caller can
+    snapshot :func:`cache_stats` before some work and read what that
+    work did.
     """
     if after is None:
         after = cache_stats()
@@ -128,13 +128,6 @@ def stats_delta(
         if d:
             out[key] = d
     return out
-
-
-def merge_stats(into: dict[str, int], delta: dict[str, int]) -> dict[str, int]:
-    """Accumulate *delta* into *into* (in place; returned for chaining)."""
-    for key, value in delta.items():
-        into[key] = into.get(key, 0) + value
-    return into
 
 
 def reset_cache_stats() -> None:
@@ -273,7 +266,7 @@ def cached_lk23_program(cfg: "Lk23Config") -> "Program":
     return program
 
 
-def clear_cache() -> Optional[int]:
+def clear_cache() -> int:
     """Drop all in-process cached objects; returns how many were dropped."""
     caches = (_TOPOLOGIES, _MODELS, _GRAPHS, _PROGRAMS, _PLACEMENTS)
     n = sum(len(c) for c in caches)

@@ -9,8 +9,7 @@ contract), every *integer* quantity derived here — event
 counts and histogram bucket counts over simulated durations — lands in
 the stable snapshot.
 
-Also here: the end-of-run flush (:func:`record_run`) and the
-``repro.exec.cache`` stats mirror.
+Also here: the end-of-run flush (:func:`record_run`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "MetricsProbe",
     "attach_probe",
     "record_run",
-    "sync_cache_stats",
 ]
 
 
@@ -163,20 +161,3 @@ def record_run(machine: "Machine", wall_s: float) -> None:
             "Engine dispatch throughput of the last run",
         ).set(engine.events_fired / wall_s)
 
-
-def sync_cache_stats(registry: MetricRegistry | None = None) -> None:
-    """Mirror ``repro.exec.cache`` per-tier stats into counters.
-
-    Uses monotonic absolute sync (``set_to_max``) because the cache
-    module keeps its own absolute totals.  Per-process cache activity
-    depends on worker layout, so these are unstable.
-    """
-    from repro.exec.cache import cache_stats
-
-    reg = registry if registry is not None else core.registry()
-    for key, value in sorted(cache_stats().items()):
-        reg.counter(
-            f"exec_cache_{key}_total",
-            f"exec.cache counter {key!r} (absolute mirror)",
-            stable=False,
-        ).set_to_max(value)

@@ -23,13 +23,10 @@ __all__ = ["SnapshotWriter", "read_snapshot"]
 class SnapshotWriter:
     """Rate-limited atomic snapshot dumps of a registry to *path*.
 
-    ``__call__`` matches the :class:`repro.exec.progress.SweepEvent`
-    sink signature so a writer can be passed straight to
-    ``SweepRunner.map(on_event=...)``; it also works as a plain
-    zero-argument flush.  Writes at most once per *min_interval*
-    seconds except for ``sweep_end`` events and explicit
-    :meth:`flush` calls, which always write.  The first snapshot is
-    never rate-limited (a monotonic clock may start near 0 on a freshly
+    Calling the writer writes at most once per *min_interval* seconds,
+    so it can be passed straight to ``SweepRunner(on_point=...)``;
+    :meth:`flush` always writes.  The first snapshot is never
+    rate-limited (a monotonic clock may start near 0 on a freshly
     booted host).
     """
 
@@ -61,40 +58,13 @@ class SnapshotWriter:
         self._last_write = time.monotonic()
         self.writes += 1
 
-    def __call__(self, event: Any = None) -> None:
-        kind = getattr(event, "kind", None)
-        if kind is not None:
-            self._track_progress(kind, event)
-        force = kind == "sweep_end" or event is None
+    def __call__(self) -> None:
         if (
-            not force
-            and self._last_write is not None
+            self._last_write is not None
             and time.monotonic() - self._last_write < self.min_interval
         ):
             return
         self.flush()
-
-    def _track_progress(self, kind: str, event: Any) -> None:
-        """Mirror sweep progress into gauges so ``top`` can render it.
-
-        The runner's counters record totals at sweep start; live
-        done-so-far state only exists in the event stream, so the
-        writer (which sees every event) owns these gauges.
-        """
-        reg = self._registry()
-        if kind == "sweep_start":
-            reg.gauge("sweep_progress_total", "Points in the running sweep").set(
-                event.total
-            )
-            reg.gauge("sweep_progress_done", "Points completed so far").set(0)
-        elif kind == "point_done":
-            reg.gauge("sweep_progress_done", "Points completed so far").set(
-                event.done
-            )
-        elif kind == "sweep_end":
-            reg.gauge("sweep_progress_done", "Points completed so far").set(
-                event.done
-            )
 
 
 def read_snapshot(path: str) -> dict[str, Any] | None:

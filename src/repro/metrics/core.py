@@ -197,11 +197,6 @@ class Counter(Metric):
             )
         self.value += amount
 
-    def set_to_max(self, value: int | float) -> None:
-        """Monotonic absolute sync (for mirroring external counters)."""
-        if value > self.value:
-            self.value = value
-
     def sample(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
 

@@ -18,20 +18,13 @@ All replicates of all points go to the runner as one flat task list
 across the full ``points × seeds`` grid while the returned structure is
 grouped back per point in submission order — serial and parallel runs
 are bit-identical, inheriting the runner's contract.
-
-Progress: each replicate is a task, so the runner's ``point_done``
-events fire once per replicate with a ``label#s<r>`` label; after
-grouping, one ``point_stats`` event per point reports the aggregate
-(see :data:`repro.exec.progress.SWEEP_EVENT_KINDS`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.exec.progress import ProgressCallback, SweepEvent
 from repro.exec.runner import SweepRunner, Task, derive_seed
 from repro.stats.aggregate import SeedStats, summarize
 from repro.util.validate import ValidationError
@@ -81,7 +74,6 @@ class ReplicatedSweep:
     n_seeds: int
     base_seed: int
     scope: str
-    runner_stats: dict[str, Any] = field(default_factory=dict)
 
     def by_key(self) -> dict[tuple, ReplicatedPoint]:
         return {p.key: p for p in self.points}
@@ -114,15 +106,12 @@ def run_replicated(
     confidence: float = 0.95,
     runner: Optional[SweepRunner] = None,
     n_workers: int = 1,
-    on_event: Optional[ProgressCallback] = None,
 ) -> ReplicatedSweep:
     """Run every spec *seeds* times and group the results per point.
 
     With *value_of* (result → measurement, e.g. ``lambda p: p.time``)
-    each point also carries a :class:`SeedStats` aggregate and emits a
-    ``point_stats`` progress event.  *runner* overrides *n_workers* and
-    may carry its own callbacks; *on_event* subscribes to both the
-    runner's task events and the aggregation events.
+    each point also carries a :class:`SeedStats` aggregate.  *runner*
+    overrides *n_workers*.
     """
     specs = list(specs)
     if seeds < 1:
@@ -130,23 +119,13 @@ def run_replicated(
     if len({s.key for s in specs}) != len(specs):
         raise ValidationError("replicate spec keys must be unique")
     schedule = [replicate_seeds(base_seed, scope, s.key, seeds) for s in specs]
-    tasks = []
-    for spec, point_seeds in zip(specs, schedule):
-        for r, seed in enumerate(point_seeds):
-            kwargs = {**spec.kwargs, spec.seed_arg: seed}
-            tasks.append(
-                Task(
-                    spec.fn,
-                    kwargs,
-                    label=f"{spec.label}#s{r}" if seeds > 1 else spec.label,
-                    weight=spec.weight,
-                )
-            )
+    tasks = [
+        Task(spec.fn, {**spec.kwargs, spec.seed_arg: seed}, weight=spec.weight)
+        for spec, point_seeds in zip(specs, schedule)
+        for seed in point_seeds
+    ]
     if runner is None:
         runner = SweepRunner(n_workers=n_workers)
-    if on_event is not None:
-        runner.add_callback(on_event)
-    t0 = time.perf_counter()
     flat = runner.map(tasks)
 
     points: list[ReplicatedPoint] = []
@@ -157,18 +136,6 @@ def run_replicated(
             stats = summarize(
                 [value_of(r) for r in results], confidence=confidence
             )
-            if on_event is not None:
-                on_event(
-                    SweepEvent(
-                        "point_stats",
-                        time.perf_counter() - t0,
-                        index=k,
-                        done=k + 1,
-                        total=len(specs),
-                        label=spec.label,
-                        detail=str(stats),
-                    )
-                )
         points.append(
             ReplicatedPoint(
                 key=spec.key,
@@ -183,5 +150,4 @@ def run_replicated(
         n_seeds=seeds,
         base_seed=int(base_seed),
         scope=scope,
-        runner_stats=dict(runner.last_stats),
     )

@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
 
         metrics_core.enable()
         writer = SnapshotWriter(args.metrics)
-        runner = SweepRunner(n_workers=args.workers, on_event=writer)
+        runner = SweepRunner(n_workers=args.workers, on_point=writer)
 
     result = run_fig1(
         core_counts=tuple(args.cores),

@@ -35,6 +35,7 @@ from repro.placement.service import Decision, PlacementService
 from repro.tools._common import require_positive, resolve_topology
 from repro.topology.tree import Topology
 from repro.treematch import cost
+from repro.util.errors import ReproError
 from repro.util.validate import ValidationError
 
 
@@ -133,6 +134,12 @@ def serve_request(
     Ops: ``query`` / ``fail`` / ``drain`` / ``restore`` / ``stats`` /
     ``health`` (liveness: uptime, queries served, last error) /
     ``metrics`` (the registry snapshot, plus derived SLO lines).
+
+    A failed request is answered ``{"error": message, "code": code}``:
+    ``"invalid_request"`` for a malformed line or value (bad JSON, a
+    non-object request, a bad ``mode``, ``pus`` or ``matrix``),
+    ``"unknown_op"`` for an op not listed above, and ``"internal"`` for
+    anything else.
     """
     try:
         request = json.loads(line)
@@ -169,10 +176,13 @@ def serve_request(
                 "slo": service.slo(),
                 **metrics_core.registry().snapshot(),
             }
-        return {"error": f"unknown op {op!r}"}
+        return {"error": f"unknown op {op!r}", "code": "unknown_op"}
+    except (ReproError, json.JSONDecodeError) as exc:
+        service.record_error(exc)
+        return {"error": str(exc), "code": "invalid_request"}
     except Exception as exc:  # a bad request must not kill the server
         service.record_error(exc)
-        return {"error": str(exc)}
+        return {"error": str(exc), "code": "internal"}
 
 
 def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

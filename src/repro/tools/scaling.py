@@ -13,8 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.experiments.scaling import CELLS_PER_CORE, DEFAULT_PRESETS, run_scaling
-from repro.tools._common import require_nonnegative, require_positive
+from repro.experiments.scaling import (
+    CELLS_PER_CORE,
+    DEFAULT_PRESETS,
+    matrix_order,
+    run_scaling,
+)
+from repro.tools._common import (
+    require_matrix_fits,
+    require_nonnegative,
+    require_positive,
+)
 from repro.topology.generate import SCALING_SPECS
 
 
@@ -74,6 +83,11 @@ def main(argv: list[str] | None = None) -> int:
         cells_per_core=args.cells_per_core, seeds=args.seeds,
     )
     require_nonnegative(parser, workers=args.workers)
+    for name in args.preset:
+        pus = SCALING_SPECS[name].n_pus
+        require_matrix_fits(
+            parser, matrix_order(pus, args.cells_per_core), pus, openmp=True
+        )
 
     result = run_scaling(
         presets=tuple(args.preset),

@@ -2,13 +2,15 @@
 
 The contract under test (see ``repro.exec``): a sweep's results are in
 input order and bit-identical no matter how many workers ran it or how
-they were started; worker crashes are retried and, past the retry
-budget, the remainder finishes serially in-process; ordinary task
-exceptions propagate unchanged.
+they were started; worker crashes are retried on a rebuilt pool and,
+past the rebuild budget, the remainder finishes serially in-process,
+each step logging a warning; ordinary task exceptions propagate
+unchanged.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -20,7 +22,6 @@ import pytest
 
 from repro.comm import patterns
 from repro.exec import (
-    ExecError,
     SweepRunner,
     Task,
     cached_distance_model,
@@ -31,16 +32,19 @@ from repro.exec import (
     machine_inputs,
     matrix_digest,
     resolve_workers,
-    run_sweep,
     topology_fingerprint,
 )
 from repro.exec.cache import (
     _LRUDict,
     TOPOLOGY_CACHE_CAP,
     _TOPOLOGIES,
+    cache_stats,
     placement_key,
+    stats_delta,
 )
+from repro.exec.runner import POOL_REBUILDS
 from repro.experiments.fig1 import Fig1Point, Fig1Result, run_fig1
+from repro.metrics import core as metrics_core
 from repro.util.validate import ValidationError
 
 # ---------------------------------------------------------------------------
@@ -69,8 +73,22 @@ def _crash_once(x: int, sentinel: str) -> int:
     return x * x
 
 
-def _crash_always(x: int) -> int:
-    os._exit(42)
+def _square_in_parent(x: int, parent: int) -> tuple[int, int]:
+    """Die hard in any process but *parent*; there, return ``(x², pid)``.
+
+    Every pool attempt breaks, so only the serial fallback can finish.
+    """
+    if os.getpid() != parent:
+        os._exit(42)
+    return x * x, os.getpid()
+
+
+def _pid() -> int:
+    return os.getpid()
+
+
+def _square_tasks(n: int) -> list[Task]:
+    return [Task(_square, {"x": i}) for i in range(n)]
 
 
 def _topology_pus(groups: int) -> int:
@@ -110,107 +128,114 @@ class TestResolveWorkers:
 
 class TestSweepRunnerOrdering:
     def test_serial_matches_comprehension(self):
-        out = run_sweep(_square, [{"x": i} for i in range(10)], n_workers=1)
+        out = SweepRunner(n_workers=1).map(_square_tasks(10))
         assert out == [i * i for i in range(10)]
 
     def test_parallel_matches_serial(self):
-        kwargs = [{"x": i} for i in range(13)]
-        serial = run_sweep(_square, kwargs, n_workers=1)
-        parallel = run_sweep(_square, kwargs, n_workers=2, chunk_size=3)
+        serial = SweepRunner(n_workers=1).map(_square_tasks(13))
+        parallel = SweepRunner(n_workers=2).map(_square_tasks(13))
         assert parallel == serial
 
     def test_single_task_stays_in_process(self):
         runner = SweepRunner(n_workers=4)
-        assert runner.map([Task(_square, {"x": 5})]) == [25]
-        assert runner.last_stats["mode"] == "serial"
+        assert runner.map([Task(_pid)]) == [os.getpid()]
+
+    def test_many_tasks_run_in_pool_workers(self):
+        pids = SweepRunner(n_workers=2).map([Task(_pid) for _ in range(4)])
+        assert os.getpid() not in pids
 
     def test_chunk_indices_cover_everything(self):
-        runner = SweepRunner(n_workers=3, chunk_size=4)
-        chunks = runner._chunk_indices(11)
+        runner = SweepRunner(n_workers=3)
+        chunks = runner._chunk_indices(50)
         flat = [i for c in chunks for i in c]
-        assert flat == list(range(11))
-        assert all(len(c) <= 4 for c in chunks)
+        assert flat == list(range(50))
+        assert all(len(c) <= 5 for c in chunks)  # ceil(50 / (4 x 3))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
-            SweepRunner(chunk_size=0)
+            SweepRunner(n_workers=-1)
         with pytest.raises(ValidationError):
-            SweepRunner(max_retries=-1)
-        with pytest.raises(ValidationError):
-            run_sweep(_square, [{"x": 1}], labels=["a", "b"])
+            Task(_square, {"x": 1}, weight=0.0)
+
+
+@pytest.fixture
+def metrics_on(monkeypatch):
+    """A fresh, enabled global registry, restored afterwards."""
+    monkeypatch.delenv(metrics_core.ENV_METRICS, raising=False)
+    was = metrics_core.is_enabled()
+    metrics_core.reset_registry()
+    metrics_core.enable()
+    yield metrics_core.registry()
+    metrics_core.set_enabled(was)
+    metrics_core.reset_registry()
 
 
 class TestProgressEvents:
-    def test_event_envelope(self):
-        events = []
-        runner = SweepRunner(n_workers=1, on_event=events.append)
-        runner.map([Task(_square, {"x": i}) for i in range(3)])
-        kinds = [e.kind for e in events]
-        assert kinds[0] == "sweep_start"
-        assert kinds[-1] == "sweep_end"
-        assert kinds.count("point_done") == 3
-        assert events[-1].done == events[-1].total == 3
+    """Progress: the ``on_point`` hook and the runner's
+    ``sweep_progress_*`` gauges."""
 
-    def test_parallel_points_all_reported(self):
-        events = []
-        runner = SweepRunner(n_workers=2, chunk_size=2, on_event=events.append)
-        runner.map([Task(_square, {"x": i}) for i in range(6)])
-        assert sum(1 for e in events if e.kind == "point_done") == 6
-        assert sum(1 for e in events if e.kind == "chunk_done") == 3
+    def test_event_envelope(self, metrics_on):
+        seen = []
+
+        def on_point():
+            seen.append(metrics_on.gauge("sweep_progress_done").value)
+
+        runner = SweepRunner(n_workers=1, on_point=on_point)
+        runner.map(_square_tasks(3))
+        assert seen == [1.0, 2.0, 3.0]  # the gauge is live at every point
+        assert metrics_on.gauge("sweep_progress_total").value == 3.0
+
+    def test_parallel_points_all_reported(self, metrics_on):
+        calls = []
+        runner = SweepRunner(n_workers=2, on_point=lambda: calls.append(1))
+        runner.map(_square_tasks(6))
+        assert len(calls) == 6
+        assert (
+            metrics_on.gauge("sweep_progress_done").value
+            == metrics_on.gauge("sweep_progress_total").value
+            == 6.0
+        )
 
     def test_cache_stats_event(self):
         clear_cache()
-        events = []
-        runner = SweepRunner(n_workers=1, on_event=events.append)
+        before = cache_stats()
         tasks = [Task(_topology_pus, {"groups": g}) for g in (1, 2, 1, 2)]
-        assert runner.map(tasks) == [4, 8, 4, 8]
-        kinds = [e.kind for e in events]
-        assert kinds.index("cache_stats") < kinds.index("sweep_end")
-        assert runner.last_stats["cache"] == {"topology_build": 2}
-        assert events[kinds.index("cache_stats")].detail == "topology_build=2"
+        assert SweepRunner(n_workers=1).map(tasks) == [4, 8, 4, 8]
+        assert stats_delta(before) == {"topology_build": 2}
 
 
 class TestErrorPaths:
     def test_task_exception_propagates_serial(self):
         with pytest.raises(ValueError, match="boom at 2"):
-            run_sweep(_boom, [{"x": 2}], n_workers=1)
+            SweepRunner(n_workers=1).map([Task(_boom, {"x": 2})])
 
     def test_task_exception_propagates_parallel(self):
         with pytest.raises(ValueError, match="boom"):
-            run_sweep(_boom, [{"x": i} for i in range(4)], n_workers=2)
+            SweepRunner(n_workers=2).map([Task(_boom, {"x": i}) for i in range(4)])
 
-    def test_worker_crash_retried(self, tmp_path):
-        """One worker death breaks the pool; the retry completes the sweep."""
-        sentinel = str(tmp_path / "crashed")
-        events = []
-        runner = SweepRunner(
-            n_workers=2, chunk_size=1, max_retries=1, on_event=events.append
-        )
-        tasks = [Task(_crash_once, {"x": i, "sentinel": sentinel}) for i in range(4)]
-        assert runner.map(tasks) == [0, 1, 4, 9]
-        assert runner.last_stats["crashes"] == 1
-        assert runner.last_stats["serial_fallback"] is False
-        kinds = [e.kind for e in events]
-        assert "worker_crash" in kinds
-        assert "retry" in kinds
+    def test_worker_crash_retried(self, tmp_path, caplog):
+        """One worker death breaks the pool; the rebuilt pool completes
+        the sweep."""
+        sentinel = tmp_path / "crashed"
+        tasks = [
+            Task(_crash_once, {"x": i, "sentinel": str(sentinel)}) for i in range(4)
+        ]
+        with caplog.at_level(logging.WARNING, logger="repro.exec"):
+            assert SweepRunner(n_workers=2).map(tasks) == [0, 1, 4, 9]
+        assert sentinel.exists()
+        messages = [r.getMessage() for r in caplog.records]
+        assert len([m for m in messages if "rebuilding" in m]) == 1
+        assert not [m for m in messages if "serially" in m]
 
-    def test_crashes_exhaust_retries_then_serial_fallback(self, tmp_path):
-        sentinel = str(tmp_path / "crashed")
-        events = []
-        runner = SweepRunner(
-            n_workers=2, chunk_size=1, max_retries=0, on_event=events.append
-        )
-        tasks = [Task(_crash_once, {"x": i, "sentinel": sentinel}) for i in range(4)]
-        assert runner.map(tasks) == [0, 1, 4, 9]
-        assert runner.last_stats["serial_fallback"] is True
-        assert "serial_fallback" in [e.kind for e in events]
-
-    def test_fallback_disabled_raises(self):
-        runner = SweepRunner(
-            n_workers=2, chunk_size=1, max_retries=0, serial_fallback=False
-        )
-        with pytest.raises(ExecError, match="unfinished"):
-            runner.map([Task(_crash_always, {"x": i}) for i in range(4)])
+    def test_crashes_exhaust_rebuilds_then_run_serially(self, caplog):
+        parent = os.getpid()
+        tasks = [Task(_square_in_parent, {"x": i, "parent": parent}) for i in range(4)]
+        with caplog.at_level(logging.WARNING, logger="repro.exec"):
+            out = SweepRunner(n_workers=2).map(tasks)
+        assert out == [(i * i, parent) for i in range(4)]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len([m for m in messages if "rebuilding" in m]) == POOL_REBUILDS
+        assert len([m for m in messages if "serially" in m]) == 1
 
 
 class TestWorkerCaches:
@@ -416,7 +441,6 @@ class TestSerialParallelDeterminism:
             else:
                 runner = SweepRunner(n_workers=2, mp_context=method)
                 pooled[method] = run_fig1(runner=runner, **common).points
-                assert runner.last_stats["mode"] == "parallel"
         return serial, pooled, stderr
 
     def test_same_point_order(self, sweeps):

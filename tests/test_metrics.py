@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import urllib.request
 
@@ -91,10 +90,6 @@ def test_counter_monotonic():
     assert c.value == 5
     with pytest.raises(ValidationError):
         c.inc(-1)
-    c.set_to_max(3)  # never moves backward
-    assert c.value == 5
-    c.set_to_max(9)
-    assert c.value == 9
 
 
 def test_gauge_never_stable():
@@ -373,38 +368,47 @@ def test_metrics_probe_filter_spec_roundtrip():
 # -- snapshot bus ----------------------------------------------------------
 
 
-def test_snapshot_writer_atomic_and_progress(tmp_path):
-    from repro.exec.progress import SweepEvent
+def _square(x: int) -> int:
+    return x * x
 
+
+def test_snapshot_writer_atomic_and_progress(tmp_path):
+    from repro.exec.runner import SweepRunner, Task
+
+    core.enable()
+    core.registry().counter("sim_runs_total").inc(3)
     path = tmp_path / "live.json"
-    reg = MetricRegistry()
-    reg.counter("sim_runs_total").inc(3)
-    writer = SnapshotWriter(str(path), registry=reg, min_interval=0.0)
-    writer(SweepEvent("sweep_start", 0.0, total=10))
-    writer(SweepEvent("point_done", 0.1, index=0, done=1, total=10))
-    writer(SweepEvent("point_done", 0.2, index=1, done=2, total=10))
+    writer = SnapshotWriter(str(path), min_interval=0.0)
+    done_at_write = []
+
+    def on_point():
+        writer()
+        done_at_write.append(
+            read_snapshot(str(path))["metrics"]["sweep_progress_done"]["value"]
+        )
+
+    SweepRunner(n_workers=1, on_point=on_point).map(
+        [Task(_square, {"x": i}) for i in range(10)]
+    )
+    assert done_at_write == [float(i) for i in range(1, 11)]
     snap = read_snapshot(str(path))
     m = snap["metrics"]
     assert m["sweep_progress_total"]["value"] == 10.0
-    assert m["sweep_progress_done"]["value"] == 2.0
+    assert m["sweep_progress_done"]["value"] == 10.0
     assert m["sim_runs_total"]["value"] == 3
     assert snap["written_at"] > 0
 
 
 def test_snapshot_writer_rate_limit_and_forced_end(tmp_path):
-    from repro.exec.progress import SweepEvent
-
     path = tmp_path / "live.json"
     writer = SnapshotWriter(
         str(path), registry=MetricRegistry(), min_interval=3600.0
     )
-    writer(SweepEvent("sweep_start", 0.0, total=4))
-    writer(SweepEvent("point_done", 0.1, done=1, total=4))
-    assert writer.writes == 1  # second call rate-limited
-    writer(SweepEvent("sweep_end", 0.2, done=4, total=4))
-    assert writer.writes == 2  # sweep_end always flushes
     writer()
-    assert writer.writes == 3  # explicit flush always writes
+    writer()
+    assert writer.writes == 1  # second call rate-limited
+    writer.flush()
+    assert writer.writes == 2  # an explicit flush always writes
 
 
 class _FakeClock:
@@ -419,12 +423,11 @@ class _FakeClock:
 
 
 def test_telemetry_under_fake_clock_from_zero(tmp_path, monkeypatch, paper_topo_small):
-    """Bus, progress bar, ``top`` and service health/SLO with every
-    clock starting at 0: nothing may treat 0 as "long ago"."""
+    """Bus, ``top`` and service health/SLO with every clock starting
+    at 0: nothing may treat 0 as "long ago"."""
     import time
 
     from repro.comm import patterns
-    from repro.exec.progress import ProgressBar, SweepEvent
     from repro.placement.service import PlacementService
     from repro.tools.top import render_dashboard
 
@@ -440,26 +443,23 @@ def test_telemetry_under_fake_clock_from_zero(tmp_path, monkeypatch, paper_topo_
 
     path = tmp_path / "live.json"
     writer = SnapshotWriter(str(path), min_interval=3600.0)
-    bar = ProgressBar(stream=io.StringIO())
+    reg = core.registry()
+    reg.gauge("sweep_progress_total").set(4)
+    done = reg.gauge("sweep_progress_done")
 
-    def emit(event):
-        writer(event)
-        bar(event)
-
-    emit(SweepEvent("sweep_start", clock(), total=4))
+    writer()
     assert writer.writes == 1  # the first snapshot is written at t=0
     first = read_snapshot(str(path))
     assert first["written_at"] == 0.0
 
     clock.t = 10.0
-    emit(SweepEvent("point_done", clock(), index=0, done=1, total=4))
+    done.inc()
+    writer()
     assert writer.writes == 1  # within min_interval: rate-limited
-    assert bar.render(SweepEvent("point_done", clock(), done=1, total=4)).endswith(
-        "eta 30s"
-    )
 
     clock.t = 3600.0
-    emit(SweepEvent("point_done", clock(), index=1, done=2, total=4))
+    done.inc()
+    writer()
     assert writer.writes == 2  # a full interval after the first write
     second = read_snapshot(str(path))
     assert second["written_at"] == 3600.0
@@ -468,9 +468,8 @@ def test_telemetry_under_fake_clock_from_zero(tmp_path, monkeypatch, paper_topo_
     assert "2 queries, 50% warm" in frame
 
     clock.t = 3601.0
-    emit(SweepEvent("sweep_end", clock(), done=4, total=4))
-    assert writer.writes == 3  # sweep_end always flushes
-    assert "4/4 done in 3601.0s" in bar.stream.getvalue()
+    writer.flush()
+    assert writer.writes == 3  # an explicit flush always writes
 
     health = service.health()
     assert health["uptime_s"] == 3601.0
@@ -521,27 +520,6 @@ def test_top_rates_from_prev_snapshot():
 
     frame = render_dashboard(snap(300, 10.0), prev=snap(100, 8.0))
     assert "100 q/s" in frame
-
-
-# -- progress bar ----------------------------------------------------------
-
-
-def test_progress_bar_eta():
-    from repro.exec.progress import ProgressBar, SweepEvent
-
-    buf = io.StringIO()
-    bar = ProgressBar(stream=buf, width=10)
-    bar(SweepEvent("sweep_start", 0.0, total=40))
-    for i in range(1, 13):  # twelve points, 6 s elapsed
-        bar(SweepEvent("point_done", i * 0.5, done=i, total=40))
-    line = bar.render(SweepEvent("point_done", 6.0, done=12, total=40))
-    assert "12/40 done" in line
-    # 6 s / 12 done × 28 left = 14 s
-    assert "eta 14s" in line
-    bar(SweepEvent("sweep_end", 30.0, done=40, total=40))
-    out = buf.getvalue()
-    assert out.endswith("\n")
-    assert "40/40 done" in out
 
 
 # -- history ---------------------------------------------------------------
@@ -627,7 +605,7 @@ def test_serve_health_verb(_serve_parts):
     assert health["last_error"] is None
 
     bad = serve_request(service, topo, matrix, '{"op": "query", "mode": "bogus"}')
-    assert "error" in bad
+    assert bad["code"] == "invalid_request"
     degraded = serve_request(service, topo, matrix, '{"op": "health"}')
     assert degraded["status"] == "degraded"
     assert degraded["last_error"] and degraded["last_error_age_s"] >= 0.0
@@ -654,9 +632,26 @@ def test_serve_malformed_request_keeps_server_alive(_serve_parts):
 
     service, topo, matrix = _serve_parts
     out = serve_request(service, topo, matrix, "not json at all")
-    assert "error" in out
+    assert out["code"] == "invalid_request" and out["error"]
     out = serve_request(service, topo, matrix, '{"op": "mystery"}')
-    assert out == {"error": "unknown op 'mystery'"}
+    assert out == {"error": "unknown op 'mystery'", "code": "unknown_op"}
+    assert serve_request(service, topo, matrix, '{"op": "query"}')["mapping"]
+
+
+def test_serve_unexpected_failure_is_internal(_serve_parts, monkeypatch):
+    from repro.tools.place import serve_request
+
+    service, topo, matrix = _serve_parts
+
+    def broken_stats():
+        raise RuntimeError("stats store gone")
+
+    monkeypatch.setattr(service, "stats", broken_stats)
+    out = serve_request(service, topo, matrix, '{"op": "stats"}')
+    assert out == {"error": "stats store gone", "code": "internal"}
+    assert serve_request(service, topo, matrix, '{"op": "health"}')["status"] == (
+        "degraded"
+    )
     assert serve_request(service, topo, matrix, '{"op": "query"}')["mapping"]
 
 
@@ -675,6 +670,13 @@ def test_serve_malformed_request_keeps_server_alive(_serve_parts):
         pytest.param('{"matrix": "x"}', "'matrix'", id="matrix-string"),
         pytest.param('{"matrix": [["a", 1], [1, 0]]}', "'matrix'", id="matrix-non-numeric"),
         pytest.param('{"matrix": [[0, -1], [-1, 0]]}', "'matrix'", id="matrix-negative"),
+        pytest.param('{"mode": "bogus"}', "mode", id="mode-unknown"),
+        pytest.param('{"mode": 3}', "mode", id="mode-int"),
+        pytest.param('{"op": "fail", "pus": [9999]}', "PU", id="fail-unknown-pu"),
+        pytest.param('{"op": "drain", "pus": [9999]}', "PU", id="drain-unknown-pu"),
+        pytest.param(
+            '{"op": "restore", "pus": [9999]}', "PU", id="restore-unknown-pu"
+        ),
     ],
 )
 def test_serve_ill_shaped_request_named_in_error(_serve_parts, line, field):
@@ -682,7 +684,8 @@ def test_serve_ill_shaped_request_named_in_error(_serve_parts, line, field):
 
     service, topo, matrix = _serve_parts
     out = serve_request(service, topo, matrix, line)
-    assert list(out) == ["error"] and field in out["error"]
+    assert out["code"] == "invalid_request" and field in out["error"]
+    assert sorted(out) == ["code", "error"]
     assert service.epoch == 0  # the fault state is untouched
     assert serve_request(service, topo, matrix, '{"op": "query"}')["mapping"]
 

@@ -175,10 +175,10 @@ class TestObserveExportersUnderParallelSweeps:
     def test_jsonl_interleaving_not_corrupted(self, tmp_path):
         shared = str(tmp_path / "interleaved.jsonl")
         tasks = [
-            Task(_traced_point, {"seed": s, "out_path": shared}, label=f"t{s}")
+            Task(_traced_point, {"seed": s, "out_path": shared})
             for s in range(8)
         ]
-        runner = SweepRunner(n_workers=4, chunk_size=1)
+        runner = SweepRunner(n_workers=4)  # one task per chunk
         texts = runner.map(tasks)
 
         # every line of the shared file parses; no torn or merged lines

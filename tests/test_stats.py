@@ -170,7 +170,7 @@ class TestRunReplicated:
                       value_of=lambda v: v)
         serial = run_replicated(self._specs(), n_workers=1, **kwargs)
         parallel = run_replicated(
-            self._specs(), runner=SweepRunner(n_workers=2, chunk_size=2), **kwargs
+            self._specs(), runner=SweepRunner(n_workers=2), **kwargs
         )
         for a, b in zip(serial.points, parallel.points):
             assert a.key == b.key
@@ -178,27 +178,21 @@ class TestRunReplicated:
             assert a.stats == b.stats  # SeedStats equality is bitwise
 
     def test_stats_and_events(self):
-        events = []
+        calls = []
         sweep = run_replicated(
             self._specs(), seeds=2, base_seed=0, scope="t",
-            value_of=lambda v: v, on_event=events.append,
+            value_of=lambda v: v,
+            runner=SweepRunner(n_workers=1, on_point=lambda: calls.append(1)),
         )
         for p in sweep.points:
             assert isinstance(p.stats, SeedStats)
             assert p.stats.n == 2
             assert p.stats.ci_lo <= p.stats.mean <= p.stats.ci_hi
-        kinds = [e.kind for e in events]
-        assert kinds.count("point_done") == 6  # one per replicate
-        assert kinds.count("point_stats") == 3  # one per point
-        done_labels = [e.label for e in events if e.kind == "point_done"]
-        assert "p0#s0" in done_labels and "p0#s1" in done_labels
+        assert len(calls) == 6  # one completed point per replicate
 
     def test_seeds_one_keeps_plain_labels(self):
-        events = []
-        run_replicated(self._specs(), seeds=1, base_seed=0, scope="t",
-                       on_event=events.append)
-        labels = {e.label for e in events if e.kind == "point_done"}
-        assert labels == {"p0", "p1", "p2"}
+        sweep = run_replicated(self._specs(), seeds=1, base_seed=0, scope="t")
+        assert [p.label for p in sweep.points] == ["p0", "p1", "p2"]
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValidationError):

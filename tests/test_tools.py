@@ -149,6 +149,7 @@ class TestScalingCli:
             ["--iterations", "0"],
             ["--cells-per-core", "0"],
             ["--workers", "-1"],
+            ["--preset", "paper", "--cells-per-core", "64", "--iterations", "1"],
         ],
     )
     def test_bad_count_rejected_before_sweep(self, argv, monkeypatch, capsys):

@@ -118,7 +118,6 @@ class TestLog:
         ("repro.topology.tree", "TopologyError", ValueError),
         ("repro.simulate.engine", "SimulationError", RuntimeError),
         ("repro.orwl.fifo", "FifoError", RuntimeError),
-        ("repro.exec.runner", "ExecError", RuntimeError),
         ("repro.observe.invariants", "InvariantError", AssertionError),
     ],
 )
