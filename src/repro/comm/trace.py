@@ -33,16 +33,18 @@ class CommTracer:
 
     def register(self, name: str) -> int:
         """Register an entity; returns its stable integer id (idempotent)."""
-        if name in self._ids:
-            return self._ids[name]
-        idx = len(self._names)
-        self._ids[name] = idx
-        self._names.append(name)
-        return idx
+        return self.register_all((name,))[0]
 
     def register_all(self, names: Iterable[str]) -> list[int]:
-        """Register several entities, preserving order."""
-        return [self.register(n) for n in names]
+        """Register several entities, preserving order; returns their ids."""
+        ids, known = [], self._ids
+        for name in names:
+            idx = known.get(name)
+            if idx is None:
+                idx = known[name] = len(self._names)
+                self._names.append(name)
+            ids.append(idx)
+        return ids
 
     def id_of(self, name: str) -> int:
         try:

@@ -136,7 +136,7 @@ def control_strategy_comparison(
         [
             ReplicateSpec(
                 _control_scenario, dict(name=n, iterations=iterations),
-                key=(n,), label=n,
+                key=(n,),
             )
             for n in names
         ],
@@ -204,7 +204,7 @@ def oversubscription_study(
         [
             ReplicateSpec(
                 _oversub_point, dict(factor=f, iterations=iterations),
-                key=(f,), label=f"x{f}",
+                key=(f,),
             )
             for f in factors
         ],

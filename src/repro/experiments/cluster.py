@@ -138,7 +138,6 @@ def run_cluster_lk23(
                     shuffle_declaration=shuffle_declaration,
                 ),
                 key=(policy,),
-                label=policy,
             )
             for policy in policies
         ],

@@ -334,7 +334,6 @@ def run_dag(
                 perf_report=perf_report,
             ),
             key=(workload, policy),
-            label=f"{workload}/{policy}",
             weight=weight_of[workload],
         )
         for workload in workloads

@@ -510,7 +510,6 @@ def run_fig1(
                 perf_report=perf_report,
             ),
             key=(impl, c),
-            label=f"{impl}@{c}",
         )
         for c in core_counts
         for impl in implementations

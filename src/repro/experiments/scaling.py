@@ -337,7 +337,6 @@ def run_scaling(
                 perf_report=perf_report,
             ),
             key=(preset, impl),
-            label=f"{impl}@{preset}",
             weight=float(n_cores),
         )
         for preset, n_cores in sized

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from itertools import islice
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Sequence
 
 from repro.util.errors import ReproError
 
@@ -89,24 +89,38 @@ class OrwlFifo:
         a control thread).
     name:
         Diagnostic label (usually the location name).
+    queue, n_granted:
+        Requests the FIFO starts with, head first, of which the first
+        *n_granted* are already granted (all reads, or one write): the
+        state a run's init protocol leaves, which
+        :meth:`repro.orwl.program.Program.freeze` computes once.  No
+        grant callback runs for them here.
     """
+
+    __slots__ = (
+        "_queue", "_on_grant", "name", "inserted", "_n_granted", "_n_granted_writes"
+    )
 
     def __init__(
         self,
         on_grant: Optional[Callable[[Request], None]] = None,
         name: str = "",
+        queue: Sequence[Request] = (),
+        n_granted: int = 0,
     ) -> None:
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[Request] = deque(queue)
         self._on_grant = on_grant or _ignore_grant
         self.name = name
         #: total requests ever inserted (diagnostics).
-        self.inserted = 0
+        self.inserted = len(queue)
         # Granted requests always form a prefix of the queue; these two
         # counters describe it (its length, and how many of its entries
         # are writes — 0 or 1, a write being granted alone), so neither
         # granting nor releasing ever rescans the queue.
-        self._n_granted = 0
-        self._n_granted_writes = 0
+        self._n_granted = n_granted
+        self._n_granted_writes = (
+            1 if n_granted and queue[0].mode is AccessMode.WRITE else 0
+        )
 
     # -- queue inspection ---------------------------------------------------
 

@@ -8,8 +8,9 @@ A handle binds one operation to one location with one access mode and
 carries the currently pending/granted :class:`~repro.orwl.fifo.Request`.
 The canonical iterative lifecycle is::
 
-    request()   # insert into the FIFO (done by the runtime at startup,
-                # in global declaration order — the ORWL init protocol)
+    request()   # insert into the FIFO (the ORWL init protocol: global
+                # declaration order; each run starts from its outcome,
+                # frozen with the program)
     acquire()   # block until granted        \
     ...use...                                 |  each iteration
     next_request() + release()               /   (orwl_next)
@@ -53,12 +54,6 @@ class Handle:
         #: request this handle inserts (set by the runtime; -1 = none).
         self.waiter = -1
         self._request: Optional[Request] = None
-
-    def arm(self, waiter: int) -> None:
-        """Start a run as simulator thread *waiter*, with no request
-        (the runtime's init protocol then inserts the first one)."""
-        self.waiter = waiter
-        self._request = None
 
     # -- protocol steps (called by the runtime/context) ---------------------
 

@@ -12,10 +12,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.orwl.fifo import OrwlFifo, Request, _ignore_grant
+from repro.orwl.fifo import OrwlFifo, Request, RequestState, _ignore_grant
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.orwl.handle import Handle
 
 
 class Location:
@@ -58,12 +61,30 @@ class Location:
         self.owner_task = owner_task
         self.rearm(None)
 
-    def rearm(self, on_grant: Optional[Callable[[Request], None]]) -> None:
+    def rearm(
+        self,
+        on_grant: Optional[Callable[[Request], None]],
+        queue: Sequence["Handle"] = (),
+        n_granted: int = 0,
+    ) -> None:
         """Start a run: a fresh FIFO whose grants go to *on_grant*, and
         no provenance.  Every :class:`~repro.orwl.runtime.Runtime`
         re-arms the locations of the program it runs, so a program can
-        run any number of times."""
-        self.fifo = OrwlFifo(on_grant, name=self.name)
+        run any number of times.
+
+        The FIFO starts as the ORWL init protocol leaves it (see
+        :meth:`~repro.orwl.program.Program.freeze`): one request per
+        handle of *queue*, in order, stamped with the handle's waiter
+        and made its live request, the first *n_granted* granted.  No
+        grant callback runs here; the runtime calls them.
+        """
+        requests = []
+        for h in queue:
+            h._request = req = Request(h.mode, h.op_name, h.waiter)
+            requests.append(req)
+        for req in requests[:n_granted]:
+            req.state = RequestState.GRANTED
+        self.fifo = OrwlFifo(on_grant, self.name, requests, n_granted)
         #: thread id (simulator tid) of the last writer, -1 if never written.
         self.last_writer_tid: int = -1
         #: op name of the last writer ("" if never written).

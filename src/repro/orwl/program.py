@@ -130,9 +130,12 @@ class Program:
         self._op_order: list[Operation] = []
         self._frozen = False
         #: frozen programs only: the operations in declaration order,
-        #: and every handle in the init protocol's insertion order.
+        #: every handle in the init protocol's insertion order, and
+        #: that protocol's outcome (see :meth:`freeze`).
         self._ops: tuple[Operation, ...] = ()
         self._init_order: tuple[Handle, ...] = ()
+        self._init_queues: tuple[tuple[Location, tuple[Handle, ...], int], ...] = ()
+        self._init_grants: tuple[Handle, ...] = ()
         #: the runtime that armed the program last.  Weak, so a kept
         #: program does not keep a finished run (and its machine) alive.
         self._armed_by: Optional[weakref.ReferenceType["Runtime"]] = None
@@ -143,15 +146,20 @@ class Program:
         """End construction, validating once; returns the program itself.
 
         A frozen program keeps its operations and the ORWL init
-        protocol's order, which every runtime reads instead of
-        recomputing: all handles sorted by ``init_phase``, ties in
+        protocol's order: all handles sorted by ``init_phase``, ties in
         declaration order (operation, then handle), as they stand at
-        freeze.  Declaring a location, task, operation or handle then
-        raises :class:`ValidationError`; an operation's ``body`` may
-        still be swapped.  A program that fails :meth:`validate` stays
-        unfrozen.  Freezing is one-way and idempotent; a
-        :class:`~repro.orwl.runtime.Runtime` freezes the program it
-        runs.
+        freeze.  It also keeps that protocol's outcome, which depends
+        on nothing else, so every runtime copies it instead of
+        replaying the protocol handle by handle: per location, its
+        handles in queue order and the length of the granted prefix
+        (a leading write alone, else the leading reads); and the
+        granted handles in init order, the order their grant
+        callbacks run in.  Declaring a location, task, operation or
+        handle then raises :class:`ValidationError`; an operation's
+        ``body`` may still be swapped.  A program that fails
+        :meth:`validate` stays unfrozen.  Freezing is one-way and
+        idempotent; a :class:`~repro.orwl.runtime.Runtime` freezes the
+        program it runs.
         """
         if self._frozen:
             return self
@@ -159,8 +167,27 @@ class Program:
         ops = tuple(self._op_order)
         handles = [h for op in ops for h in op.handles]
         handles.sort(key=lambda h: h.init_phase)  # stable: ties keep order
+        queue_of: dict[Location, list[Handle]] = {
+            loc: [] for loc in self.locations.values()
+        }
+        for h in handles:
+            queue_of.setdefault(h.location, []).append(h)
+        granted: set[Handle] = set()
+        queues = []
+        for loc, queue in queue_of.items():
+            if queue and queue[0].mode is AccessMode.WRITE:
+                n_granted = 1
+            else:
+                n_granted = next(
+                    (k for k, h in enumerate(queue) if h.mode is AccessMode.WRITE),
+                    len(queue),
+                )
+            granted.update(queue[:n_granted])
+            queues.append((loc, tuple(queue), n_granted))
         self._ops = ops
         self._init_order = tuple(handles)
+        self._init_queues = tuple(queues)
+        self._init_grants = tuple(h for h in handles if h in granted)
         for task in self.tasks.values():
             task._frozen = True
         for op in ops:

@@ -12,7 +12,8 @@ on :class:`repro.simulate.Machine`:
   (this is what the paper's control-thread mapping extension optimizes);
 * the **init protocol** inserts every handle's first request in global
   declaration order before any thread starts, giving the deterministic
-  initial FIFO ordering ORWL prescribes;
+  initial FIFO ordering ORWL prescribes (its outcome is frozen with the
+  program, and every run starts from a copy of it);
 * read acquisitions physically pull the location payload from its last
   writer, priced by topological distance — the locality being optimized.
 
@@ -113,6 +114,8 @@ class OpContext:
     ``yield from ctx.acquire(h)``.  Non-blocking ones are plain calls.
     """
 
+    __slots__ = ("_rt", "op", "tid")
+
     def __init__(self, runtime: "Runtime", op: Operation, tid: int) -> None:
         self._rt = runtime
         self.op = op
@@ -145,7 +148,7 @@ class OpContext:
     def now(self) -> float:
         """Current simulated time (seconds) — for schedule recording
         (e.g. the DAG frontend's per-task ready/done timestamps)."""
-        return self._rt.machine.engine.now
+        return self._rt.machine.engine._now
 
     # -- lock protocol ------------------------------------------------------
 
@@ -241,7 +244,7 @@ class Runtime:
         ops = program._ops
         n_ops = len(ops)
         if mapping is None:
-            mapping = Mapping(tuple(-1 for _ in ops), policy="nobind")
+            mapping = Mapping((-1,) * n_ops, policy="nobind")
         if mapping.n_threads != n_ops:
             raise ValidationError(
                 f"mapping covers {mapping.n_threads} threads, program has {n_ops} ops"
@@ -260,56 +263,54 @@ class Runtime:
         self._running = False
         program._armed_by = weakref.ref(self)
 
-        # -- create op threads (declaration order == thread order) ---------
-        self._op_tid: dict[str, int] = {}
-        self._trace_id_of_tid: dict[int, int] = {}
-        for k, op in enumerate(ops):
-            pu = mapping.pu(k)
-            tid = machine.add_thread(op.name, bound_pu_os=pu if pu >= 0 else None)
-            self._op_tid[op.name] = tid
+        # -- op threads (declaration order == thread order); each handle
+        # stamps its requests with its operation's thread id.
+        op_names = [op.name for op in ops]
+        op_tids = machine.add_threads(op_names, mapping.pu_of)
+        self._op_tid = dict(zip(op_names, op_tids))
+        for op, tid in zip(ops, op_tids):
             for h in op.handles:
-                h.arm(tid)
-            if self.tracer is not None:
-                self._trace_id_of_tid[tid] = self.tracer.register(op.name)
+                h.waiter = tid
+        self._trace_id_of_tid: dict[int, int] = (
+            dict(zip(op_tids, self.tracer.register_all(op_names)))
+            if self.tracer is not None else {}
+        )
 
-        # -- create control threads (one per task) -------------------------
+        # -- control threads (one per task) ---------------------------------
         self._control_queue_of_task: dict[str, _ControlQueue] = {}
         self._control_tids: list[int] = []
         # Syscalls are immutable: one grant burst serves every grant.
         self._grant_service = Compute(self.config.grant_cost)
         if self.config.control_threads:
-            for k, tname in enumerate(task_names):
-                pu = control_mapping.pu(k) if control_mapping is not None else -1
-                # Control threads are mostly-sleeping event handlers: they
-                # preempt briefly rather than queue behind compute bursts.
-                tid = machine.add_thread(
-                    f"{tname}/ctl", bound_pu_os=pu if pu >= 0 else None, priority=True
-                )
-                cq = _ControlQueue()
-                self._control_queue_of_task[tname] = cq
-                self._control_tids.append(tid)
+            # Control threads are mostly-sleeping event handlers: they
+            # preempt briefly rather than queue behind compute bursts.
+            self._control_tids = list(machine.add_threads(
+                [f"{tname}/ctl" for tname in task_names],
+                control_mapping.pu_of if control_mapping is not None
+                else (-1,) * len(task_names),
+                priority=True,
+            ))
+            for tname, tid in zip(task_names, self._control_tids):
+                cq = self._control_queue_of_task[tname] = _ControlQueue()
                 machine.set_body(tid, self._control_body(cq, tid))
 
-        # -- a fresh FIFO per location, before any request is inserted.
-        # Its grants go to the owner task's control queue, or straight
-        # to delivery when the owner has no control thread.
+        # -- the ORWL init protocol, copied from its outcome frozen with
+        # the program (see Program.freeze): every location gets a fresh
+        # FIFO already holding its seeded requests, then the owners'
+        # grant callbacks run in the order the protocol would call them.
+        # Grants go to the owner task's control queue, or straight to
+        # delivery when the owner has no control thread.
         queues = self._control_queue_of_task
         direct = self._grant_direct
-        for loc in program.locations.values():
-            loc.rearm(queues.get(loc.owner_task, direct))
-
-        # -- the ORWL init protocol, in the program's frozen init order
-        # (see Program.freeze): the deterministic global insertion
-        # order that seeds every FIFO.
-        for h in program._init_order:
-            h.insert_request()
+        for loc, queue, n_granted in program._init_queues:
+            loc.rearm(queues.get(loc.owner_task, direct), queue, n_granted)
+        for h in program._init_grants:
+            queues.get(h.location.owner_task, direct)(h.request)
 
         # -- attach op bodies ------------------------------------------------
         self._ops_remaining = n_ops
-        for k, op in enumerate(ops):
-            tid = self._op_tid[op.name]
-            ctx = OpContext(self, op, tid)
-            machine.set_body(tid, self._op_wrapper(op, ctx))
+        for op, tid in zip(ops, op_tids):
+            machine.set_body(tid, self._op_wrapper(op, OpContext(self, op, tid)))
 
         self._ran = False
 

@@ -196,7 +196,7 @@ def bind_program(
     placed = policy.place(topo, n_tasks, matrix=tmat, labels=task_names)
 
     # Expand the task mapping to per-operation and control assignments.
-    main_pu = {task_names[k]: placed.pu(k) for k in range(n_tasks)}
+    main_pu = dict(zip(task_names, placed.pu_of))
     strategy: Optional[ControlStrategy] = None
     comm_pu: dict[int, int] = {}  # op index -> PU
     ctl_pus: list[int] = [-1] * n_tasks
@@ -264,11 +264,12 @@ def bind_program(
             op_pus.append(main_pu[op.task_name])
         else:
             op_pus.append(comm_pu.get(k, -1))
-    mapping = Mapping(tuple(op_pus), tuple(op_labels), policy=placed.policy)
-    control_mapping = Mapping(
+    # Every entry comes from the placed mapping or is -1: nothing to check.
+    mapping = Mapping.prechecked(tuple(op_pus), tuple(op_labels), placed.policy)
+    control_mapping = Mapping.prechecked(
         tuple(ctl_pus),
-        tuple(f"{t}/ctl" for t in task_names),
-        policy=f"{placed.policy}-control",
+        tuple([f"{t}/ctl" for t in task_names]),
+        f"{placed.policy}-control",
     )
     return BindPlan(
         mapping=mapping,

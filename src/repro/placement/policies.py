@@ -158,10 +158,8 @@ class NoBindPolicy(PlacementPolicy):
         matrix: Optional[CommMatrix] = None,
         labels: Optional[Sequence[str]] = None,
     ) -> Mapping:
-        return Mapping(
-            tuple(-1 for _ in range(n_threads)),
-            self._labels(n_threads, labels),
-            policy=self.name,
+        return Mapping.prechecked(
+            (-1,) * n_threads, self._labels(n_threads, labels), self.name
         )
 
 
@@ -214,8 +212,8 @@ class TreeMatchPolicy(PlacementPolicy):
         )
         self.last_result = result
         mapping = result.mapping.restricted(n_threads)
-        return Mapping(
-            mapping.pu_of, self._labels(n_threads, labels), policy=self.name
+        return Mapping.prechecked(
+            mapping.pu_of, self._labels(n_threads, labels), self.name
         )
 
 
@@ -272,8 +270,8 @@ class ServicePolicy(PlacementPolicy):
         decision = self.service_for(topo).query_sync(matrix)
         self.last_decision = decision
         mapping = decision.mapping.restricted(n_threads)
-        return Mapping(
-            mapping.pu_of, self._labels(n_threads, labels), policy=self.name
+        return Mapping.prechecked(
+            mapping.pu_of, self._labels(n_threads, labels), self.name
         )
 
 

@@ -54,7 +54,12 @@ class Engine:
 
     @property
     def now(self) -> float:
-        """Current simulated time in seconds."""
+        """Current simulated time in seconds.
+
+        The simulator's own per-event paths (the machine, ``SimEvent``,
+        the ORWL runtime) read the ``_now`` slot instead: the same value
+        without a property call.
+        """
         return self._now
 
     @property
@@ -168,7 +173,7 @@ class SimEvent:
         that has passed).
         """
         if self._fired:
-            self._engine.schedule(max(0.0, self._release_at - self._engine.now), callback)
+            self._engine.schedule(max(0.0, self._release_at - self._engine._now), callback)
         else:
             self._waiters.append(callback)
 
@@ -181,7 +186,7 @@ class SimEvent:
                 f"delay must be finite and non-negative, got {delay}"
             )
         self._fired = True
-        self._release_at = self._engine.now + delay
+        self._release_at = self._engine._now + delay
         # Scheduling runs no callback, so the list is stable while it is
         # walked; a fired event never queues a waiter again (``wait``
         # schedules late ones directly), so it is emptied, not replaced.

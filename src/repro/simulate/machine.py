@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -221,11 +221,21 @@ class Machine:
     ) -> None:
         self.topo = topo
         self.distances = distance_model or DistanceModel(topo)
+        # Per-topology lookups, shared with every machine on the same
+        # model (see DistanceModel.pu_tables): the NUMA node of each PU
+        # (for contention), os_index -> logical index, the node list in
+        # logical order, and a representative PU under each node (for
+        # node receives).
+        tables = self.distances.pu_tables()
+        self._node_of_pu = tables.node_of_pu
+        self._os_to_logical = tables.os_to_logical
+        self._numa_nodes = tables.numa_nodes
+        self._node_rep_pu = tables.node_rep_pu
         self.core_rate = check_positive(core_rate, "core_rate")
         # Per-logical-PU rates (heterogeneity), defaulting to core_rate.
         self._rate_of_pu = [self.core_rate] * topo.nb_pus
         if core_rate_of:
-            os_to_logical = {pu.os_index: pu.logical_index for pu in topo.pus()}
+            os_to_logical = self._os_to_logical
             for os_idx, rate in core_rate_of.items():
                 if os_idx not in os_to_logical:
                     raise SimulationError(f"no PU with os_index {os_idx}")
@@ -250,26 +260,10 @@ class Machine:
         #: Python floats: these values become event times, so a numpy
         #: scalar here would leak into ``engine.now`` and every heap key.
         self._pu_free_at = [0.0] * n_pus
-        #: NUMA node logical index per PU logical index (for contention).
-        self._node_of_pu = []
-        for pu in topo.pus():
-            node = topo.numa_node_of(pu.os_index)
-            self._node_of_pu.append(node.logical_index if node else 0)
-        self._os_to_logical = {pu.os_index: pu.logical_index for pu in topo.pus()}
-        # Hot-path caches: every node-receive used to re-query the
-        # topology for the NUMA node list and walk to a representative
-        # PU; with millions of transfers per run these are resolved once
-        # here.  `_numa_nodes` is the node list in logical order and
-        # `_node_rep_pu[k]` a representative PU (logical index) under
-        # node k.
-        self._numa_nodes = topo.objects_by_type(ObjType.NUMANODE)
         #: per-pair sharing level, as the model's byte rows (see
         #: DistanceModel.type_rows): one list and one bytes index per
         #: transfer instead of a numpy scalar read.
         self._type_rows = self.distances.type_rows()
-        self._node_rep_pu = [
-            next(node.pus()).logical_index for node in self._numa_nodes
-        ]
         # UMA machines charge NUMANODE-class cost for node streams.
         self._uma_node_costs = self.distances.level_costs.get(
             ObjType.NUMANODE, DEFAULT_LEVEL_COSTS[ObjType.NUMANODE]
@@ -326,17 +320,34 @@ class Machine:
         behind it — the behaviour a mostly-sleeping high-priority thread
         gets from a real kernel.  Its cycles are still charged to the PU.
         """
+        tid = len(self._threads)
+        pu = -1 if bound_pu_os is None else bound_pu_os
+        return self.add_threads([name or f"thread{tid}"], (pu,), priority)[0]
+
+    def add_threads(
+        self, names: Sequence[str], bound_pus_os: Sequence[int], priority: bool = False
+    ) -> range:
+        """Register one thread per name in one call; returns their ids.
+
+        Thread *k* is bound to PU os_index ``bound_pus_os[k]`` (negative
+        = unbound); see :meth:`add_thread`.
+        """
         if self._started:
             raise SimulationError("cannot add threads after run() started")
-        bound: Optional[int] = None
-        if bound_pu_os is not None and bound_pu_os >= 0:
-            try:
-                bound = self._os_to_logical[bound_pu_os]
-            except KeyError:
-                raise SimulationError(f"no PU with os_index {bound_pu_os}") from None
-        tid = len(self._threads)
-        self._threads.append(SimThread(tid, name or f"thread{tid}", bound, priority))
-        return tid
+        if len(names) != len(bound_pus_os):
+            raise SimulationError(
+                f"{len(names)} thread names for {len(bound_pus_os)} PUs"
+            )
+        os_to_logical = self._os_to_logical
+        try:
+            bound = [None if pu < 0 else os_to_logical[pu] for pu in bound_pus_os]
+        except KeyError as exc:
+            raise SimulationError(f"no PU with os_index {exc.args[0]}") from None
+        threads = self._threads
+        first = len(threads)
+        for tid, name, pu in zip(range(first, first + len(names)), names, bound):
+            threads.append(SimThread(tid, name, pu, priority))
+        return range(first, len(threads))
 
     def set_body(self, tid: int, body: ThreadBody) -> None:
         """Attach the generator body to a registered thread."""
@@ -469,7 +480,7 @@ class Machine:
 
     def _end_wait(self, t: SimThread) -> None:
         """Account the ``Wait`` thread *t* wakes from."""
-        waited = self.engine.now - t.blocked_since
+        waited = self.engine._now - t.blocked_since
         self.metrics.record_wait(waited)
         t.wait_time += waited
         if self.tracer is not None:
@@ -478,9 +489,9 @@ class Machine:
     def _end_thread(self, t: SimThread) -> None:
         """Retire thread *t*, whose body has finished."""
         t.state = ThreadState.DONE
-        t.done_at = self.engine.now
+        t.done_at = self.engine._now
         if self.tracer is not None:
-            self._trace("thread_end", t, self.engine.now)
+            self._trace("thread_end", t, self.engine._now)
         self.scheduler.vacate(t.current_pu)
 
     def _perform(self, t: SimThread, sc: Syscall) -> None:
@@ -495,7 +506,7 @@ class Machine:
             self._do_receive_from_node(t, sc.node_index, sc.nbytes)
         elif isinstance(sc, Wait):
             t.state = ThreadState.BLOCKED
-            t.blocked_since = self.engine.now
+            t.blocked_since = self.engine._now
             t.wait_name = sc.event.name
             t.resume_kind = WAKE
             sc.event.wait(t)
@@ -515,7 +526,7 @@ class Machine:
         running thread's timeslice.
         """
         pu = t.current_pu
-        now = self.engine.now
+        now = self.engine._now
         free_at = self._pu_free_at
         if t.priority:
             end = now + duration
@@ -535,7 +546,7 @@ class Machine:
         """Per-PU pending-CPU-seconds vector, built on demand for a
         balancing decision that the scalar guard could not settle."""
         backlog = np.array(self._pu_free_at)
-        backlog -= self.engine.now
+        backlog -= self.engine._now
         np.maximum(backlog, 0.0, out=backlog)
         return backlog
 
@@ -549,7 +560,7 @@ class Machine:
         and spares the common case its vector build and reductions.
         """
         return (
-            self._pu_free_at[pu] - self.engine.now
+            self._pu_free_at[pu] - self.engine._now
             <= self.scheduler.config.imbalance_threshold
         )
 
@@ -564,7 +575,7 @@ class Machine:
         t.migrations += 1
         self.metrics.record_migration(penalty)
         if self.tracer is not None:
-            self._trace("migration", t, self.engine.now, penalty,
+            self._trace("migration", t, self.engine._now, penalty,
                         detail=f"{kind}:{source}->{target}")
 
     def _maybe_pull(self, t: SimThread) -> None:

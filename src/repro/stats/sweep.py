@@ -45,7 +45,6 @@ class ReplicateSpec:
     fn: Callable[..., Any]
     kwargs: dict[str, Any]
     key: tuple
-    label: str = ""
     seed_arg: str = "seed"
     weight: float = 1.0
 
@@ -55,7 +54,6 @@ class ReplicatedPoint:
     """All replicates of one point, in replicate order."""
 
     key: tuple
-    label: str
     seeds: tuple[int, ...]
     results: list[Any]
     stats: Optional[SeedStats] = None
@@ -74,12 +72,6 @@ class ReplicatedSweep:
     n_seeds: int
     base_seed: int
     scope: str
-
-    def by_key(self) -> dict[tuple, ReplicatedPoint]:
-        return {p.key: p for p in self.points}
-
-    def stats_by_key(self) -> dict[tuple, SeedStats]:
-        return {p.key: p.stats for p in self.points if p.stats is not None}
 
 
 def replicate_seeds(base: int, scope: str, key: tuple, n: int) -> list[int]:
@@ -139,7 +131,6 @@ def run_replicated(
         points.append(
             ReplicatedPoint(
                 key=spec.key,
-                label=spec.label,
                 seeds=tuple(point_seeds),
                 results=results,
                 stats=stats,

@@ -86,16 +86,22 @@ def require_nonnegative(parser: argparse.ArgumentParser, **values: int) -> None:
 
 
 def require_matrix_fits(
-    parser: argparse.ArgumentParser, n: int, tasks: int, *, openmp: bool
+    parser: argparse.ArgumentParser,
+    n: int,
+    tasks: int,
+    *,
+    openmp: bool,
+    flag: str = "--n",
 ) -> None:
-    """Reject, through ``parser.error`` (exit 2), an ``--n`` too small
-    for *tasks*: the ORWL kernel's most-square task grid must fit the
-    n x n matrix and, with *openmp*, each of *tasks* OpenMP threads
-    needs a strip of at least one row."""
+    """Reject, through ``parser.error`` (exit 2), a matrix order *n* too
+    small for *tasks*: the ORWL kernel's most-square task grid must fit
+    the n x n matrix and, with *openmp*, each of *tasks* OpenMP threads
+    needs a strip of at least one row.  The advice names *flag*, the
+    option the tool derives *n* from."""
     rows, cols = square_grid_shape(tasks)
     if cols > n:
         parser.error(f"{tasks} tasks lay out as a {rows}x{cols} grid, finer "
-                     f"than the {n}x{n} matrix; use fewer tasks or a larger --n")
+                     f"than the {n}x{n} matrix; use fewer tasks or a larger {flag}")
     if openmp and tasks > n:
         parser.error(f"{tasks} OpenMP strips is finer than the {n} rows of "
-                     "the matrix; use fewer cores or a larger --n")
+                     f"the matrix; use fewer cores or a larger {flag}")

@@ -86,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in args.preset:
         pus = SCALING_SPECS[name].n_pus
         require_matrix_fits(
-            parser, matrix_order(pus, args.cells_per_core), pus, openmp=True
+            parser, matrix_order(pus, args.cells_per_core), pus, openmp=True,
+            flag="--cells-per-core",
         )
 
     result = run_scaling(

@@ -24,7 +24,7 @@ GB-class set of int64 matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -162,6 +162,22 @@ def cluster_distance_model(topo: "Topology") -> "DistanceModel":
     return DistanceModel(topo, level_costs=dict(CLUSTER_LEVEL_COSTS))
 
 
+class PuTables(NamedTuple):
+    """Per-PU lookups of one topology that the simulator reads per
+    transfer (see :meth:`DistanceModel.pu_tables`).  Shared by every
+    machine built on the model, so never mutated."""
+
+    #: NUMA node logical index of each PU, by PU logical index (0 on a
+    #: tree without NUMA nodes).
+    node_of_pu: tuple[int, ...]
+    #: PU os_index -> logical index.
+    os_to_logical: dict[int, int]
+    #: the NUMA nodes, in logical order.
+    numa_nodes: Sequence[TopologyObject]
+    #: a representative PU (logical index) under each NUMA node.
+    node_rep_pu: tuple[int, ...]
+
+
 @dataclass
 class DistanceModel:
     """Bundles the per-topology distance matrices and physical costs.
@@ -192,6 +208,7 @@ class DistanceModel:
         self._lca_type = lca_type
         self._hops: Optional[np.ndarray] = None
         self._type_rows: Optional[list[bytes]] = None
+        self._pu_tables: Optional[PuTables] = None
         # os_index -> logical index translation for runtime callers.
         self._os_to_logical = {
             pu.os_index: pu.logical_index for pu in self.topo.pus()
@@ -237,6 +254,30 @@ class DistanceModel:
         if self._type_rows is None:
             self._type_rows = [row.tobytes() for row in self._lca_type]
         return self._type_rows
+
+    def pu_tables(self) -> PuTables:
+        """The topology's per-PU lookup tables (built once).
+
+        A model from the per-process construction cache
+        (:func:`repro.exec.cache.machine_inputs`) serves every machine
+        of its topology, so a machine copies no per-PU table.
+        """
+        if self._pu_tables is None:
+            topo = self.topo
+            node_of_pu = []
+            for pu in topo.pus():
+                node = topo.numa_node_of(pu.os_index)
+                node_of_pu.append(node.logical_index if node else 0)
+            numa_nodes = topo.objects_by_type(ObjType.NUMANODE)
+            self._pu_tables = PuTables(
+                node_of_pu=tuple(node_of_pu),
+                os_to_logical=self._os_to_logical,
+                numa_nodes=numa_nodes,
+                node_rep_pu=tuple(
+                    next(node.pus()).logical_index for node in numa_nodes
+                ),
+            )
+        return self._pu_tables
 
     def lca_type(self, pu_i: int, pu_j: int) -> ObjType:
         """Sharing level (object type of the LCA) between two logical PUs."""

@@ -52,6 +52,18 @@ class Mapping:
             if p < -1:
                 raise ValidationError(f"thread {t}: invalid PU {p}")
 
+    @classmethod
+    def prechecked(
+        cls, pu_of: tuple[int, ...], labels: tuple[str, ...], policy: str = ""
+    ) -> "Mapping":
+        """A mapping of entries that need no checking, built without the
+        constructor's per-entry pass: *pu_of* a tuple of Python ints
+        ``>= -1`` (such as another mapping's entries) and one label per
+        thread."""
+        mapping = cls.__new__(cls)
+        mapping.pu_of, mapping.labels, mapping.policy = pu_of, labels, policy
+        return mapping
+
     # -- queries -------------------------------------------------------------
 
     @property
@@ -99,8 +111,8 @@ class Mapping:
             raise ValidationError(
                 f"cannot restrict mapping of {len(self.pu_of)} threads to {n_threads}"
             )
-        return Mapping(
-            self.pu_of[:n_threads], self.labels[:n_threads], policy=self.policy
+        return Mapping.prechecked(
+            self.pu_of[:n_threads], self.labels[:n_threads], self.policy
         )
 
     def as_array(self) -> np.ndarray:

@@ -149,7 +149,7 @@ class TestReplicateSeeds:
 class TestRunReplicated:
     def _specs(self):
         return [
-            ReplicateSpec(_noisy_value, {"base": float(k)}, key=(k,), label=f"p{k}")
+            ReplicateSpec(_noisy_value, {"base": float(k)}, key=(k,))
             for k in range(3)
         ]
 
@@ -190,15 +190,11 @@ class TestRunReplicated:
             assert p.stats.ci_lo <= p.stats.mean <= p.stats.ci_hi
         assert len(calls) == 6  # one completed point per replicate
 
-    def test_seeds_one_keeps_plain_labels(self):
-        sweep = run_replicated(self._specs(), seeds=1, base_seed=0, scope="t")
-        assert [p.label for p in sweep.points] == ["p0", "p1", "p2"]
-
     def test_rejects_bad_specs(self):
         with pytest.raises(ValidationError):
             run_replicated(self._specs(), seeds=0, base_seed=0)
         dup = self._specs() + [
-            ReplicateSpec(_noisy_value, {"base": 9.0}, key=(0,), label="dup")
+            ReplicateSpec(_noisy_value, {"base": 9.0}, key=(0,))
         ]
         with pytest.raises(ValidationError):
             run_replicated(dup, seeds=1, base_seed=0)

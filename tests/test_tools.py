@@ -156,7 +156,11 @@ class TestScalingCli:
         from repro.tools import scaling as scaling_cli
 
         monkeypatch.setattr(scaling_cli, "run_scaling", _no_sweep)
-        _assert_usage_error(capsys, scaling_cli.main, argv)
+        err = _assert_usage_error(capsys, scaling_cli.main, argv)
+        if "--preset" in argv:
+            # The matrix order derives from --cells-per-core (the tool
+            # has no --n), so the advice names that flag.
+            assert "larger --cells-per-core" in err
 
 
 class TestTraceCli:
