@@ -8,8 +8,9 @@
   handle traffic into a matrix.
 """
 
-from repro.comm.matrix import CommMatrix
-from repro.comm.trace import CommTracer
-from repro.comm import patterns
+from repro import lazy_exports
 
-__all__ = ["CommMatrix", "CommTracer", "patterns"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "matrix": ["CommMatrix"],
+    "trace": ["CommTracer"],
+}, submodules=["patterns"])

@@ -40,40 +40,20 @@ the repo's determinism contract intact:
   hook runs after every completed point.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.exec.cache import (
-    cache_stats,
-    cached_distance_model,
-    cached_task_graph,
-    cached_topology,
-    cached_tree_match,
-    clear_cache,
-    machine_inputs,
-    matrix_digest,
-    reset_cache_stats,
-    topology_fingerprint,
-)
-from repro.exec.runner import (
-    SweepRunner,
-    Task,
-    derive_seed,
-    resolve_workers,
-)
-
-__all__ = [
-    "SweepRunner",
-    "Task",
-    "cache_stats",
-    "cached_distance_model",
-    "cached_task_graph",
-    "cached_topology",
-    "cached_tree_match",
-    "clear_cache",
-    "derive_seed",
-    "machine_inputs",
-    "matrix_digest",
-    "reset_cache_stats",
-    "resolve_workers",
-    "topology_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": [
+        "cache_stats",
+        "cached_distance_model",
+        "cached_task_graph",
+        "cached_topology",
+        "cached_tree_match",
+        "clear_cache",
+        "machine_inputs",
+        "matrix_digest",
+        "reset_cache_stats",
+        "topology_fingerprint",
+    ],
+    "runner": ["SweepRunner", "Task", "derive_seed", "resolve_workers"],
+})

@@ -373,18 +373,21 @@ def cached_tree_match(
             "control threads or an allowed cpuset"
         )
 
-    key = placement_key(
-        topo,
-        matrix,
-        n_control=int(n_control),
-        control_pairing=(
-            None if control_pairing is None else tuple(control_pairing)
+    # The pairing (one entry per control thread) sits beside the digest
+    # rather than in it: a bind passes its program's one pairing tuple,
+    # which the lookup hashes in C instead of repr-ing it each time.
+    key = (
+        placement_key(
+            topo,
+            matrix,
+            n_control=int(n_control),
+            control_volume=control_volume,
+            strategy=str(strategy),
+            refine=bool(refine),
+            allowed=None if allowed is None else repr(allowed),
+            failed=failed_t,
         ),
-        control_volume=control_volume,
-        strategy=str(strategy),
-        refine=bool(refine),
-        allowed=None if allowed is None else repr(allowed),
-        failed=failed_t,
+        None if control_pairing is None else tuple(control_pairing),
     )
     result = _PLACEMENTS.get(key)
     if result is not None:

@@ -30,11 +30,8 @@ notes that matter:
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -170,9 +167,6 @@ class SweepRunner:
     ) -> None:
         self.n_workers = resolve_workers(n_workers)
         self.on_point = on_point
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
 
     # -- internals ---------------------------------------------------------
@@ -266,8 +260,19 @@ class SweepRunner:
 
     def _pool_loop(self, tasks: Sequence[Task], results: list) -> None:
         """Run every task on a process pool, rebuilding it after a crash
-        and finishing serially once :data:`POOL_REBUILDS` is spent."""
-        ctx = multiprocessing.get_context(self.mp_context)
+        and finishing serially once :data:`POOL_REBUILDS` is spent.
+
+        The pool machinery is imported here, so a process that runs
+        points serially never loads it."""
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        method = self.mp_context
+        if method is None:
+            methods = multiprocessing.get_all_start_methods()
+            method = "fork" if "fork" in methods else "spawn"
+        ctx = multiprocessing.get_context(method)
         pending = self._chunk_indices(len(tasks), [task.weight for task in tasks])
         crashes = 0
         while pending:

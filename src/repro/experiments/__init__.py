@@ -18,52 +18,19 @@
   sections and table footer the scaling and E7 results share.
 """
 
-from repro.experiments.fig1 import (
-    IMPLEMENTATIONS,
-    Fig1Point,
-    Fig1Result,
-    run_fig1,
-    run_point,
-)
-from repro.experiments.plotting import ascii_plot, plot_fig1
-from repro.experiments.scaling import (
-    ScalingPoint,
-    ScalingResult,
-    run_scaling,
-    run_scaling_point,
-)
-from repro.experiments.dag import (
-    POLICIES,
-    WORKLOADS,
-    DagPoint,
-    DagResult,
-    build_workload,
-    run_dag,
-    run_dag_point,
-)
-from repro.experiments import ablations, cluster, dag, scaling
+from repro import lazy_exports
 
-__all__ = [
-    "ascii_plot",
-    "plot_fig1",
-    "IMPLEMENTATIONS",
-    "Fig1Point",
-    "Fig1Result",
-    "ScalingPoint",
-    "ScalingResult",
-    "run_fig1",
-    "run_point",
-    "run_scaling",
-    "run_scaling_point",
-    "POLICIES",
-    "WORKLOADS",
-    "DagPoint",
-    "DagResult",
-    "build_workload",
-    "run_dag",
-    "run_dag_point",
-    "ablations",
-    "cluster",
-    "dag",
-    "scaling",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fig1": ["IMPLEMENTATIONS", "Fig1Point", "Fig1Result", "run_fig1", "run_point"],
+    "plotting": ["ascii_plot", "plot_fig1"],
+    "scaling": ["ScalingPoint", "ScalingResult", "run_scaling", "run_scaling_point"],
+    "dag": [
+        "POLICIES",
+        "WORKLOADS",
+        "DagPoint",
+        "DagResult",
+        "build_workload",
+        "run_dag",
+        "run_dag_point",
+    ],
+}, submodules=["ablations", "cluster", "dag", "scaling"])

@@ -28,20 +28,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.exec.cache import cached_task_graph
-from repro.exec.runner import SweepRunner
 from repro.experiments.fig1 import analyze_run
 from repro.experiments.paired import PairedSweep, collect_sweep, point_time
 from repro.kernels.bfs import BfsConfig, build_bfs_graph
 from repro.kernels.cholesky import CholeskyConfig, build_cholesky_graph
 from repro.kernels.divconq import DivConqConfig, build_divconq_graph
-from repro.stats.aggregate import SeedStats
-from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.tasks.graph import TaskGraph
 from repro.tasks.run import run_graph
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:
+    # The sweep and statistics layer is imported by run_dag, so running
+    # a single point does not load it.
+    from repro.exec.runner import SweepRunner
+    from repro.stats.aggregate import SeedStats
 
 #: The DAG workload families, in headline order.
 WORKLOADS = ("cholesky", "bfs", "divconq")
@@ -301,6 +304,8 @@ def run_dag(
     tests paired.  Point weights scale with task count so the heavy
     Cholesky instances dispatch first under a parallel runner.
     """
+    from repro.stats.sweep import ReplicateSpec, run_replicated
+
     for w in workloads:
         if w not in WORKLOADS:
             raise ValidationError(f"unknown workload {w!r}; one of {WORKLOADS}")

@@ -24,21 +24,21 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import cached_lk23_program, machine_inputs
-from repro.exec.runner import SweepRunner
-from repro.experiments.paired import collect_sweep, point_time
 from repro.kernels.lk23_orwl import Lk23Config
 from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
 from repro.simulate.machine import Machine
-from repro.stats.aggregate import SeedStats
-from repro.stats.significance import SpeedupVerdict, compare
-from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:
+    # The sweep and statistics layer is imported by the functions that
+    # use it, so running a single point does not load it.
+    from repro.exec.runner import SweepRunner
     from repro.observe.tracer import Tracer
-    from repro.perf import PerfReport
+    from repro.perf.report import PerfReport
+    from repro.stats.aggregate import SeedStats
+    from repro.stats.significance import SpeedupVerdict
     from repro.topology.distance import DistanceModel
     from repro.topology.tree import Topology
 
@@ -102,7 +102,7 @@ def analyze_run(
     Utilization and the NUMA traffic matrix are sized by the
     topology's PU and NUMA-node counts.
     """
-    from repro.perf import analyze
+    from repro.perf.report import analyze
     from repro.topology.objects import ObjType
 
     return analyze(
@@ -254,6 +254,8 @@ class Fig1Result:
         verdict is ``insufficient-data``: one run supports no inference,
         which is precisely the caveat on the paper's Figure 1.
         """
+        from repro.stats.significance import compare
+
         have = {impl for impl, _ in self.seed_stats}
         if "orwl-bind" not in have:
             return []
@@ -497,6 +499,9 @@ def run_fig1(
     :meth:`Fig1Result.stats_table` and
     :meth:`Fig1Result.speedup_verdicts`.
     """
+    from repro.experiments.paired import collect_sweep, point_time
+    from repro.stats.sweep import ReplicateSpec, run_replicated
+
     result = Fig1Result(iterations=iterations, n=n, n_seeds=seeds)
     specs = [
         ReplicateSpec(

@@ -17,14 +17,17 @@ as data (class attributes) and supplies the row and column lists.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
-from repro.stats.aggregate import SeedStats
-from repro.stats.significance import PairedVerdict, compare_paired, correct_verdicts
-from repro.stats.sweep import ReplicatedSweep
+if TYPE_CHECKING:
+    # The statistics are imported where they are computed, so a module
+    # that only subclasses PairedSweep (a point runner's) stays light.
+    from repro.stats.aggregate import SeedStats
+    from repro.stats.significance import PairedVerdict
+    from repro.stats.sweep import ReplicatedSweep
 
 #: ``baseline -> [(row, verdict), ...]`` in row order.
-Verdicts = dict[str, list[tuple[str, PairedVerdict]]]
+Verdicts = dict[str, list[tuple[str, "PairedVerdict"]]]
 
 
 def point_time(point: Any) -> float:
@@ -119,6 +122,8 @@ class PairedSweep:
         corrected p-value.  Keys are baseline names, values
         ``(row, verdict)`` pairs in row order.
         """
+        from repro.stats.significance import compare_paired, correct_verdicts
+
         if self.candidate not in self._columns():
             return {}
         rows = self._rows()

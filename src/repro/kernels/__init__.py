@@ -21,56 +21,26 @@ frontend):
   (mergesort-shaped fat tree).
 """
 
-from repro.kernels.stencil import ALL_DIRECTIONS, BlockGrid, Direction, CORNERS, EDGES
-from repro.kernels.lk23 import (
-    FLOPS_PER_POINT,
-    RELAX,
-    Lk23Arrays,
-    block_flops,
-    lk23_blocked,
-    lk23_jacobi,
-    lk23_jacobi_step,
-    lk23_reference,
-    make_arrays,
-    total_flops,
-)
-from repro.kernels.lk23_orwl import Lk23Config, build_program, describe
-from repro.kernels.openmp import OpenMpConfig, OpenMpResult, run_openmp_lk23
-from repro.kernels import lk18
-from repro.kernels.wavefront import WavefrontConfig, build_wavefront_program
-from repro.kernels.cholesky import CholeskyConfig, build_cholesky_graph
-from repro.kernels.bfs import BfsConfig, build_bfs_graph
-from repro.kernels.divconq import DivConqConfig, build_divconq_graph
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_DIRECTIONS",
-    "BlockGrid",
-    "Direction",
-    "CORNERS",
-    "EDGES",
-    "FLOPS_PER_POINT",
-    "RELAX",
-    "Lk23Arrays",
-    "block_flops",
-    "lk23_blocked",
-    "lk23_jacobi",
-    "lk23_jacobi_step",
-    "lk23_reference",
-    "make_arrays",
-    "total_flops",
-    "Lk23Config",
-    "build_program",
-    "describe",
-    "OpenMpConfig",
-    "OpenMpResult",
-    "run_openmp_lk23",
-    "lk18",
-    "WavefrontConfig",
-    "build_wavefront_program",
-    "CholeskyConfig",
-    "build_cholesky_graph",
-    "BfsConfig",
-    "build_bfs_graph",
-    "DivConqConfig",
-    "build_divconq_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "stencil": ["ALL_DIRECTIONS", "BlockGrid", "Direction", "CORNERS", "EDGES"],
+    "lk23": [
+        "FLOPS_PER_POINT",
+        "RELAX",
+        "Lk23Arrays",
+        "block_flops",
+        "lk23_blocked",
+        "lk23_jacobi",
+        "lk23_jacobi_step",
+        "lk23_reference",
+        "make_arrays",
+        "total_flops",
+    ],
+    "lk23_orwl": ["Lk23Config", "build_program", "describe"],
+    "openmp": ["OpenMpConfig", "OpenMpResult", "run_openmp_lk23"],
+    "wavefront": ["WavefrontConfig", "build_wavefront_program"],
+    "cholesky": ["CholeskyConfig", "build_cholesky_graph"],
+    "bfs": ["BfsConfig", "build_bfs_graph"],
+    "divconq": ["DivConqConfig", "build_divconq_graph"],
+}, submodules=["lk18"])

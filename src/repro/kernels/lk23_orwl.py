@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.kernels.lk23 import FLOPS_PER_POINT
 from repro.kernels.stencil import BlockGrid
+from repro.orwl import idioms
 from repro.orwl.fifo import AccessMode
 from repro.orwl.handle import Handle
 from repro.orwl.program import Program
@@ -92,7 +93,6 @@ def _main_body(cfg: Lk23Config, grid: BlockGrid,
     sweep: import halos, stream the block's working set from its
     first-touch home, compute, publish fresh frontiers.
     """
-    from repro.orwl import idioms
     from repro.simulate.syscalls import ReceiveFromNode  # avoid cycle at import
 
     block_flops = grid.block_points * cfg.flops_per_point
@@ -122,7 +122,6 @@ def _sub_body(cfg: Lk23Config, src_handle: Handle, out_handle: Handle):
     for the neighbour.  ``iterations + 1`` rounds: the extra one
     forwards the init frontier.
     """
-    from repro.orwl import idioms
 
     def body(ctx):
         yield from idioms.iterative(

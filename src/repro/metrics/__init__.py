@@ -13,48 +13,28 @@ Disabled by default; enable with ``REPRO_METRICS=on`` or
 :func:`enable` (workers inherit via the environment variable).
 """
 
-from repro.metrics.core import (
-    ENV_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    LATENCY_BUCKETS,
-    Metric,
-    MetricRegistry,
-    SIM_TIME_BUCKETS,
-    SIZE_BUCKETS,
-    diff_dumps,
-    disable,
-    enable,
-    exp_buckets,
-    is_enabled,
-    metric_id,
-    registry,
-    reset_registry,
-    set_enabled,
-)
-from repro.metrics.expose import ExpositionError, parse_exposition, render_text
+from repro import lazy_exports
 
-__all__ = [
-    "ENV_METRICS",
-    "Counter",
-    "ExpositionError",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS",
-    "Metric",
-    "MetricRegistry",
-    "SIM_TIME_BUCKETS",
-    "SIZE_BUCKETS",
-    "diff_dumps",
-    "disable",
-    "enable",
-    "exp_buckets",
-    "is_enabled",
-    "metric_id",
-    "parse_exposition",
-    "registry",
-    "render_text",
-    "reset_registry",
-    "set_enabled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": [
+        "ENV_METRICS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "LATENCY_BUCKETS",
+        "Metric",
+        "MetricRegistry",
+        "SIM_TIME_BUCKETS",
+        "SIZE_BUCKETS",
+        "diff_dumps",
+        "disable",
+        "enable",
+        "exp_buckets",
+        "is_enabled",
+        "metric_id",
+        "registry",
+        "reset_registry",
+        "set_enabled",
+    ],
+    "expose": ["ExpositionError", "parse_exposition", "render_text"],
+})

@@ -26,66 +26,42 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
-from repro.observe.determinism import (
-    metrics_fingerprint,
-    run_fingerprint,
-    stream_hash,
-)
-from repro.observe.export import (
-    chrome_payload,
-    dumps_jsonl,
-    loads_jsonl,
-    read_jsonl,
-    write_chrome,
-    write_jsonl,
-)
-from repro.observe.invariants import (
-    ALL_INVARIANTS,
-    InvariantChecker,
-    InvariantError,
-    InvariantReport,
-    Violation,
-    check_run,
-)
-from repro.observe.tracer import (
-    KNOWN_KINDS,
-    SPAN_KINDS,
-    EventFilter,
-    Probe,
-    TraceEvent,
-    Tracer,
-    TraceSummary,
-)
+from repro import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.observe.invariants import InvariantReport
+    from repro.observe.tracer import Tracer
     from repro.simulate.machine import Machine
 
-__all__ = [
-    "ALL_INVARIANTS",
-    "KNOWN_KINDS",
-    "SPAN_KINDS",
-    "Capture",
-    "EventFilter",
-    "InvariantChecker",
-    "InvariantError",
-    "InvariantReport",
-    "Probe",
-    "TraceEvent",
-    "TraceSummary",
-    "Tracer",
-    "Violation",
-    "capture",
-    "check_run",
-    "chrome_payload",
-    "dumps_jsonl",
-    "loads_jsonl",
-    "metrics_fingerprint",
-    "read_jsonl",
-    "run_fingerprint",
-    "stream_hash",
-    "write_chrome",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "determinism": ["metrics_fingerprint", "run_fingerprint", "stream_hash"],
+    "export": [
+        "chrome_payload",
+        "dumps_jsonl",
+        "loads_jsonl",
+        "read_jsonl",
+        "write_chrome",
+        "write_jsonl",
+    ],
+    "invariants": [
+        "ALL_INVARIANTS",
+        "InvariantChecker",
+        "InvariantError",
+        "InvariantReport",
+        "Violation",
+        "check_run",
+    ],
+    "tracer": [
+        "KNOWN_KINDS",
+        "SPAN_KINDS",
+        "EventFilter",
+        "Probe",
+        "TraceEvent",
+        "Tracer",
+        "TraceSummary",
+    ],
+})
+__all__ += ["Capture", "capture"]
 
 
 class Capture:
@@ -95,8 +71,10 @@ class Capture:
         self.machines: list["Machine"] = []
 
     def _on_machine(self, machine: "Machine") -> None:
+        from repro.observe import tracer
+
         if machine.tracer is None:
-            machine.attach_tracer(Tracer())
+            machine.attach_tracer(tracer.Tracer())
         self.machines.append(machine)
 
     @property
@@ -105,6 +83,8 @@ class Capture:
 
     def check_all(self, raise_on_violation: bool = True) -> list[InvariantReport]:
         """Audit every captured machine that completed a run."""
+        from repro.observe.invariants import check_run
+
         reports = []
         for machine in self.machines:
             if not machine._started:  # built but never run — nothing to audit

@@ -369,7 +369,9 @@ class InvariantChecker:
     ) -> None:
         # Imported lazily: repro.perf consumes this package, so a
         # module-level import would be a cycle.
-        from repro.perf import LOCAL_LEVELS, extract_critical_path, traffic_matrix
+        from repro.perf.counters import LOCAL_LEVELS
+        from repro.perf.critpath import extract_critical_path
+        from repro.perf.numa import traffic_matrix
 
         cp = extract_critical_path(events)
         if not cp.bound_ok():

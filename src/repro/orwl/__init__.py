@@ -15,27 +15,12 @@ Full Python implementation of the model the paper enriches:
   threads.
 """
 
-from repro.orwl.fifo import AccessMode, FifoError, OrwlFifo, Request, RequestState
-from repro.orwl.handle import Handle
-from repro.orwl.location import Location
-from repro.orwl.program import Operation, Program, TaskDecl
-from repro.orwl.runtime import OpContext, RunResult, Runtime, RuntimeConfig
-from repro.orwl import idioms
+from repro import lazy_exports
 
-__all__ = [
-    "AccessMode",
-    "FifoError",
-    "OrwlFifo",
-    "Request",
-    "RequestState",
-    "Handle",
-    "Location",
-    "Operation",
-    "Program",
-    "TaskDecl",
-    "OpContext",
-    "RunResult",
-    "Runtime",
-    "RuntimeConfig",
-    "idioms",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fifo": ["AccessMode", "FifoError", "OrwlFifo", "Request", "RequestState"],
+    "handle": ["Handle"],
+    "location": ["Location"],
+    "program": ["Operation", "Program", "TaskDecl", "ThreadLayout"],
+    "runtime": ["OpContext", "RunResult", "Runtime", "RuntimeConfig"],
+}, submodules=["idioms"])

@@ -20,6 +20,7 @@ the context helpers (``ctx.compute``, ``ctx.acquire`` ...).
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.orwl.fifo import AccessMode
@@ -105,6 +106,33 @@ class TaskDecl:
         return f"<TaskDecl {self.name!r} {len(self.operations)} ops>"
 
 
+@dataclass(frozen=True)
+class ThreadLayout:
+    """The threads a program runs as: their labels and their pairing.
+
+    Every operation runs on its own thread, in declaration order, and
+    every task has one runtime control thread, in task order.  The
+    binder pairs each communication thread (every non-main operation)
+    and each control thread with its task's compute slot.
+    """
+
+    #: operation-thread labels (``"<task>/<op>"``), declaration order.
+    op_labels: tuple[str, ...]
+    #: task index of every operation, declaration order.
+    op_tasks: tuple[int, ...]
+    #: task names, declaration order.
+    task_names: tuple[str, ...]
+    #: control-thread labels (``"<task>/ctl"``), task order.
+    control_labels: tuple[str, ...]
+    #: operation indices of the communication threads.
+    comm_ops: tuple[int, ...]
+    #: task index of each communication thread.
+    comm_tasks: tuple[int, ...]
+    #: task index of every communication thread, then of every control
+    #: thread: TreeMatch's ``control_pairing``.
+    control_pairing: tuple[int, ...]
+
+
 def _frozen_error(what: str) -> ValidationError:
     return ValidationError(
         f"cannot declare {what}: its program is frozen; build a new Program "
@@ -136,6 +164,7 @@ class Program:
         self._init_order: tuple[Handle, ...] = ()
         self._init_queues: tuple[tuple[Location, tuple[Handle, ...], int], ...] = ()
         self._init_grants: tuple[Handle, ...] = ()
+        self._layout: Optional[ThreadLayout] = None
         #: the runtime that armed the program last.  Weak, so a kept
         #: program does not keep a finished run (and its machine) alive.
         self._armed_by: Optional[weakref.ReferenceType["Runtime"]] = None
@@ -236,6 +265,29 @@ class Program:
         """All operations in declaration order — this order defines both
         thread ids and the ORWL init protocol's request-insertion order."""
         return list(self._op_order)
+
+    def layout(self) -> ThreadLayout:
+        """The program's :class:`ThreadLayout`, kept once it is frozen."""
+        if self._layout is not None:
+            return self._layout
+        task_names = tuple(self.tasks)
+        task_index = {name: k for k, name in enumerate(task_names)}
+        ops = self._op_order
+        op_tasks = tuple(task_index[op.task_name] for op in ops)
+        comm_ops = tuple(k for k, op in enumerate(ops) if not op.is_main)
+        comm_tasks = tuple(op_tasks[k] for k in comm_ops)
+        layout = ThreadLayout(
+            op_labels=tuple(op.name for op in ops),
+            op_tasks=op_tasks,
+            task_names=task_names,
+            control_labels=tuple(f"{t}/ctl" for t in task_names),
+            comm_ops=comm_ops,
+            comm_tasks=comm_tasks,
+            control_pairing=comm_tasks + tuple(range(len(task_names))),
+        )
+        if self._frozen:
+            self._layout = layout
+        return layout
 
     @property
     def n_operations(self) -> int:

@@ -251,7 +251,8 @@ class Runtime:
             )
         self.mapping = mapping
 
-        task_names = list(program.tasks)
+        layout = program.layout()
+        task_names = layout.task_names
         if control_mapping is not None and control_mapping.n_threads != len(task_names):
             raise ValidationError(
                 f"control mapping covers {control_mapping.n_threads} threads, "
@@ -265,7 +266,7 @@ class Runtime:
 
         # -- op threads (declaration order == thread order); each handle
         # stamps its requests with its operation's thread id.
-        op_names = [op.name for op in ops]
+        op_names = layout.op_labels
         op_tids = machine.add_threads(op_names, mapping.pu_of)
         self._op_tid = dict(zip(op_names, op_tids))
         for op, tid in zip(ops, op_tids):
@@ -285,7 +286,7 @@ class Runtime:
             # Control threads are mostly-sleeping event handlers: they
             # preempt briefly rather than queue behind compute bursts.
             self._control_tids = list(machine.add_threads(
-                [f"{tname}/ctl" for tname in task_names],
+                layout.control_labels,
                 control_mapping.pu_of if control_mapping is not None
                 else (-1,) * len(task_names),
                 priority=True,

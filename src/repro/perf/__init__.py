@@ -22,52 +22,25 @@ Everything here is a pure function of the event stream: same seed,
 same report, byte for byte.
 """
 
-from repro.perf.counters import (
-    LOCAL_LEVELS,
-    CounterGroup,
-    Metric,
-    compute_counter_groups,
-    render_counter_groups,
-)
-from repro.perf.critpath import (
-    Attribution,
-    CriticalPath,
-    attribute_makespan,
-    extract_critical_path,
-)
-from repro.perf.flamegraph import folded_stacks, write_folded
-from repro.perf.numa import (
-    TrafficMatrix,
-    producer_node_of,
-    render_heatmap,
-    traffic_matrix,
-)
-from repro.perf.report import PerfReport, analyze
-from repro.perf.spans import WORK_KINDS, TraceIndex, bucket_of, ensure_index
-from repro.perf.topdown import GapAttribution, attribute_gap
+from repro import lazy_exports
 
-__all__ = [
-    "LOCAL_LEVELS",
-    "WORK_KINDS",
-    "Attribution",
-    "CounterGroup",
-    "CriticalPath",
-    "GapAttribution",
-    "Metric",
-    "PerfReport",
-    "TraceIndex",
-    "TrafficMatrix",
-    "analyze",
-    "attribute_gap",
-    "attribute_makespan",
-    "bucket_of",
-    "compute_counter_groups",
-    "ensure_index",
-    "extract_critical_path",
-    "folded_stacks",
-    "producer_node_of",
-    "render_counter_groups",
-    "render_heatmap",
-    "traffic_matrix",
-    "write_folded",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "counters": [
+        "LOCAL_LEVELS",
+        "CounterGroup",
+        "Metric",
+        "compute_counter_groups",
+        "render_counter_groups",
+    ],
+    "critpath": [
+        "Attribution",
+        "CriticalPath",
+        "attribute_makespan",
+        "extract_critical_path",
+    ],
+    "flamegraph": ["folded_stacks", "write_folded"],
+    "numa": ["TrafficMatrix", "producer_node_of", "render_heatmap", "traffic_matrix"],
+    "report": ["PerfReport", "analyze"],
+    "spans": ["WORK_KINDS", "TraceIndex", "bucket_of", "ensure_index"],
+    "topdown": ["GapAttribution", "attribute_gap"],
+})

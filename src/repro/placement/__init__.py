@@ -9,50 +9,28 @@
 * :mod:`~repro.placement.report` — occupancy/locality reports.
 """
 
-from repro.placement.affinity import (
-    control_pairing,
-    matrix_correlation,
-    static_matrix,
-    traced_matrix,
-)
-from repro.placement.binder import BindPlan, bind_program
-from repro.placement.profiled import ProfiledBind, profile_and_bind
-from repro.placement.policies import (
-    POLICY_REGISTRY,
-    CompactPolicy,
-    NoBindPolicy,
-    PlacementPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    ScatterPolicy,
-    ServicePolicy,
-    TreeMatchPolicy,
-    make_policy,
-)
-from repro.placement.service import CommSketch, Decision, PlacementService
-from repro.placement import report
+from repro import lazy_exports
 
-__all__ = [
-    "control_pairing",
-    "matrix_correlation",
-    "static_matrix",
-    "traced_matrix",
-    "BindPlan",
-    "bind_program",
-    "ProfiledBind",
-    "profile_and_bind",
-    "POLICY_REGISTRY",
-    "CompactPolicy",
-    "NoBindPolicy",
-    "PlacementPolicy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "ScatterPolicy",
-    "ServicePolicy",
-    "TreeMatchPolicy",
-    "make_policy",
-    "CommSketch",
-    "Decision",
-    "PlacementService",
-    "report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "affinity": [
+        "control_pairing",
+        "matrix_correlation",
+        "static_matrix",
+        "traced_matrix",
+    ],
+    "binder": ["BindPlan", "bind_program"],
+    "profiled": ["ProfiledBind", "profile_and_bind"],
+    "policies": [
+        "POLICY_REGISTRY",
+        "CompactPolicy",
+        "NoBindPolicy",
+        "PlacementPolicy",
+        "RandomPolicy",
+        "RoundRobinPolicy",
+        "ScatterPolicy",
+        "ServicePolicy",
+        "TreeMatchPolicy",
+        "make_policy",
+    ],
+    "service": ["CommSketch", "Decision", "PlacementService"],
+}, submodules=["report"])

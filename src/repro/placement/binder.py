@@ -94,24 +94,6 @@ class BindPlan:
         return "\n".join(lines)
 
 
-def _comm_thread_slots(program: Program) -> tuple[list[int], list[int]]:
-    """(op_index, task_index) pairs of the communication threads.
-
-    Communication threads = every non-main operation.  Returned as two
-    parallel lists: the op indices, and for each the index of its task
-    (the compute entity it pairs with).
-    """
-    ops = program.operations()
-    task_index = {name: k for k, name in enumerate(program.tasks)}
-    op_idx: list[int] = []
-    pair: list[int] = []
-    for k, op in enumerate(ops):
-        if not op.is_main:
-            op_idx.append(k)
-            pair.append(task_index[op.task_name])
-    return op_idx, pair
-
-
 def bind_program(
     program: Program,
     topo: Topology,
@@ -150,8 +132,8 @@ def bind_program(
     policy_kwargs:
         Forwarded to the policy constructor when *policy* is a name.
     """
-    ops = program.operations()
-    n_ops = len(ops)
+    layout = program.layout()
+    n_ops = len(layout.op_labels)
     if n_ops == 0:
         raise ValidationError("program has no operations to place")
     if granularity not in ("task", "op"):
@@ -161,8 +143,7 @@ def bind_program(
             f"control_fallback must be 'unmapped' or 'colocate', got {control_fallback!r}"
         )
 
-    op_labels = [op.name for op in ops]
-    task_names = list(program.tasks)
+    task_names = layout.task_names
     n_tasks = len(task_names)
     n_rows = n_ops if granularity == "op" else n_tasks
     if matrix is not None and matrix.order != n_rows:
@@ -180,23 +161,22 @@ def bind_program(
 
     # ---- task granularity (paper mode) --------------------------------
     tmat = matrix if matrix is not None else task_matrix(program)
-    comm_ops, comm_pairing = _comm_thread_slots(program)
+    comm_ops, comm_pairing = layout.comm_ops, layout.comm_tasks
     # Control entities = communication threads + one runtime control
     # thread per task, all paired with their task's compute slot.
     n_control = (len(comm_ops) + n_tasks) if place_control else 0
-    control_pairing = tuple(comm_pairing) + tuple(range(n_tasks))
 
     if isinstance(policy, str):
         if policy == "treematch" and n_control > 0:
             policy_kwargs = dict(policy_kwargs)
             policy_kwargs.setdefault("n_control", n_control)
-            policy_kwargs.setdefault("control_pairing", control_pairing)
+            policy_kwargs.setdefault("control_pairing", layout.control_pairing)
         policy = make_policy(policy, **policy_kwargs)
 
     placed = policy.place(topo, n_tasks, matrix=tmat, labels=task_names)
 
     # Expand the task mapping to per-operation and control assignments.
-    main_pu = dict(zip(task_names, placed.pu_of))
+    main_pu = placed.pu_of
     strategy: Optional[ControlStrategy] = None
     comm_pu: dict[int, int] = {}  # op index -> PU
     ctl_pus: list[int] = [-1] * n_tasks
@@ -228,17 +208,17 @@ def bind_program(
         if topo.has_hyperthreading() and n_tasks <= topo.nbobjs_by_type(ObjType.CORE):
             strategy = ControlStrategy.HYPERTHREAD_RESERVED
             for op_k, t in zip(comm_ops, comm_pairing):
-                sib = sibling_pu_of(topo, main_pu[task_names[t]])
+                sib = sibling_pu_of(topo, main_pu[t])
                 comm_pu[op_k] = sib if sib is not None else -1
             for t in range(n_tasks):
-                sib = sibling_pu_of(topo, main_pu[task_names[t]])
+                sib = sibling_pu_of(topo, main_pu[t])
                 ctl_pus[t] = sib if sib is not None else -1
         elif n_tasks + n_control <= topo.nb_pus:
             strategy = ControlStrategy.SPARE_CORES
             for op_k, t in zip(comm_ops, comm_pairing):
-                comm_pu[op_k] = main_pu[task_names[t]]
+                comm_pu[op_k] = main_pu[t]
             for t in range(n_tasks):
-                ctl_pus[t] = main_pu[task_names[t]]
+                ctl_pus[t] = main_pu[t]
         else:
             strategy = ControlStrategy.UNMAPPED
 
@@ -252,24 +232,19 @@ def bind_program(
         and not isinstance(policy, NoBindPolicy)
     ):
         for op_k, t in zip(comm_ops, comm_pairing):
-            comm_pu.setdefault(op_k, main_pu[task_names[t]])
+            comm_pu.setdefault(op_k, main_pu[t])
         for t in range(n_tasks):
             if ctl_pus[t] < 0:
-                ctl_pus[t] = main_pu[task_names[t]]
+                ctl_pus[t] = main_pu[t]
         strategy = ControlStrategy.COLOCATED
 
-    op_pus = []
-    for k, op in enumerate(ops):
-        if op.is_main:
-            op_pus.append(main_pu[op.task_name])
-        else:
-            op_pus.append(comm_pu.get(k, -1))
+    op_pus = [main_pu[t] for t in layout.op_tasks]
+    for k in comm_ops:
+        op_pus[k] = comm_pu.get(k, -1)
     # Every entry comes from the placed mapping or is -1: nothing to check.
-    mapping = Mapping.prechecked(tuple(op_pus), tuple(op_labels), placed.policy)
+    mapping = Mapping.prechecked(tuple(op_pus), layout.op_labels, placed.policy)
     control_mapping = Mapping.prechecked(
-        tuple(ctl_pus),
-        tuple([f"{t}/ctl" for t in task_names]),
-        f"{placed.policy}-control",
+        tuple(ctl_pus), layout.control_labels, f"{placed.policy}-control"
     )
     return BindPlan(
         mapping=mapping,
@@ -292,9 +267,9 @@ def _bind_at_op_granularity(
     """Map every operation thread individually (ablation mode)."""
     ops = program.operations()
     n_ops = len(ops)
-    labels = [op.name for op in ops]
-    task_names = list(program.tasks)
-    n_tasks = len(task_names)
+    layout = program.layout()
+    labels = layout.op_labels
+    n_tasks = len(layout.task_names)
 
     if isinstance(policy, str):
         if policy == "treematch" and place_control:
@@ -312,7 +287,7 @@ def _bind_at_op_granularity(
 
     control_mapping: Optional[Mapping] = None
     strategy: Optional[ControlStrategy] = None
-    task_labels = tuple(f"{t}/ctl" for t in task_names)
+    task_labels = layout.control_labels
     if place_control and not isinstance(policy, NoBindPolicy):
         if isinstance(policy, TreeMatchPolicy) and policy.last_result is not None:
             result = policy.last_result

@@ -40,12 +40,11 @@ semantics, and ``repro.tools.place`` for the CLI front end.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -64,6 +63,9 @@ from repro.topology.tree import Topology
 from repro.treematch.mapping import Mapping
 from repro.treematch.remap import remap_incremental
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = ["CommSketch", "Decision", "PlacementService"]
 
@@ -546,7 +548,9 @@ class PlacementService:
         released, and neither the service memo nor the underlying cache
         tiers retain partial state — the next query recomputes cleanly.
         """
-        loop = asyncio.get_running_loop()
+        from asyncio import get_running_loop, shield
+
+        loop = get_running_loop()
         key = self._key(matrix, self._resolve_mode(mode))
         existing = self._inflight.get(key)
         if existing is not None:
@@ -556,7 +560,7 @@ class PlacementService:
                     "placement_single_flight_waits_total",
                     "Queries that awaited an identical in-flight computation",
                 ).inc()
-            return await asyncio.shield(existing)
+            return await shield(existing)
         future: asyncio.Future = loop.create_future()
         self._inflight[key] = future
         try:

@@ -12,39 +12,14 @@ The hardware substitute for the paper's 192-core SMP (see DESIGN.md §1):
 * :mod:`~repro.simulate.metrics` — per-run counters.
 """
 
-from repro.simulate.engine import Engine, SimEvent, SimulationError
-from repro.simulate.machine import Machine, SimThread, ThreadState
-from repro.simulate.metrics import MachineMetrics
-from repro.simulate.contention import ContentionConfig, ContentionModel
-from repro.simulate.scheduler import OsScheduler, SchedulerConfig
-from repro.simulate.syscalls import (
-    Compute,
-    ComputeFlops,
-    Receive,
-    ReceiveFromNode,
-    Wait,
-    Yield,
-)
-from repro.simulate.timeline import Segment, Timeline
+from repro import lazy_exports
 
-__all__ = [
-    "Engine",
-    "SimEvent",
-    "SimulationError",
-    "Machine",
-    "SimThread",
-    "ThreadState",
-    "MachineMetrics",
-    "ContentionConfig",
-    "ContentionModel",
-    "OsScheduler",
-    "SchedulerConfig",
-    "Compute",
-    "ComputeFlops",
-    "Receive",
-    "ReceiveFromNode",
-    "Wait",
-    "Yield",
-    "Segment",
-    "Timeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ["Engine", "SimEvent", "SimulationError"],
+    "machine": ["Machine", "SimThread", "ThreadState"],
+    "metrics": ["MachineMetrics"],
+    "contention": ["ContentionConfig", "ContentionModel"],
+    "scheduler": ["OsScheduler", "SchedulerConfig"],
+    "syscalls": ["Compute", "ComputeFlops", "Receive", "ReceiveFromNode", "Wait", "Yield"],
+    "timeline": ["Segment", "Timeline"],
+})

@@ -25,56 +25,29 @@ The experiments wire this behind a ``seeds=N`` knob (CLI ``--seeds``),
 default 1 = today's single-run behavior, unchanged to the byte.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.stats.aggregate import (
-    DEFAULT_N_BOOT,
-    SeedStats,
-    summarize,
-    summarize_map,
-)
-from repro.stats.significance import (
-    PairedVerdict,
-    SpeedupVerdict,
-    cliffs_delta,
-    cliffs_delta_label,
-    compare,
-    compare_paired,
-    compare_stats,
-    correct_verdicts,
-    holm_bonferroni,
-    paired_permutation_pvalue,
-    permutation_pvalue,
-    speedup_distribution,
-)
-from repro.stats.sweep import (
-    ReplicatedPoint,
-    ReplicatedSweep,
-    ReplicateSpec,
-    replicate_seeds,
-    run_replicated,
-)
-
-__all__ = [
-    "DEFAULT_N_BOOT",
-    "PairedVerdict",
-    "ReplicatedPoint",
-    "ReplicatedSweep",
-    "ReplicateSpec",
-    "SeedStats",
-    "SpeedupVerdict",
-    "cliffs_delta",
-    "cliffs_delta_label",
-    "compare",
-    "compare_paired",
-    "compare_stats",
-    "correct_verdicts",
-    "holm_bonferroni",
-    "paired_permutation_pvalue",
-    "permutation_pvalue",
-    "replicate_seeds",
-    "run_replicated",
-    "speedup_distribution",
-    "summarize",
-    "summarize_map",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregate": ["DEFAULT_N_BOOT", "SeedStats", "summarize", "summarize_map"],
+    "significance": [
+        "PairedVerdict",
+        "SpeedupVerdict",
+        "cliffs_delta",
+        "cliffs_delta_label",
+        "compare",
+        "compare_paired",
+        "compare_stats",
+        "correct_verdicts",
+        "holm_bonferroni",
+        "paired_permutation_pvalue",
+        "permutation_pvalue",
+        "speedup_distribution",
+    ],
+    "sweep": [
+        "ReplicatedPoint",
+        "ReplicatedSweep",
+        "ReplicateSpec",
+        "replicate_seeds",
+        "run_replicated",
+    ],
+})

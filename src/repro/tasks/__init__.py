@@ -26,33 +26,17 @@ BFS, recursive divide-and-conquer) live in :mod:`repro.kernels`; the
 placement-on-DAGs experiment E7 is :mod:`repro.experiments.dag`.
 """
 
-from repro.tasks.compile import (
-    TaskTimes,
-    compile_graph,
-    dag_matrix,
-    edge_location_name,
-)
-from repro.tasks.graph import (
-    Region,
-    TaskGraph,
-    TaskNode,
-    TaskRef,
-    TaskSpace,
-    topological_check,
-)
-from repro.tasks.run import GraphRunResult, run_graph
+from repro import lazy_exports
 
-__all__ = [
-    "GraphRunResult",
-    "Region",
-    "TaskGraph",
-    "TaskNode",
-    "TaskRef",
-    "TaskSpace",
-    "TaskTimes",
-    "compile_graph",
-    "dag_matrix",
-    "edge_location_name",
-    "run_graph",
-    "topological_check",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "compile": ["TaskTimes", "compile_graph", "dag_matrix", "edge_location_name"],
+    "graph": [
+        "Region",
+        "TaskGraph",
+        "TaskNode",
+        "TaskRef",
+        "TaskSpace",
+        "topological_check",
+    ],
+    "run": ["GraphRunResult", "run_graph"],
+})

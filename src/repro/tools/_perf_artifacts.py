@@ -16,7 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 import json
 
-from repro.perf import PerfReport, attribute_gap
+from repro.perf.report import PerfReport
+from repro.perf.topdown import attribute_gap
 
 
 def write_point_reports(

@@ -27,7 +27,9 @@ from repro.exec.runner import derive_seed
 from repro.experiments.fig1 import IMPLEMENTATIONS, analyze_run, run_implementation
 from repro.experiments.scaling import matrix_order
 from repro.observe.tracer import Tracer
-from repro.perf import PerfReport, analyze, attribute_gap, write_folded
+from repro.perf.flamegraph import write_folded
+from repro.perf.report import PerfReport, analyze
+from repro.perf.topdown import attribute_gap
 from repro.stats.aggregate import summarize_map
 from repro.tools._common import require_matrix_fits, require_positive
 from repro.topology.generate import SCALING_SPECS

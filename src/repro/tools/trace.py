@@ -25,17 +25,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.observe import (
-    EventFilter,
-    Tracer,
-    TraceSummary,
-    check_run,
-    read_jsonl,
-    run_fingerprint,
-    write_chrome,
-    write_jsonl,
-)
-from repro.orwl import AccessMode, Program, Runtime
+from repro.observe.determinism import run_fingerprint
+from repro.observe.export import read_jsonl, write_chrome, write_jsonl
+from repro.observe.invariants import check_run
+from repro.observe.tracer import EventFilter, Tracer, TraceSummary
+from repro.orwl.fifo import AccessMode
+from repro.orwl.program import Program
+from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
 from repro.placement.policies import POLICY_REGISTRY
 from repro.placement.report import render_traffic_report

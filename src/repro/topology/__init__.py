@@ -16,75 +16,34 @@ architecture".  This package is that abstraction, built synthetically:
 * :mod:`~repro.topology.serialize` — JSON round-trip.
 """
 
-from repro.topology.cpuset import CpuSet, EMPTY
-from repro.topology.objects import (
-    CacheAttributes,
-    MemoryAttributes,
-    ObjType,
-    TopologyObject,
-)
-from repro.topology.tree import Topology, TopologyError
-from repro.topology.builder import TopologyBuilder, from_spec, flat_topology
-from repro.topology.distance import (
-    DistanceModel,
-    LinkCosts,
-    DEFAULT_LEVEL_COSTS,
-    CLUSTER_LEVEL_COSTS,
-    cluster_distance_model,
-    hop_distance_matrix,
-    lca_depth_matrix,
-)
-from repro.topology.generate import (
-    LevelDef,
-    MachineSpec,
-    SCALING_SPECS,
-    build as build_spec,
-    scaling_spec,
-    smp,
-    spec_dumps,
-    spec_from_dict,
-    spec_loads,
-    spec_to_dict,
-    two_tier,
-)
-from repro.topology.restrict import restrict, restrict_to_objects, restrict_without
-from repro.topology import generate, presets, query, serialize
+from repro import lazy_exports
 
-__all__ = [
-    "CpuSet",
-    "EMPTY",
-    "CacheAttributes",
-    "MemoryAttributes",
-    "ObjType",
-    "TopologyObject",
-    "Topology",
-    "TopologyError",
-    "TopologyBuilder",
-    "from_spec",
-    "flat_topology",
-    "DistanceModel",
-    "LinkCosts",
-    "DEFAULT_LEVEL_COSTS",
-    "CLUSTER_LEVEL_COSTS",
-    "cluster_distance_model",
-    "hop_distance_matrix",
-    "lca_depth_matrix",
-    "LevelDef",
-    "MachineSpec",
-    "SCALING_SPECS",
-    "build_spec",
-    "scaling_spec",
-    "smp",
-    "spec_dumps",
-    "spec_from_dict",
-    "spec_loads",
-    "spec_to_dict",
-    "two_tier",
-    "restrict",
-    "restrict_to_objects",
-    "restrict_without",
-    "generate",
-    "presets",
-    "query",
-    "serialize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cpuset": ["CpuSet", "EMPTY"],
+    "objects": ["CacheAttributes", "MemoryAttributes", "ObjType", "TopologyObject"],
+    "tree": ["Topology", "TopologyError"],
+    "builder": ["TopologyBuilder", "from_spec", "flat_topology"],
+    "distance": [
+        "DistanceModel",
+        "LinkCosts",
+        "DEFAULT_LEVEL_COSTS",
+        "CLUSTER_LEVEL_COSTS",
+        "cluster_distance_model",
+        "hop_distance_matrix",
+        "lca_depth_matrix",
+    ],
+    "generate": [
+        "LevelDef",
+        "MachineSpec",
+        "SCALING_SPECS",
+        "build as build_spec",
+        "scaling_spec",
+        "smp",
+        "spec_dumps",
+        "spec_from_dict",
+        "spec_loads",
+        "spec_to_dict",
+        "two_tier",
+    ],
+    "restrict": ["restrict", "restrict_to_objects", "restrict_without"],
+}, submodules=["generate", "presets", "query", "serialize"])

@@ -15,39 +15,21 @@ topology (from :mod:`repro.topology`) go in; a thread → PU
   quality metrics.
 """
 
-from repro.treematch.algorithm import TreeMatchResult, tree_match, tree_match_arities
-from repro.treematch.anneal import AnnealConfig, anneal_mapping
-from repro.treematch.bisection import group_bisection
-from repro.treematch.control import ControlPlan, ControlStrategy
-from repro.treematch.grouping import group_processes
-from repro.treematch.mapping import Mapping, map_groups
-from repro.treematch.oversubscription import OversubscriptionPlan
-from repro.treematch.remap import (
-    RemapResult,
-    place_restricted,
-    remap_full,
-    remap_incremental,
-    repair_domains,
-)
-from repro.treematch import cost
+from repro import lazy_exports
 
-__all__ = [
-    "TreeMatchResult",
-    "tree_match",
-    "tree_match_arities",
-    "ControlPlan",
-    "ControlStrategy",
-    "AnnealConfig",
-    "anneal_mapping",
-    "group_bisection",
-    "group_processes",
-    "Mapping",
-    "map_groups",
-    "OversubscriptionPlan",
-    "RemapResult",
-    "place_restricted",
-    "remap_full",
-    "remap_incremental",
-    "repair_domains",
-    "cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "algorithm": ["TreeMatchResult", "tree_match", "tree_match_arities"],
+    "control": ["ControlPlan", "ControlStrategy"],
+    "anneal": ["AnnealConfig", "anneal_mapping"],
+    "bisection": ["group_bisection"],
+    "grouping": ["group_processes"],
+    "mapping": ["Mapping", "map_groups"],
+    "oversubscription": ["OversubscriptionPlan"],
+    "remap": [
+        "RemapResult",
+        "place_restricted",
+        "remap_full",
+        "remap_incremental",
+        "repair_domains",
+    ],
+}, submodules=["cost"])

@@ -5,27 +5,18 @@ Everything in :mod:`repro` that needs randomness takes an explicit seed or
 turns "seed-ish" values into a generator so experiments are reproducible.
 """
 
-from repro.util.errors import ReproError
-from repro.util.rng import make_rng, SeedLike
-from repro.util.validate import (
-    check_square_matrix,
-    check_symmetric,
-    check_nonnegative,
-    check_positive,
-    check_in_range,
-    ValidationError,
-)
-from repro.util.log import get_logger
+from repro import lazy_exports
 
-__all__ = [
-    "make_rng",
-    "SeedLike",
-    "check_square_matrix",
-    "check_symmetric",
-    "check_nonnegative",
-    "check_positive",
-    "check_in_range",
-    "ValidationError",
-    "ReproError",
-    "get_logger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "rng": ["make_rng", "SeedLike"],
+    "validate": [
+        "check_square_matrix",
+        "check_symmetric",
+        "check_nonnegative",
+        "check_positive",
+        "check_in_range",
+        "ValidationError",
+    ],
+    "errors": ["ReproError"],
+    "log": ["get_logger"],
+})

@@ -11,10 +11,6 @@ contract.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,20 +260,3 @@ class TestMatrixGranularity:
         om = static_matrix(prog)
         plan = bind_program(prog, small_topo, granularity="op", matrix=om)
         assert plan.matrix is om
-
-
-def test_launch_path_imports_skip_networkx():
-    # networkx serves only the bisection ablation; the launch path and
-    # the placement service must not pay for its import.
-    code = (
-        "import sys\n"
-        "import repro.experiments.fig1, repro.experiments.dag, repro.placement.service\n"
-        "print('networkx' in sys.modules)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        check=True, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-    assert out.stdout.strip() == "False"
