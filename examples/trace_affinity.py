@@ -14,8 +14,7 @@ both extraction paths on an LK23 program:
 Run:  python examples/trace_affinity.py
 """
 
-import numpy as np
-
+from repro.comm import CommTracer
 from repro.kernels import Lk23Config, build_program
 from repro.orwl import Runtime
 from repro.placement import (
@@ -51,12 +50,11 @@ def main() -> None:
     print(render_heat(static))
 
     plan = bind_program(prog, topo, policy="treematch")
-    machine = Machine(topo, seed=0)
-    runtime = Runtime(prog, machine, mapping=plan.mapping,
-                      control_mapping=plan.control_mapping)
-    result = runtime.run()
-    traced = traced_matrix(prog, result.tracer)
-    print(f"\nTraced matrix after the run: {result.tracer.n_events} transfer "
+    comm = CommTracer()
+    Runtime(prog, Machine(topo, seed=0), mapping=plan.mapping,
+            control_mapping=plan.control_mapping, comm=comm).run()
+    traced = traced_matrix(prog, comm)
+    print(f"\nTraced matrix after the run: {comm.n_events} transfer "
           f"events, total {traced.total_volume():.3g} bytes")
     print(render_heat(traced))
 

@@ -28,7 +28,9 @@ filled it:
     :class:`~repro.orwl.program.Program` of one
     :class:`~repro.kernels.lk23_orwl.Lk23Config`.  A program runs any
     number of times (each :class:`~repro.orwl.runtime.Runtime` re-arms
-    it), so the Bind and NoBind points of every seed share one.
+    it), so the Bind and NoBind points of every seed share one, and
+    with it its task matrix
+    (:func:`repro.placement.affinity.task_matrix`).
 
   A sweep touching the same machine shape or DAG many times pays each
   build once per process; forked pool workers inherit what the parent

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.comm import patterns
+from repro.comm.trace import CommTracer
 from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.orwl.runtime import Runtime
 from repro.placement.affinity import matrix_correlation, static_matrix, traced_matrix
@@ -223,26 +224,25 @@ def oversubscription_study(
 def affinity_extraction_fidelity(iterations: int = 3) -> dict[str, float]:
     """A5: correlation between the static matrix and a traced run.
 
-    Runs LK23 once with tracing, then correlates the trace-derived
-    matrix with the static (composition-derived) one.  High correlation
-    validates launch-time mapping from structure alone.
+    Runs LK23 once under a :class:`CommTracer`, then correlates the
+    trace-derived matrix with the static (composition-derived) one.
+    High correlation validates launch-time mapping from structure alone.
     """
     topo = presets.paper_smp(2, 8)
     cfg = Lk23Config(n=2048, grid_rows=4, grid_cols=4, iterations=iterations)
     prog = build_program(cfg)
     plan = bind_program(prog, topo, policy="treematch")
-    machine = Machine(topo, seed=3)
-    runtime = Runtime(
-        prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
-    )
-    result = runtime.run()
-    assert result.tracer is not None
+    comm = CommTracer()
+    Runtime(
+        prog, Machine(topo, seed=3), mapping=plan.mapping,
+        control_mapping=plan.control_mapping, comm=comm,
+    ).run()
     # Compare pure payload volumes (hints express footprint, not traffic).
     static = static_matrix(prog, use_affinity_hints=False)
-    traced = traced_matrix(prog, result.tracer)
+    traced = traced_matrix(prog, comm)
     return {
         "correlation": matrix_correlation(static, traced),
         "static_total": static.total_volume(),
         "traced_total": traced.total_volume(),
-        "trace_events": float(result.tracer.n_events),
+        "trace_events": float(comm.n_events),
     }

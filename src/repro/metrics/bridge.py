@@ -24,12 +24,11 @@ from repro.metrics.core import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.observe.tracer import EventFilter, TraceEvent, Tracer
+    from repro.observe.tracer import TraceEvent
     from repro.simulate.machine import Machine
 
 __all__ = [
     "MetricsProbe",
-    "attach_probe",
     "record_run",
 ]
 
@@ -47,27 +46,14 @@ class MetricsProbe:
       integral, so the totals stay exact).
     * ``orwl_runq_total`` — run-queue spans.
     * ``orwl_migrations_total`` — thread migrations.
-    * ``observe_events_bridged_total`` — everything the probe saw
-      (after filtering).
+    * ``observe_events_bridged_total`` — everything the probe saw.
 
-    An optional :class:`~repro.observe.tracer.EventFilter` restricts
-    which events are bridged; ``filter_spec`` round-trips through
-    ``EventFilter.parse`` so CLI filter strings work unchanged.
+    ``Machine.attach_tracer`` adds one to the tracer when metrics are
+    enabled.
     """
 
-    def __init__(
-        self,
-        registry: MetricRegistry | None = None,
-        *,
-        filter: "EventFilter | None" = None,
-        filter_spec: str | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricRegistry | None = None) -> None:
         reg = registry if registry is not None else core.registry()
-        if filter is None and filter_spec is not None:
-            from repro.observe.tracer import EventFilter
-
-            filter = EventFilter.parse(filter_spec)
-        self.filter = filter
         self.registry = reg
         self._bridged = reg.counter(
             "observe_events_bridged_total",
@@ -103,8 +89,6 @@ class MetricsProbe:
         )
 
     def __call__(self, event: "TraceEvent") -> None:
-        if self.filter is not None and not self.filter(event):
-            return
         self._bridged.inc()
         kind = event.kind
         if kind == "wait":
@@ -120,18 +104,6 @@ class MetricsProbe:
             self._runq.inc()
         elif kind == "migration":
             self._migrations.inc()
-
-
-def attach_probe(
-    tracer: "Tracer",
-    registry: MetricRegistry | None = None,
-    *,
-    filter_spec: str | None = None,
-) -> MetricsProbe:
-    """Attach a :class:`MetricsProbe` to ``tracer`` and return it."""
-    probe = MetricsProbe(registry, filter_spec=filter_spec)
-    tracer.add_probe(probe)
-    return probe
 
 
 def record_run(machine: "Machine", wall_s: float) -> None:

@@ -12,7 +12,7 @@ and non-monotonic histogram buckets.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.metrics.core import (
     Counter,

@@ -29,6 +29,7 @@ from repro.orwl.location import Location
 from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.comm.matrix import CommMatrix
     from repro.orwl.runtime import Runtime
 
 #: An operation body: called with the OpContext, returns a generator.
@@ -165,6 +166,9 @@ class Program:
         self._init_queues: tuple[tuple[Location, tuple[Handle, ...], int], ...] = ()
         self._init_grants: tuple[Handle, ...] = ()
         self._layout: Optional[ThreadLayout] = None
+        #: memoised :func:`repro.placement.affinity.task_matrix` (frozen
+        #: only).
+        self._task_matrix: Optional["CommMatrix"] = None
         #: the runtime that armed the program last.  Weak, so a kept
         #: program does not keep a finished run (and its machine) alive.
         self._armed_by: Optional[weakref.ReferenceType["Runtime"]] = None

@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.comm.trace import CommTracer
 from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
 from repro.orwl.program import Operation, Program
@@ -42,6 +41,7 @@ from repro.treematch.mapping import Mapping
 from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.comm.trace import CommTracer
     from repro.observe.tracer import Tracer
 
 
@@ -64,7 +64,6 @@ class RuntimeConfig:
     control_threads: bool = True
     grant_cost: float = 2e-6
     direct_grant_latency: float = 1e-6
-    trace: bool = True
 
 
 @dataclass
@@ -75,8 +74,6 @@ class RunResult:
     time: float
     #: the machine's counters.
     metrics: MachineMetrics
-    #: op-level communication trace (None if tracing disabled).
-    tracer: Optional[CommTracer]
     #: the mapping that was applied to compute ops.
     mapping: Mapping
     #: events processed by the simulation engine (diagnostics).
@@ -171,10 +168,10 @@ class OpContext:
             writer = loc.last_writer_tid
             nbytes = loc.nbytes
             if writer >= 0 and writer != self.tid and nbytes > 0:
-                tracer = rt.tracer
-                if tracer is not None:
-                    trace_id = rt._trace_id_of_tid
-                    tracer.record_by_id(trace_id[writer], trace_id[self.tid], nbytes)
+                comm = rt.comm
+                if comm is not None:
+                    comm_id = rt._comm_id_of_tid
+                    comm.record_by_id(comm_id[writer], comm_id[self.tid], nbytes)
                 yield Receive(writer, nbytes)
 
     def release(self, handle: Handle) -> None:
@@ -212,6 +209,7 @@ class Runtime:
         mapping: Optional[Mapping] = None,
         control_mapping: Optional[Mapping] = None,
         config: Optional[RuntimeConfig] = None,
+        comm: Optional["CommTracer"] = None,
     ) -> None:
         """
         Parameters
@@ -227,6 +225,10 @@ class Runtime:
         control_mapping:
             PU assignment for the per-task control threads, in task
             declaration order.  ``None`` = unbound control threads.
+        comm:
+            A :class:`~repro.comm.trace.CommTracer` that records every
+            remote read (writer op -> reader op, payload bytes) under
+            the operations' names.  ``None`` records nothing.
         """
         program.freeze()
         armer = program._armed_by() if program._armed_by is not None else None
@@ -237,7 +239,7 @@ class Runtime:
         self.program = program
         self.machine = machine
         self.config = config or RuntimeConfig()
-        self.tracer = CommTracer() if self.config.trace else None
+        self.comm = comm
         self._type_rows = machine.distances.type_rows()
         self._level_latency = machine.distances.level_latency
 
@@ -272,9 +274,9 @@ class Runtime:
         for op, tid in zip(ops, op_tids):
             for h in op.handles:
                 h.waiter = tid
-        self._trace_id_of_tid: dict[int, int] = (
-            dict(zip(op_tids, self.tracer.register_all(op_names)))
-            if self.tracer is not None else {}
+        self._comm_id_of_tid: dict[int, int] = (
+            dict(zip(op_tids, comm.register_all(op_names)))
+            if comm is not None else {}
         )
 
         # -- control threads (one per task) ---------------------------------
@@ -337,9 +339,6 @@ class Runtime:
                 delay=self.config.direct_grant_latency if ctl is None
                 else self._grant_message_latency(ctl, req)
             )
-
-    def trace_id_of_tid(self, tid: int) -> int:
-        return self._trace_id_of_tid[tid]
 
     def _grant_direct(self, req: Request) -> None:
         """Grant callback of a location whose owner has no control
@@ -444,7 +443,6 @@ class Runtime:
         return RunResult(
             time=total,
             metrics=self.machine.metrics,
-            tracer=self.tracer,
             mapping=self.mapping,
             engine_events=self.machine.engine.events_fired,
             trace=self.machine.tracer,

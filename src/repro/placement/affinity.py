@@ -116,15 +116,23 @@ def task_matrix(program: Program, op_matrix: Optional[CommMatrix] = None) -> Com
     With an op-level *op_matrix* (e.g. a traced one), aggregated to task
     granularity with :meth:`CommMatrix.aggregated`.  Both agree bit for
     bit with aggregating :func:`static_matrix` whenever the volumes sum
-    exactly (e.g. integral byte counts).
+    exactly (e.g. integral byte counts).  A frozen program keeps its
+    static matrix, as a frozen graph keeps its
+    :func:`~repro.tasks.compile.dag_matrix`: every later bind of a kept
+    program reuses it, and with it the matrix's memoised digest.
     """
+    if op_matrix is None and program._task_matrix is not None:
+        return program._task_matrix
     ops = program.operations()
     task_names = list(program.tasks)
     task_index = {name: k for k, name in enumerate(task_names)}
     row_of = [task_index[op.task_name] for op in ops]
     if op_matrix is None:
         m = _scatter_affinity(program, ops, row_of, len(task_names), 1, True)
-        return CommMatrix(m, labels=task_names)
+        matrix = CommMatrix(m, labels=task_names)
+        if program.frozen:
+            program._task_matrix = matrix
+        return matrix
     if op_matrix.order != len(ops):
         raise ValidationError(
             f"op matrix order {op_matrix.order} != {len(ops)} operations"

@@ -2,9 +2,9 @@
 
 The paper maps at launch time from the program's composition.  A natural
 extension — and the ablation A5 counterpart — is to *profile* first:
-run the application once unbound with tracing enabled, build the
-communication matrix from what actually moved, and bind the production
-run with it.  Useful when the composition under-specifies traffic
+run the application once unbound, recording its communication, build
+the communication matrix from what actually moved, and bind the
+production run with it.  Useful when the composition under-specifies traffic
 (data-dependent communication) at the cost of one profiling run.
 
 A program can run any number of times (every runtime re-arms its FIFO
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.comm.matrix import CommMatrix
+from repro.comm.trace import CommTracer
 from repro.orwl.program import Program
 from repro.orwl.runtime import RunResult, Runtime, RuntimeConfig
 from repro.placement.affinity import task_matrix, traced_matrix
@@ -53,7 +54,8 @@ def profile_and_bind(
     seed: SeedLike = 0,
     runtime_config: Optional[RuntimeConfig] = None,
 ) -> ProfiledBind:
-    """Run once unbound with tracing, then bind from the measured matrix.
+    """Run once unbound under a :class:`CommTracer`, then bind from the
+    measured matrix.
 
     Parameters
     ----------
@@ -67,12 +69,10 @@ def profile_and_bind(
         Forwarded to :func:`repro.placement.binder.bind_program`.
     """
     profile_prog = make_program()
-    config = runtime_config or RuntimeConfig()
-    if not config.trace:
-        raise ValidationError("profiling requires RuntimeConfig.trace=True")
-    machine = Machine(topo, seed=seed)
-    profile_run = Runtime(profile_prog, machine, config=config).run()
-    assert profile_run.tracer is not None
+    comm = CommTracer()
+    profile_run = Runtime(
+        profile_prog, Machine(topo, seed=seed), config=runtime_config, comm=comm
+    ).run()
 
     production_prog = make_program()
     if [op.name for op in production_prog.operations()] != [
@@ -82,7 +82,7 @@ def profile_and_bind(
             "program factory is not deterministic: operation names differ "
             "between the profiling and production instances"
         )
-    matrix = traced_matrix(production_prog, profile_run.tracer)
+    matrix = traced_matrix(production_prog, comm)
     placed = task_matrix(production_prog, matrix) if granularity == "task" else matrix
     plan = bind_program(
         production_prog, topo, policy=policy, matrix=placed, granularity=granularity

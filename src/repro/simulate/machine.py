@@ -289,9 +289,9 @@ class Machine:
         if _metrics_core.is_enabled():
             # Bridge ORWL waits/grants/transfers into metrics off the
             # trace stream — never double-instrument the runtime.
-            from repro.metrics.bridge import attach_probe
+            from repro.metrics.bridge import MetricsProbe
 
-            attach_probe(tracer)
+            tracer.add_probe(MetricsProbe())
 
         def sched_probe(kind: str, src: int, dst: int) -> None:
             tracer.emit(

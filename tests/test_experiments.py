@@ -141,6 +141,13 @@ class TestAblations:
         out = ablations.affinity_extraction_fidelity(iterations=2)
         assert out["correlation"] > 0.9
         assert out["trace_events"] > 0
+        # The values EXPERIMENTS.md reports, pinned bit for bit.
+        assert ablations.affinity_extraction_fidelity() == {
+            "correlation": 0.989753179951154,
+            "static_total": 393792.0,
+            "traced_total": 1378272.0,
+            "trace_events": 588.0,
+        }
 
 
 class TestCoreApi:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.trace import CommTracer
 from repro.orwl import AccessMode, Program, Runtime, idioms
 from repro.simulate.machine import Machine
 from repro.treematch.mapping import Mapping
@@ -30,10 +31,11 @@ class TestIterative:
     def test_pingpong_completes(self, small_topo):
         prog = build_idiomatic_pingpong()
         machine = Machine(small_topo, seed=0)
-        res = Runtime(prog, machine, mapping=Mapping((0, 4))).run()
+        comm = CommTracer()
+        res = Runtime(prog, machine, mapping=Mapping((0, 4)), comm=comm).run()
         assert res.time > 0
         # Reader pulled the payload every sweep.
-        assert res.tracer.volume_between("A/main", "B/main") == 4 * 2048
+        assert comm.volume_between("A/main", "B/main") == 4 * 2048
 
     def test_invalid_iterations(self, small_topo):
         prog = Program("bad")

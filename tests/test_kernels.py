@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.trace import CommTracer
 from repro.kernels import (
     BlockGrid,
     Direction,
@@ -263,10 +264,11 @@ class TestLk23Program:
         prog = build_program(cfg)
         plan = bind_program(prog, small_topo, policy="treematch")
         m = Machine(small_topo, seed=1)
-        rt = Runtime(prog, m, mapping=plan.mapping, control_mapping=plan.control_mapping)
-        res = rt.run()
+        comm = CommTracer()
+        Runtime(prog, m, mapping=plan.mapping, control_mapping=plan.control_mapping,
+                comm=comm).run()
         # b0.0's east sub-op must have fed b0.1's main.
-        assert res.tracer.volume_between("b0.0/sub_E", "b0.1/main") > 0
+        assert comm.volume_between("b0.0/sub_E", "b0.1/main") > 0
 
     def test_more_iterations_take_longer(self, small_topo):
         times = []

@@ -344,27 +344,6 @@ def test_metrics_probe_counts_by_kind():
     assert reg.get("orwl_wait_sim_seconds").count == 1
 
 
-def test_metrics_probe_filter_spec_roundtrip():
-    """A CLI filter spec restricts the bridge exactly like EventFilter."""
-    from repro.observe.tracer import EventFilter
-
-    spec = "kind=wait|grant,thread=w*"
-    reg = MetricRegistry()
-    probe = MetricsProbe(reg, filter_spec=spec)
-    assert probe.filter == EventFilter.parse(spec)
-    events = [
-        _trace_event("wait", thread="w0"),
-        _trace_event("wait", thread="ctl"),  # thread glob mismatch
-        _trace_event("transfer", thread="w0"),  # kind mismatch
-        _trace_event("grant", thread="w1"),
-    ]
-    for ev in events:
-        probe(ev)
-    expected = sum(1 for ev in events if EventFilter.parse(spec)(ev))
-    assert reg.counter("observe_events_bridged_total").value == expected == 2
-    assert reg.counter("orwl_transfers_total").value == 0
-
-
 # -- snapshot bus ----------------------------------------------------------
 
 

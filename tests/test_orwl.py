@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.trace import CommTracer
 from repro.orwl import (
     AccessMode,
     FifoError,
@@ -198,17 +199,21 @@ class TestRuntime:
     def test_pingpong_traces_volumes(self, small_topo):
         prog = build_pingpong(iterations=4, nbytes=1000)
         m = Machine(small_topo, seed=0)
-        rt = Runtime(prog, m, mapping=Mapping((0, 4)))
-        res = rt.run()
-        mat = res.tracer.to_matrix()
+        comm = CommTracer()
+        Runtime(prog, m, mapping=Mapping((0, 4)), comm=comm).run()
+        mat = comm.to_matrix()
         assert mat.volume(0, 1) == 4 * 1000.0
 
-    def test_trace_disabled(self, small_topo):
+    def test_trace_disabled(self, small_topo, monkeypatch):
+        """Without a recorder a run records nothing and moves the same
+        payloads."""
+        calls = []
+        monkeypatch.setattr(CommTracer, "record_by_id", lambda *a: calls.append(a))
         prog = build_pingpong()
         m = Machine(small_topo, seed=0)
-        rt = Runtime(prog, m, mapping=Mapping((0, 4)), config=RuntimeConfig(trace=False))
-        res = rt.run()
-        assert res.tracer is None
+        res = Runtime(prog, m, mapping=Mapping((0, 4))).run()
+        assert res.metrics.transfers == 3
+        assert calls == []
 
     def test_placement_changes_time(self, small_topo):
         times = {}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernels.lk23_orwl import Lk23Config, build_program
-from repro.orwl import Runtime, RuntimeConfig
+from repro.orwl import Runtime
 from repro.placement import profile_and_bind
 from repro.simulate.machine import Machine
 from repro.util.validate import ValidationError
@@ -16,8 +16,11 @@ def factory():
 class TestProfileAndBind:
     def test_produces_runnable_plan(self, small_topo):
         result = profile_and_bind(factory, small_topo, seed=1)
-        # Fresh program, bound plan, non-empty traced matrix.
-        assert result.matrix.total_volume() > 0
+        # Fresh program, bound plan, the traced matrix and plan pinned.
+        assert result.matrix.total_volume() == 82080.0
+        assert result.plan.mapping.pu_of == (
+            0, -1, -1, -1, 1, -1, -1, -1, 2, -1, -1, -1, 3, -1, -1, -1
+        )
         machine = Machine(small_topo, seed=1)
         run = Runtime(
             result.program,
@@ -43,12 +46,6 @@ class TestProfileAndBind:
         ).run()
         # The profiled (unbound) run is the baseline the workflow improves.
         assert bound.time < result.profile_run.time
-
-    def test_trace_disabled_rejected(self, small_topo):
-        with pytest.raises(ValidationError):
-            profile_and_bind(
-                factory, small_topo, runtime_config=RuntimeConfig(trace=False)
-            )
 
     def test_nondeterministic_factory_rejected(self, small_topo):
         programs = [

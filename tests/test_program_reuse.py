@@ -29,6 +29,7 @@ from repro.orwl import runtime as runtime_mod
 from repro.orwl.fifo import AccessMode
 from repro.orwl.program import Program
 from repro.orwl.runtime import Runtime
+from repro.placement import affinity as affinity_mod
 from repro.placement.binder import bind_program
 from repro.simulate.machine import Machine
 from repro.tasks.compile import compile_graph, dag_matrix
@@ -248,6 +249,27 @@ def test_clear_cache_drops_the_kept_programs():
     assert lk23() is None and dag() is None
     assert cached_lk23_program(LK23) is not None
     assert cache_mod.cache_stats().get("program_build", 0) - before == 2
+
+
+@pytest.mark.parametrize("policy", ["treematch", "nobind"])
+def test_kept_program_keeps_its_task_matrix(monkeypatch, policy):
+    """A second bind of the kept LK23 program reuses the task matrix of
+    its first bind instead of extracting it from the handles again, and
+    places the program as a fresh build does."""
+    topo, _ = machine_inputs("paper-smp", *SHAPE)
+    fresh = bind_program(build_program(LK23), topo, policy=policy)
+    first = bind_program(cached_lk23_program(LK23), topo, policy=policy)
+    calls = []
+    extract = affinity_mod._scatter_affinity
+    monkeypatch.setattr(
+        affinity_mod, "_scatter_affinity", lambda *a: calls.append(a) or extract(*a)
+    )
+    second = bind_program(cached_lk23_program(LK23), topo, policy=policy)
+    assert calls == []
+    assert second.matrix is first.matrix
+    assert fresh.matrix.values.tobytes() == second.matrix.values.tobytes()
+    assert second.mapping == first.mapping == fresh.mapping
+    assert second.control_mapping == first.control_mapping == fresh.control_mapping
 
 
 # -- program freeze -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.trace import CommTracer
 from repro.kernels.wavefront import WavefrontConfig, build_wavefront_program
 from repro.orwl import Runtime
 from repro.placement import bind_program
@@ -9,12 +10,12 @@ from repro.simulate.machine import Machine
 from repro.util.validate import ValidationError
 
 
-def run(cfg, topo, policy="treematch", seed=0):
+def run(cfg, topo, policy="treematch", seed=0, comm=None):
     prog = build_wavefront_program(cfg)
     plan = bind_program(prog, topo, policy=policy)
     machine = Machine(topo, seed=seed)
     rt = Runtime(prog, machine, mapping=plan.mapping,
-                 control_mapping=plan.control_mapping)
+                 control_mapping=plan.control_mapping, comm=comm)
     return rt.run()
 
 
@@ -89,11 +90,12 @@ class TestExecution:
 
     def test_dataflow_traced(self, small_topo):
         cfg = WavefrontConfig(rows=2, cols=2, iterations=2)
-        res = run(cfg, small_topo)
-        assert res.tracer.volume_between("b0.0/main", "b0.1/main") > 0
-        assert res.tracer.volume_between("b0.0/main", "b1.0/main") > 0
+        comm = CommTracer()
+        run(cfg, small_topo, comm=comm)
+        assert comm.volume_between("b0.0/main", "b0.1/main") > 0
+        assert comm.volume_between("b0.0/main", "b1.0/main") > 0
         # No diagonal communication in a wavefront.
-        assert res.tracer.volume_between("b0.0/main", "b1.1/main") == 0.0
+        assert comm.volume_between("b0.0/main", "b1.1/main") == 0.0
 
     def test_placement_affects_handoff_latency(self, paper_topo_small):
         """With tiny compute, the pipeline beat is the hand-off latency,
