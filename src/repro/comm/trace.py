@@ -3,8 +3,9 @@
 The paper's add-on "exploit[s] application information as it is gathered
 from ORWL runtime to construct a weighted matrix that expresses the
 communication volume between threads".  :class:`CommTracer` is that
-collector: the ORWL runtime calls :meth:`record` whenever one thread
-reads data last written by another, and :meth:`to_matrix` produces the
+collector: the ORWL runtime registers its entities once
+(:meth:`register_all`) and calls :meth:`record_by_id` whenever one
+thread reads data last written by another; :meth:`to_matrix` produces the
 :class:`~repro.comm.matrix.CommMatrix` the mapping algorithm consumes.
 
 Entities are registered by name so traces stay meaningful when thread
@@ -31,10 +32,6 @@ class CommTracer:
 
     # -- registration -----------------------------------------------------
 
-    def register(self, name: str) -> int:
-        """Register an entity; returns its stable integer id (idempotent)."""
-        return self.register_all((name,))[0]
-
     def register_all(self, names: Iterable[str]) -> list[int]:
         """Register several entities, preserving order; returns their ids."""
         ids, known = [], self._ids
@@ -45,12 +42,6 @@ class CommTracer:
                 self._names.append(name)
             ids.append(idx)
         return ids
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self._ids[name]
-        except KeyError:
-            raise ValidationError(f"unregistered entity {name!r}") from None
 
     @property
     def n_entities(self) -> int:
@@ -67,47 +58,26 @@ class CommTracer:
 
     # -- recording -----------------------------------------------------------
 
-    def record(self, src: str, dst: str, nbytes: float) -> None:
-        """Record *nbytes* flowing from entity *src* to entity *dst*.
-
-        Unknown entities are registered on the fly; self-communication is
-        ignored (it never crosses the hierarchy).
-        """
-        if nbytes < 0:
-            raise ValidationError(f"negative volume {nbytes}")
-        i = self.register(src)
-        j = self.register(dst)
-        if i == j or nbytes == 0:
-            return
-        key = (i, j) if i < j else (j, i)
-        self._volumes[key] += nbytes
-        self._events += 1
-
     def record_by_id(self, src_id: int, dst_id: int, nbytes: float) -> None:
-        """Hot-path variant taking pre-registered integer ids."""
+        """Record *nbytes* flowing between two registered entities.
+
+        Self-communication is ignored (it never crosses the hierarchy),
+        and so is a non-positive volume.
+        """
         if src_id == dst_id or nbytes <= 0:
             return
         key = (src_id, dst_id) if src_id < dst_id else (dst_id, src_id)
         self._volumes[key] += nbytes
         self._events += 1
 
-    def merge(self, other: "CommTracer") -> None:
-        """Fold another tracer's volumes into this one (by entity name)."""
-        remap = [self.register(name) for name in other._names]
-        for (i, j), vol in other._volumes.items():
-            self.record_by_id(remap[i], remap[j], vol)
-            self._events -= 1  # merge is not a new event
-        self._events += other._events
-
-    def reset_volumes(self) -> None:
-        """Clear recorded volumes but keep entity registrations."""
-        self._volumes.clear()
-        self._events = 0
-
     # -- export --------------------------------------------------------------
 
     def volume_between(self, a: str, b: str) -> float:
-        i, j = self.id_of(a), self.id_of(b)
+        """Volume recorded between entities *a* and *b*, either way."""
+        try:
+            i, j = self._ids[a], self._ids[b]
+        except KeyError as exc:
+            raise ValidationError(f"unregistered entity {exc.args[0]!r}") from None
         key = (i, j) if i < j else (j, i)
         return self._volumes.get(key, 0.0)
 

@@ -29,7 +29,7 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.util.validate import ValidationError
 
@@ -533,5 +533,3 @@ def reset_registry() -> MetricRegistry:
         _REGISTRY = MetricRegistry()
     return _REGISTRY
 
-
-Probe = Callable[[Any], None]

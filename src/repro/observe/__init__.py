@@ -5,7 +5,7 @@ Three layers over one event stream:
 * :mod:`~repro.observe.tracer` — :class:`Tracer` collects one
   :class:`TraceEvent` per machine activity (compute, transfer, lock
   wait, runq wait, migration, grant, scheduler decision), each tagged
-  with PU / NUMA node / sharing level; probes subscribe live.
+  with PU / NUMA node / sharing level.
 * :mod:`~repro.observe.export` — lossless JSON-lines round-trip plus
   Chrome ``trace_event`` output for Perfetto timelines
   (``python -m repro.tools.trace`` is the CLI).
@@ -55,7 +55,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "KNOWN_KINDS",
         "SPAN_KINDS",
         "EventFilter",
-        "Probe",
         "TraceEvent",
         "Tracer",
         "TraceSummary",

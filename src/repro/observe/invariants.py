@@ -19,8 +19,9 @@ event stream — and reports any disagreement as a structured
   transfer totals.
 * **migration-accounting** — migration count and penalty totals agree
   between counters and events.
-* **monotonic-timestamps** — the engine clock never went backwards and
-  each thread's spans are ordered and non-overlapping.
+* **monotonic-timestamps** — the engine clock never went backwards (the
+  instants, stamped with it when emitted, never decrease in emission
+  order) and each thread's spans are ordered and non-overlapping.
 * **non-negative-duration** — no event has a negative duration or
   timestamp.
 * **critical-path-bound** — the longest weighted dependency chain
@@ -43,7 +44,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.observe.tracer import SPAN_KINDS, TraceEvent, Tracer
+from repro.observe.tracer import SPAN_KINDS, TraceEvent
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -176,7 +177,7 @@ class InvariantChecker:
         out = report.violations
         m = machine.metrics
 
-        self._check_shapes(events, tracer, out)
+        self._check_shapes(events, out)
         self._check_thread_accounting(machine, out)
         self._check_aggregates(machine, events, out)
         self._check_perf(machine, events, out)
@@ -186,22 +187,16 @@ class InvariantChecker:
         return report
 
     def _check_shapes(
-        self, events: tuple[TraceEvent, ...], tracer: Tracer, out: list[Violation]
+        self, events: tuple[TraceEvent, ...], out: list[Violation]
     ) -> None:
-        if tracer.clock_regressions:
-            out.append(
-                Violation(
-                    "monotonic-timestamps",
-                    f"engine clock went backwards {tracer.clock_regressions} time(s)",
-                    magnitude=float(tracer.clock_regressions),
-                )
-            )
-        # Per thread, spans must be ordered and non-overlapping, and
-        # instants must carry non-decreasing timestamps.  (Spans and
-        # instants are compared within their own class: a span's ts is
-        # its *start*, which may legitimately lie ahead of a later-kept
-        # instant emitted at decision time while the span was queued.)
-        last_instant: dict[int, TraceEvent] = {}
+        # Instants are stamped with the engine clock when emitted, so
+        # across the whole stream their timestamps never decrease in
+        # emission order: a decrease means the clock went backwards.
+        # Per thread, spans must be ordered and non-overlapping.  (A
+        # span's ts is its *start*, which may legitimately lie ahead of
+        # a later instant emitted at decision time while the span was
+        # queued, so the two classes are checked apart.)
+        last_instant: Optional[TraceEvent] = None
         last_span: dict[int, TraceEvent] = {}
         for ev in events:
             if ev.dur < 0 or ev.ts < 0:
@@ -213,21 +208,20 @@ class InvariantChecker:
                         magnitude=abs(min(ev.ts, ev.dur)),
                     )
                 )
-            if ev.tid < 0:
-                continue
             if ev.kind not in SPAN_KINDS:
-                prev = last_instant.get(ev.tid)
-                if prev is not None and ev.ts < prev.ts - self.abs_tol:
+                prev, last_instant = last_instant, ev
+                if prev is not None and ev.ts < prev.ts:
                     out.append(
                         Violation(
                             "monotonic-timestamps",
                             f"event #{ev.seq} {ev.kind} at {ev.ts!r} precedes "
                             f"#{prev.seq} {prev.kind} at {prev.ts!r}",
-                            tid=ev.tid,
+                            tid=ev.tid if ev.tid >= 0 else None,
                             magnitude=prev.ts - ev.ts,
                         )
                     )
-                last_instant[ev.tid] = ev
+                continue
+            if ev.tid < 0:
                 continue
             pspan = last_span.get(ev.tid)
             if pspan is not None:

@@ -16,8 +16,10 @@ append-only stream that
   (:mod:`repro.observe.determinism`).
 
 Overhead discipline: a machine without a tracer pays one ``is None``
-check per activity; with a tracer, one object construction and append.
-``benchmarks/bench_trace_overhead.py`` pins the enabled/disabled ratio.
+check per activity; with a tracer, one tuple and one list append.  The
+:class:`TraceEvent` objects are built only when the stream is read.
+``benchmarks/bench_trace_overhead.py`` pins the enabled/disabled ratio,
+and ``tests/test_trace_cost.py`` the Python calls per traced activity.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 #: Event kinds whose ``[ts, ts + dur]`` is an exclusive occupation of the
 #: thread (spans must not overlap within one thread).  All other kinds
@@ -88,13 +90,16 @@ class TraceEvent:
         return self.kind in SPAN_KINDS
 
 
-#: A probe receives every event as it is emitted (live monitoring,
-#: streaming export, online invariant checks).
-Probe = Callable[[TraceEvent], None]
-
-
 class Tracer:
-    """Collects :class:`TraceEvent` s and fans them out to probes.
+    """Collects one row per machine activity; reads them as events.
+
+    A row is a plain tuple in :class:`TraceEvent` field order without
+    ``seq`` (the row's index is its ``seq``).  The one way to record is
+    :attr:`append`, the bound ``append`` of the row list, so an enabled
+    tracer costs the recording site one tuple and one C call.  Readers
+    (:attr:`events`, iteration, :meth:`for_kind`, ...) see
+    :class:`TraceEvent` objects, built on first read and kept, so
+    every read of the same stream returns the same objects.
 
     One tracer per machine run.  Attach with
     ``Machine(..., tracer=Tracer())`` or
@@ -102,82 +107,48 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._events: list[TraceEvent] = []
-        self._probes: list[Probe] = []
-        self._seq = 0
-        #: engine steps observed (wired to :attr:`Engine.probe`).
-        self.engine_steps = 0
-        #: simulated-clock regressions seen (should stay 0 forever).
-        self.clock_regressions = 0
-        self._last_engine_ts = 0.0
-
-    # -- recording ---------------------------------------------------------
-
-    def emit(
-        self,
-        kind: str,
-        ts: float,
-        dur: float = 0.0,
-        tid: int = -1,
-        thread: str = "",
-        pu: int = -1,
-        node: int = -1,
-        level: str = "",
-        nbytes: float = 0.0,
-        detail: str = "",
-    ) -> TraceEvent:
-        """Record one event; returns it (probes already notified)."""
-        ev = TraceEvent(
-            self._seq, kind, ts, dur, tid, thread, pu, node, level, nbytes, detail
-        )
-        self._seq += 1
-        self._events.append(ev)
-        for probe in self._probes:
-            probe(ev)
-        return ev
-
-    def add_probe(self, probe: Probe) -> None:
-        """Subscribe *probe* to every future event."""
-        self._probes.append(probe)
-
-    def on_engine_step(self, now: float) -> None:
-        """Engine hook: count steps, watch for clock regressions."""
-        if now < self._last_engine_ts:
-            self.clock_regressions += 1
-        self._last_engine_ts = now
-        self.engine_steps += 1
+        self._rows: list[tuple] = []
+        #: Record one row (see the class docstring for its layout).
+        self.append = self._rows.append
+        self._events: tuple[TraceEvent, ...] = ()
 
     # -- queries -----------------------------------------------------------
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        return tuple(self._events)
+        built = len(self._events)
+        if built != len(self._rows):
+            self._events += tuple(
+                TraceEvent(seq, *row)
+                for seq, row in enumerate(self._rows[built:], built)
+            )
+        return self._events
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self.events)
 
     def for_thread(self, tid: int) -> list[TraceEvent]:
-        return [e for e in self._events if e.tid == tid]
+        return [e for e in self.events if e.tid == tid]
 
     def for_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self._events if e.kind == kind]
+        return [e for e in self.events if e.kind == kind]
 
     def counts(self) -> Counter:
         """``{kind: number of events}``."""
-        return Counter(e.kind for e in self._events)
+        return Counter(row[0] for row in self._rows)
 
     def total(self, kind: str, field_: str = "dur") -> float:
         """Sum of a numeric field over all events of *kind*."""
-        return sum(getattr(e, field_) for e in self._events if e.kind == kind)
+        return sum(getattr(e, field_) for e in self.events if e.kind == kind)
 
     def stream_hash(self) -> str:
         """Determinism fingerprint of the full stream (sha-256 hex)."""
         from repro.observe.determinism import stream_hash
 
-        return stream_hash(self._events)
+        return stream_hash(self.events)
 
 
 @dataclass(frozen=True)

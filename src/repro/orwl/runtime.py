@@ -344,23 +344,9 @@ class Runtime:
         """Grant callback of a location whose owner has no control
         thread: deliver the grant at once."""
         self._deliver(req, None)
-        self._trace_grant(-1, req)
-
-    def _trace_grant(self, ctl_tid: int, req: Request) -> None:
-        """Emit a structured grant event (ctl_tid -1 = direct grant)."""
-        tracer = self.machine.tracer
-        if tracer is None:
-            return
-        pu = self.machine.thread(ctl_tid).current_pu if ctl_tid >= 0 else -1
-        tracer.emit(
-            "grant",
-            ts=self.machine.engine.now,
-            tid=ctl_tid,
-            thread=self.machine.thread(ctl_tid).name if ctl_tid >= 0 else "",
-            pu=pu,
-            node=self.machine.node_of_thread(ctl_tid) if ctl_tid >= 0 else -1,
-            detail=req.tag,
-        )
+        machine = self.machine
+        if machine.tracer is not None:
+            machine._trace("grant", None, machine.engine._now, detail=req.tag)
 
     def _grant_message_latency(self, ctl: SimThread, req: Request) -> float:
         """Latency of the grant message from control thread to waiter.
@@ -391,7 +377,8 @@ class Runtime:
                 yield service
                 self._deliver(req, ctl)
                 if machine.tracer is not None:
-                    self._trace_grant(ctl_tid, req)
+                    machine._trace("grant", ctl, machine.engine._now,
+                                   detail=req.tag)
             if cq.shutdown:
                 return
             ev = machine.new_event("ctl-wake")

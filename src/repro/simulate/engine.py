@@ -39,18 +39,13 @@ class Engine:
     keeps one hot code path.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_events_fired", "probe")
+    __slots__ = ("_now", "_heap", "_seq", "_events_fired")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._events_fired = 0
-        #: optional observability probe, called with the new simulated
-        #: time once per fired event (see repro.observe.Tracer
-        #: .on_engine_step).  One ``is None`` check per event when
-        #: unused.
-        self.probe: Optional[Callable[[float], None]] = None
 
     @property
     def now(self) -> float:
@@ -104,8 +99,6 @@ class Engine:
         time, _, fn = heapq.heappop(self._heap)
         self._now = time
         self._events_fired += 1
-        if self.probe is not None:
-            self.probe(time)
         fn()
         return True
 

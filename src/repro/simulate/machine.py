@@ -199,9 +199,9 @@ class Machine:
         Seed for scheduler and jitter randomness.
     tracer:
         Optional :class:`repro.observe.Tracer`; when attached the
-        machine emits one structured event per activity (compute,
+        machine records one trace row per activity (compute,
         transfer, wait, runq, migration), tagged with PU / NUMA node /
-        sharing level, and wires the engine and scheduler probes.  See
+        sharing level, and wires the scheduler's observer.  See
         :mod:`repro.observe`; a Gantt view of the run is
         :meth:`repro.simulate.timeline.Timeline.from_events` of its
         events.
@@ -276,7 +276,7 @@ class Machine:
             new_machine_hook(self)
 
     def attach_tracer(self, tracer: "Tracer") -> None:
-        """Wire *tracer* into the machine, engine, and scheduler probes.
+        """Wire *tracer* into the machine and its scheduler.
 
         Must happen before :meth:`run`; one tracer per machine.
         """
@@ -285,24 +285,12 @@ class Machine:
         if self._started:
             raise SimulationError("cannot attach a tracer after run() started")
         self.tracer = tracer
-        self.engine.probe = tracer.on_engine_step
-        if _metrics_core.is_enabled():
-            # Bridge ORWL waits/grants/transfers into metrics off the
-            # trace stream — never double-instrument the runtime.
-            from repro.metrics.bridge import MetricsProbe
 
-            tracer.add_probe(MetricsProbe())
+        def trace_sched(kind: str, src: int, dst: int) -> None:
+            self._trace("sched", None, self.engine._now, pu=dst,
+                        detail=f"{kind}:{src}->{dst}")
 
-        def sched_probe(kind: str, src: int, dst: int) -> None:
-            tracer.emit(
-                "sched",
-                ts=self.engine.now,
-                pu=dst,
-                node=self._node_of_pu[dst] if 0 <= dst < len(self._node_of_pu) else -1,
-                detail=f"{kind}:{src}->{dst}",
-            )
-
-        self.scheduler.observer = sched_probe
+        self.scheduler.observer = trace_sched
 
     # -- thread setup ------------------------------------------------------
 
@@ -443,28 +431,33 @@ class Machine:
     def _trace(
         self,
         kind: str,
-        t: SimThread,
+        t: Optional[SimThread],
         ts: float,
         dur: float = 0.0,
         level: str = "",
         nbytes: float = 0.0,
         detail: str = "",
+        pu: int = -1,
     ) -> None:
-        """Emit one event for thread *t* (caller checked tracer is set)."""
-        pu = t.current_pu
+        """Record one trace row for thread *t* (caller checked the
+        tracer is set).
+
+        *t* None records a machine-level row (tid -1) on PU *pu*: a
+        scheduler decision, or a grant delivered without a control
+        thread.  The row is a tuple in
+        :class:`~repro.observe.tracer.TraceEvent` field order, less
+        ``seq``.
+        """
+        if t is None:
+            tid, name = -1, ""
+        else:
+            tid, name, pu = t.tid, t.name, t.current_pu
         assert self.tracer is not None
-        self.tracer.emit(
-            kind,
-            ts=ts,
-            dur=dur,
-            tid=t.tid,
-            thread=t.name,
-            pu=pu,
-            node=self._node_of_pu[pu] if pu >= 0 else -1,
-            level=level,
-            nbytes=nbytes,
-            detail=detail,
-        )
+        self.tracer.append((
+            kind, ts, dur, tid, name, pu,
+            self._node_of_pu[pu] if pu >= 0 else -1,
+            level, nbytes, detail,
+        ))
 
     def _release_callbacks(self) -> None:
         """Drop the links that tie the machine into reference cycles.
@@ -648,7 +641,9 @@ class Machine:
         t.transfer_time += duration
         start, end = self._occupy_pu(t, duration)
         if self.tracer is not None:
-            self._trace("transfer", t, start, duration, level=level.name,
+            # ``_name_`` is the member's plain attribute; ``name`` is an
+            # enum property, two Python calls per traced transfer.
+            self._trace("transfer", t, start, duration, level=level._name_,
                         nbytes=nbytes, detail=f"from-node:{producer_node}")
         self.contention.begin(level, producer_node)
         t.transfer_level = level

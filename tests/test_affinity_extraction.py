@@ -217,9 +217,10 @@ class TestTracedMatrix:
         silent = {op.name for op in ops[::3]}
         names = [op.name for op in ops if op.name not in silent]
         names += [f"{t}/ctl" for t in prog.tasks]
+        ids = tr.register_all(names)
         for _ in range(400):
             a, b = rng.choice(len(names), size=2, replace=False)
-            tr.record(names[a], names[b], float(rng.integers(1, 1 << 20)))
+            tr.record_by_id(ids[a], ids[b], float(rng.integers(1, 1 << 20)))
         got = traced_matrix(prog, tr)
         assert got.labels == tuple(op.name for op in ops)
         assert np.array_equal(got.values, pairwise_traced(prog, tr))

@@ -30,7 +30,7 @@ LK23 = Lk23Config(n=1024, grid_rows=2, grid_cols=2, iterations=2)
 def comm_calls(monkeypatch):
     """Every call made into any :class:`CommTracer`, by method name."""
     calls: list[str] = []
-    for name in ("__init__", "register_all", "record", "record_by_id"):
+    for name in ("__init__", "register_all", "record_by_id"):
         method = getattr(CommTracer, name)
 
         def counted(*args, _method=method, _name=name, **kwargs):

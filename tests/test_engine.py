@@ -336,17 +336,17 @@ class TestEngineModes:
             e.run(max_events=500)
 
     @pytest.mark.parametrize("mode", DRAIN_MODES, indirect=True)
-    def test_probe_called_once_per_logical_event(self, mode):
+    def test_fires_once_per_logical_event(self, mode):
         e = Engine()
         seen = []
-        e.probe = seen.append
         ev = SimEvent(e)
         for _ in range(5):
-            ev.wait(lambda: None)
+            ev.wait(lambda: seen.append(e.now))
         ev.fire(delay=2.0)
-        e.schedule(3.0, lambda: None)
+        e.schedule(3.0, lambda: seen.append(e.now))
         e.run()
         assert seen == [2.0] * 5 + [3.0]
+        assert e.events_fired == 6
 
     def test_repr_counts_waiters(self):
         ev = SimEvent(Engine(), "b")

@@ -11,6 +11,7 @@ from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
+from repro.simulate.engine import Engine
 from repro.simulate.machine import Machine
 from repro.simulate.scheduler import SchedulerConfig
 from repro.tasks.run import run_graph
@@ -30,29 +31,37 @@ def test_dag_point_time_is_float():
     assert type(p.time) is float
 
 
-def _watch_event_times(machine):
-    """Record the type of every event time the engine fires at."""
+def _watch_event_times(monkeypatch):
+    """Record the type of every event time an engine fires at."""
     seen = set()
-    machine.engine.probe = lambda t: seen.add(type(t))
+    step = Engine.step
+
+    def watched(engine):
+        fired = step(engine)
+        if fired:
+            seen.add(type(engine._now))
+        return fired
+
+    monkeypatch.setattr(Engine, "step", watched)
     return seen
 
 
 @pytest.mark.parametrize("policy", ["treematch", "nobind"])
-def test_orwl_engine_time_stays_float(policy):
+def test_orwl_engine_time_stays_float(policy, monkeypatch):
     topo = presets.paper_smp(2, 8)
     prog = build_program(Lk23Config(n=1024, grid_rows=4, grid_cols=4, iterations=2))
     plan = bind_program(prog, topo, policy=policy)
     machine = Machine(topo, seed=5)
-    seen = _watch_event_times(machine)
+    seen = _watch_event_times(monkeypatch)
     Runtime(prog, machine, mapping=plan.mapping,
             control_mapping=plan.control_mapping).run()
     assert type(machine.engine.now) is float
     assert seen == {float}
 
 
-def test_openmp_engine_time_stays_float():
+def test_openmp_engine_time_stays_float(monkeypatch):
     machine = Machine(presets.paper_smp(2, 8), seed=5)
-    seen = _watch_event_times(machine)
+    seen = _watch_event_times(monkeypatch)
     run_openmp_lk23(machine, OpenMpConfig(n=1024, n_threads=16, iterations=2))
     assert type(machine.engine.now) is float
     assert seen == {float}

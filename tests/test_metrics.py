@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.metrics import core
-from repro.metrics.bridge import MetricsProbe
+from repro.metrics.bridge import fold_trace
 from repro.metrics.bus import SnapshotWriter, read_snapshot
 from repro.metrics.core import (
     Counter,
@@ -328,13 +328,14 @@ def _trace_event(kind, dur=0.0, nbytes=0.0, thread=""):
 
 def test_metrics_probe_counts_by_kind():
     reg = MetricRegistry()
-    probe = MetricsProbe(reg)
-    probe(_trace_event("wait", dur=2e-9))
-    probe(_trace_event("grant"))
-    probe(_trace_event("transfer", nbytes=64.0))
-    probe(_trace_event("runq"))
-    probe(_trace_event("migration"))
-    probe(_trace_event("compute"))  # counted as bridged, no dedicated metric
+    fold_trace([
+        _trace_event("wait", dur=2e-9),
+        _trace_event("grant"),
+        _trace_event("transfer", nbytes=64.0),
+        _trace_event("runq"),
+        _trace_event("migration"),
+        _trace_event("compute"),  # counted as bridged, no dedicated metric
+    ], reg)
     assert reg.counter("observe_events_bridged_total").value == 6
     assert reg.counter("orwl_waits_total").value == 1
     assert reg.counter("orwl_wakeups_total").value == 1

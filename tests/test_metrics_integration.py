@@ -9,11 +9,13 @@ stream) and end-to-end runs of the ``bench history`` drift gate.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.core.api import run_lk23
 from repro.exec.runner import SweepRunner, Task
 from repro.experiments.fig1 import run_fig1
 from repro.metrics import core
@@ -111,6 +113,22 @@ class TestRuntimeInstrumentation:
         assert reg.counter("orwl_waits_total").value == counts["wait"]
         assert reg.counter("orwl_transfers_total").value == counts["transfer"]
         assert reg.counter("orwl_transfer_bytes_total").value == int(1e6)
+
+    @pytest.mark.parametrize("policy, digest", [
+        ("treematch",
+         "ec10bb4315372ac3f02ea224696ccaf7564fc5b548b71b0d4f2768cb086dd1be"),
+        ("nobind",
+         "c923b4153968e435d2a44b2aea6016e828d162e02e16db591fe6363963fb8be4"),
+    ], ids=["treematch", "nobind"])
+    def test_traced_lk23_stable_snapshot_is_pinned(self, policy, digest):
+        """The bridged ``orwl_*`` metrics of a traced run, byte for
+        byte: the fold after the drain leaves every counter and bucket
+        where the per-event bridge it replaced put them."""
+        core.enable()
+        run_lk23(policy=policy, topology="small-numa", n=1024, iterations=2,
+                 seed=0, trace=True)
+        stable = core.registry().to_json(stable_only=True)
+        assert hashlib.sha256(stable.encode()).hexdigest() == digest
 
     def test_disabled_run_records_nothing(self, small_topo):
         machine = self._machine(small_topo)

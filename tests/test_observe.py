@@ -92,21 +92,6 @@ class TestTracer:
         assert ev.dur == pytest.approx(1e-3)
         assert ev.detail == "payload-ready"
 
-    def test_engine_probe_counts_steps(self, small_topo):
-        tracer = Tracer()
-        machine = two_thread_machine(small_topo, tracer)
-        machine.run()
-        assert tracer.engine_steps == machine.engine.events_fired
-        assert tracer.clock_regressions == 0
-
-    def test_probe_subscription_sees_every_event(self, small_topo):
-        tracer = Tracer()
-        seen = []
-        tracer.add_probe(seen.append)
-        machine = two_thread_machine(small_topo, tracer)
-        machine.run()
-        assert seen == list(tracer.events)
-
     def test_attach_twice_rejected(self, small_topo):
         machine = Machine(small_topo, tracer=Tracer())
         with pytest.raises(SimulationError):
@@ -284,18 +269,31 @@ class TestFaultInjection:
         machine = two_thread_machine(small_topo, Tracer())
         machine.run()
         # Negative duration smuggled into the stream post-hoc.
-        machine.tracer._events[3].dur = -1e-9
+        machine.tracer.events[3].dur = -1e-9
         report = check_run(machine, raise_on_violation=False)
         assert report.violated("non-negative-duration")
 
     def test_overlapping_spans_are_caught(self, small_topo):
         machine = two_thread_machine(small_topo, Tracer())
         machine.run()
-        spans = [e for e in machine.tracer._events
+        spans = [e for e in machine.tracer.events
                  if e.is_span() and e.tid == 1]
         spans[-1].ts = spans[0].ts  # rewind the last span onto the first
         report = check_run(machine, raise_on_violation=False)
         assert report.violated("monotonic-timestamps")
+
+    def test_rewound_instant_is_caught(self, small_topo):
+        machine = two_thread_machine(small_topo, Tracer())
+        machine.run()
+        assert check_run(machine, raise_on_violation=False).ok
+        instants = [e for e in machine.tracer.events if not e.is_span()]
+        assert [e.kind for e in instants[-2:]] == ["thread_end", "thread_end"]
+        # The consumer's end rewound behind the producer's: still after
+        # the consumer's own start, but the engine clock it was stamped
+        # with went backwards.
+        instants[-1].ts = instants[-2].ts / 2
+        report = check_run(machine, raise_on_violation=False)
+        assert [v.invariant for v in report.violations] == ["monotonic-timestamps"]
 
     def test_raise_carries_structured_report(self, small_topo):
         class MischargingMetrics(MachineMetrics):

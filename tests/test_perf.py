@@ -430,8 +430,8 @@ def test_critical_path_bound_catches_overlapping_spans():
     # Two fat co-located spans on one thread: their program-order chain
     # weighs 2 x makespan, which no consistent stream can exhibit.
     big = tracer.events[-1].end * 2
-    tracer._events.append(TraceEvent(len(tracer), "compute", 0.0, big, tid=0))
-    tracer._events.append(TraceEvent(len(tracer), "compute", 0.0, big, tid=0))
+    for _ in range(2):
+        tracer.append(("compute", 0.0, big, 0, "", -1, -1, "", 0.0, ""))
     report = InvariantChecker().check(machine)
     assert report.violated("critical-path-bound")
 

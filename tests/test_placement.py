@@ -150,7 +150,8 @@ class TestAffinity:
 
         p = tiny_program()
         tr = CommTracer()
-        tr.record("B/main", "A/sub", 77)  # note: trace order differs
+        # note: trace order differs
+        tr.record_by_id(*tr.register_all(["B/main", "A/sub"]), 77)
         m = traced_matrix(p, tr)
         assert m.volume(1, 2) == 77.0
 

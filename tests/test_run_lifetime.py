@@ -21,6 +21,7 @@ from repro.experiments.dag import WORKLOADS, run_dag_point
 from repro.experiments.fig1 import IMPLEMENTATIONS, run_point
 from repro.orwl.program import Program
 from repro.simulate import machine as machine_mod
+from repro.simulate.engine import Engine
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.util.rng import make_rng
 
@@ -73,16 +74,17 @@ def test_no_callback_objects_per_thread(monkeypatch):
     gc.collect()
     before = _callback_objects()
     seen = {}
+    machines = []
+    step = Engine.step
 
-    def probe_at(machine):
-        def probe(now: float) -> None:
-            if machine.engine.events_fired == 3000:
-                seen["threads"] = machine.n_threads
-                seen["grown"] = _callback_objects() - before
+    def probe(engine):
+        if engine.events_fired == 3000:
+            seen["threads"] = machines[-1].n_threads
+            seen["grown"] = _callback_objects() - before
+        return step(engine)
 
-        machine.engine.probe = probe
-
-    monkeypatch.setattr(machine_mod, "new_machine_hook", probe_at)
+    monkeypatch.setattr(machine_mod, "new_machine_hook", machines.append)
+    monkeypatch.setattr(Engine, "step", probe)
     run_dag_point("divconq", "bind", **point)
     assert seen["threads"] > 1000
     assert seen["grown"]["function"] < 50 and seen["grown"]["cell"] < 50, seen
