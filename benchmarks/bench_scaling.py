@@ -1,14 +1,14 @@
 """Scaling-study benchmark — the beyond-the-paper sweep, CI-sized.
 
 Runs the machine-size sweep on the paper's machine plus the 48-socket
-generated preset at a reduced per-core workload, records the simulated
+scaling preset at a reduced per-core workload, records the simulated
 times and speedups, and asserts the qualitative shape: topology-aware
 placement wins at both sizes.
 """
 
 from repro.experiments.scaling import run_scaling
 from repro.topology.distance import DistanceModel
-from repro.topology.generate import SCALING_SPECS, build
+from repro.topology.presets import by_name
 
 
 def test_scaling_sweep_small(benchmark):
@@ -36,7 +36,7 @@ def test_scaling_sweep_small(benchmark):
 
 def test_mega_topology_construction(benchmark):
     def construct():
-        topo = build(SCALING_SPECS["smp512x8"])
+        topo = by_name("smp512x8")
         DistanceModel(topo)
         return topo
 

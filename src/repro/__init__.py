@@ -41,8 +41,7 @@ def lazy_exports(
     The lazy-loading pattern of Scientific Python SPEC 1, on PEP 562
     module ``__getattr__``.  *names* maps a submodule, relative to the
     package (``"matrix"``, ``"core.api"``), to the names the package
-    re-exports from it; ``"build as build_spec"`` re-exports ``build``
-    as ``build_spec``.  *submodules* are re-exported as modules.  Use::
+    re-exports from it.  *submodules* are re-exported as modules.  Use::
 
         __getattr__, __dir__, __all__ = lazy_exports(__name__, {
             "matrix": ["CommMatrix"],
@@ -57,9 +56,8 @@ def lazy_exports(
     module = sys.modules[package]
     origin: dict[str, tuple[str, str | None]] = {}
     for sub, entries in names.items():
-        for entry in entries:
-            attr, _, public = entry.partition(" as ")
-            origin[public or attr] = (sub, attr)
+        for attr in entries:
+            origin[attr] = (sub, attr)
     for sub in submodules:
         origin[sub] = (sub, None)
 

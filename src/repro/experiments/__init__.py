@@ -9,8 +9,8 @@
   DESIGN.md (mapping quality vs baselines, algorithm cost, control
   strategies, oversubscription, affinity-extraction fidelity).
 * :mod:`~repro.experiments.scaling` — the beyond-the-paper machine-size
-  sweep over generated mega-topologies, with paired significance and
-  saturation detection.
+  sweep over the scaling presets (up to 4096 PUs), with paired
+  significance and saturation detection.
 * :mod:`~repro.experiments.dag` — E7: Bind/NoBind/service placement on
   the :mod:`repro.tasks` DAG workload families (tiled Cholesky,
   level-synchronous BFS, divide-and-conquer), paired and Holm-corrected.

@@ -3,8 +3,8 @@
 The paper's Figure 1 stops at the 24-socket × 8-core SMP.  This
 experiment keeps the *per-core* workload fixed (weak scaling: every
 core owns the same number of matrix cells as in the paper's best
-configuration) and grows the machine through the generated presets of
-:mod:`repro.topology.generate` — 48, 96, 256 sockets, and a 512-socket
+configuration) and grows the machine through the scaling presets of
+:mod:`repro.topology.presets` — 48, 96, 256 sockets, and a 512-socket
 two-tier cluster-of-clusters — running all three implementations at
 every size.
 
@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.exec.cache import machine_inputs
+from repro.exec.cache import cached_topology, machine_inputs
 from repro.exec.runner import SweepRunner
 from repro.experiments.fig1 import IMPLEMENTATIONS, analyze_run, run_implementation
 from repro.experiments.paired import PairedSweep, collect_sweep, point_time
 from repro.stats.aggregate import SeedStats
 from repro.stats.sweep import ReplicateSpec, run_replicated
-from repro.topology.generate import scaling_sizes
+from repro.topology.presets import SCALING_NAMES
 from repro.util.validate import ValidationError
 
 #: The paper's best configuration, per core: 16384² cells on 192 cores.
 CELLS_PER_CORE = 16384**2 // 192
-
-#: Default machine sizes of the sweep (ascending PU count).
-DEFAULT_PRESETS = ("paper", "smp48x8", "smp96x8", "smp256x8", "smp512x8")
 
 
 @dataclass
@@ -61,6 +58,23 @@ class ScalingPoint:
     #: unless run with ``perf_report=True``); a plain dict so the point
     #: pickles across sweep workers.
     perf: Optional[dict] = None
+
+
+def scaling_sizes(names: Iterable[str]) -> list[tuple[str, int]]:
+    """``(name, n_pus)`` for the scaling presets *names*, smallest first.
+
+    Sizes are read off the built machines (shared through the
+    construction cache); a name outside
+    :data:`~repro.topology.presets.SCALING_NAMES` raises ``KeyError``.
+    """
+    names = list(names)
+    for name in names:
+        if name not in SCALING_NAMES:
+            raise KeyError(
+                f"unknown scaling preset {name!r}; one of {', '.join(SCALING_NAMES)}"
+            )
+    sized = [(name, cached_topology(name).nb_pus) for name in names]
+    return sorted(sized, key=lambda pair: (pair[1], pair[0]))
 
 
 def matrix_order(n_cores: int, cells_per_core: int = CELLS_PER_CORE) -> int:
@@ -84,10 +98,10 @@ def run_scaling_point(
     seed: int = 0,
     perf_report: bool = False,
 ) -> ScalingPoint:
-    """Run one implementation on one generated machine; returns the point.
+    """Run one implementation on one scaling machine; returns the point.
 
     The machine comes from the per-process construction cache (the
-    generated presets are registered in
+    scaling presets are entries of
     :data:`repro.topology.presets.PRESETS`), one ORWL task / OpenMP
     worker per core, matrix order fixed per-core by *cells_per_core*.
     With *perf_report*, the run is traced and the point carries the
@@ -192,7 +206,7 @@ class ScalingResult(PairedSweep):
         """The headline table: per-size times, speedups, corrected p, delta.
 
         Column widths are derived from the longest implementation /
-        preset name, so generated presets with long names stay aligned.
+        preset name, so presets with long names stay aligned.
         """
         impls = self.implementations()
         verdicts = self.paired_verdicts()
@@ -285,7 +299,7 @@ class ScalingResult(PairedSweep):
 
 
 def run_scaling(
-    presets: Sequence[str] = DEFAULT_PRESETS,
+    presets: Sequence[str] = SCALING_NAMES,
     implementations: Sequence[str] = IMPLEMENTATIONS,
     iterations: int = 3,
     cells_per_core: int = CELLS_PER_CORE,
@@ -300,7 +314,7 @@ def run_scaling(
     """The full machine-size sweep.
 
     *presets* name entries of
-    :data:`repro.topology.generate.SCALING_SPECS`; they are swept in
+    :data:`repro.topology.presets.SCALING_NAMES`; they are swept in
     ascending machine size regardless of input order.  Every point is
     replicated *seeds* times with the matched schedule of
     :func:`repro.stats.run_replicated` — the same derived seeds across

@@ -9,6 +9,7 @@ bit-exactly:
 * :func:`stream_hash` — sha-256 over a canonical binary encoding of the
   event stream (floats packed as IEEE-754 doubles, so two hashes are
   equal iff every timestamp, duration, and byte count is bit-identical);
+  :func:`rows_hash` is that encoding, over a tracer's rows;
 * :func:`metrics_fingerprint` — the same for a
   :class:`~repro.simulate.metrics.MachineMetrics`;
 * :func:`run_fingerprint` — both combined for a machine that ran with a
@@ -29,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
+_TIMES_TID = struct.Struct("<ddq")
+_PU_NODE = struct.Struct("<qq")
 
 
 def _feed_str(h, s: str) -> None:
@@ -37,26 +40,41 @@ def _feed_str(h, s: str) -> None:
     h.update(b)
 
 
-def _feed_event(h, ev: TraceEvent) -> None:
-    h.update(_INT64.pack(ev.seq))
-    _feed_str(h, ev.kind)
-    h.update(_DOUBLE.pack(ev.ts))
-    h.update(_DOUBLE.pack(ev.dur))
-    h.update(_INT64.pack(ev.tid))
-    _feed_str(h, ev.thread)
-    h.update(_INT64.pack(ev.pu))
-    h.update(_INT64.pack(ev.node))
-    _feed_str(h, ev.level)
-    h.update(_DOUBLE.pack(ev.nbytes))
-    _feed_str(h, ev.detail)
+class _Encoded(dict):
+    """``str`` → its length-prefixed UTF-8 bytes, encoded once per stream."""
+
+    def __missing__(self, s: str) -> bytes:
+        b = s.encode("utf-8")
+        self[s] = out = _INT64.pack(len(b)) + b
+        return out
+
+
+def rows_hash(rows: Iterable[tuple[int, tuple]]) -> str:
+    """Canonical sha-256 (hex digest) of ``(seq, row)`` pairs.
+
+    A row is a :class:`~repro.observe.tracer.Tracer` row: the
+    :class:`TraceEvent` fields in order, less ``seq``.  Integers are
+    packed as little-endian int64, floats as IEEE-754 doubles, strings
+    as their int64 byte length then UTF-8 bytes.
+    """
+    h = hashlib.sha256()
+    enc = _Encoded()
+    for seq, (kind, ts, dur, tid, thread, pu, node, level, nbytes, detail) in rows:
+        h.update(b"".join((
+            _INT64.pack(seq), enc[kind], _TIMES_TID.pack(ts, dur, tid),
+            enc[thread], _PU_NODE.pack(pu, node), enc[level],
+            _DOUBLE.pack(nbytes), enc[detail],
+        )))
+    return h.hexdigest()
 
 
 def stream_hash(events: Iterable[TraceEvent]) -> str:
     """Canonical sha-256 of an event stream (hex digest)."""
-    h = hashlib.sha256()
-    for ev in events:
-        _feed_event(h, ev)
-    return h.hexdigest()
+    return rows_hash(
+        (ev.seq, (ev.kind, ev.ts, ev.dur, ev.tid, ev.thread, ev.pu, ev.node,
+                  ev.level, ev.nbytes, ev.detail))
+        for ev in events
+    )
 
 
 def metrics_fingerprint(metrics: "MachineMetrics") -> str:
@@ -91,6 +109,6 @@ def run_fingerprint(machine: "Machine") -> str:
         raise ValueError("run_fingerprint needs a traced run (tracer attached)")
     h = hashlib.sha256()
     h.update(_DOUBLE.pack(machine.engine.now))
-    _feed_str(h, stream_hash(machine.tracer.events))
+    _feed_str(h, machine.tracer.stream_hash())
     _feed_str(h, metrics_fingerprint(machine.metrics))
     return h.hexdigest()

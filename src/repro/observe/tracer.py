@@ -145,10 +145,11 @@ class Tracer:
         return sum(getattr(e, field_) for e in self.events if e.kind == kind)
 
     def stream_hash(self) -> str:
-        """Determinism fingerprint of the full stream (sha-256 hex)."""
-        from repro.observe.determinism import stream_hash
+        """Determinism fingerprint of the full stream (sha-256 hex),
+        hashed off the rows without building events."""
+        from repro.observe.determinism import rows_hash
 
-        return stream_hash(self.events)
+        return rows_hash(enumerate(self._rows))
 
 
 @dataclass(frozen=True)

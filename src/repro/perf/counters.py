@@ -56,9 +56,6 @@ class Metric:
     value: float
     unit: str = ""
 
-    def to_json_pair(self) -> tuple[str, dict]:
-        return self.name, {"value": self.value, "unit": self.unit}
-
 
 @dataclass(frozen=True)
 class CounterGroup:

@@ -591,10 +591,6 @@ class PlacementService:
         else:
             self._sketch.clear()
 
-    @property
-    def active_decision(self) -> Optional[Decision]:
-        return self._active_decision
-
     def ingest(self, events: Iterable) -> int:
         """Feed live :mod:`repro.observe` events into the phase sketch.
 

@@ -354,13 +354,6 @@ class Machine:
     def new_event(self, name: str = "") -> SimEvent:
         return SimEvent(self.engine, name)
 
-    def current_pu_os(self, tid: int) -> int:
-        """The os_index of the PU a thread currently occupies."""
-        t = self._threads[tid]
-        if t.current_pu < 0:
-            return -1
-        return self.topo.pus()[t.current_pu].os_index
-
     def thread_stats(self, tid: int) -> dict[str, float]:
         """Per-thread accounting: compute/transfer/wait seconds and
         migration count.  Valid during and after a run."""

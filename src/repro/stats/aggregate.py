@@ -69,10 +69,6 @@ class SeedStats:
     def ci(self) -> tuple[float, float]:
         return (self.ci_lo, self.ci_hi)
 
-    @property
-    def ci_halfwidth(self) -> float:
-        return (self.ci_hi - self.ci_lo) / 2.0
-
     def overlaps(self, other: "SeedStats") -> bool:
         """Whether the two confidence intervals intersect."""
         return self.ci_lo <= other.ci_hi and other.ci_lo <= self.ci_hi

@@ -32,7 +32,7 @@ from repro.perf.report import PerfReport, analyze
 from repro.perf.topdown import attribute_gap
 from repro.stats.aggregate import summarize_map
 from repro.tools._common import require_matrix_fits, require_positive
-from repro.topology.generate import SCALING_SPECS
+from repro.topology.presets import SCALING_NAMES
 
 
 def _impl_list(value: str) -> list[str]:
@@ -54,7 +54,7 @@ def run_traced(
     iterations: int,
     seed: int,
 ) -> tuple[PerfReport, list]:
-    """One traced run on a generated preset; the report and raw events."""
+    """One traced run on a scaling preset; the report and raw events."""
     topo, dm = machine_inputs(preset)
     tracer = Tracer()
     time, _ = run_implementation(implementation, topo, dm, n, iterations, seed, tracer)
@@ -68,8 +68,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--preset", default="paper",
-        help="generated machine preset "
-        f"(one of {','.join(sorted(SCALING_SPECS))}; default paper)",
+        help="scaling machine preset "
+        f"(one of {','.join(sorted(SCALING_NAMES))}; default paper)",
     )
     parser.add_argument(
         "--impl", type=_impl_list, default=["orwl-bind", "orwl-nobind"],
@@ -118,10 +118,10 @@ def main(argv: list[str] | None = None) -> int:
         reports.append(analyze(events, label=label))
         events_of[label] = events
     else:
-        if args.preset not in SCALING_SPECS:
+        if args.preset not in SCALING_NAMES:
             parser.error(
                 f"unknown preset {args.preset!r}; one of "
-                f"{sorted(SCALING_SPECS)}"
+                f"{sorted(SCALING_NAMES)}"
             )
         topo, _ = machine_inputs(args.preset)
         n = args.n if args.n is not None else matrix_order(topo.nb_pus)

@@ -1,4 +1,4 @@
-"""Machine-size scaling sweep over generated mega-topologies.
+"""Machine-size scaling sweep over the scaling presets, up to 4096 PUs.
 
 Usage::
 
@@ -13,18 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.experiments.scaling import (
-    CELLS_PER_CORE,
-    DEFAULT_PRESETS,
-    matrix_order,
-    run_scaling,
-)
+from repro.exec.cache import cached_topology
+from repro.experiments.scaling import CELLS_PER_CORE, matrix_order, run_scaling
 from repro.tools._common import (
     require_matrix_fits,
     require_nonnegative,
     require_positive,
 )
-from repro.topology.generate import SCALING_SPECS
+from repro.topology.presets import SCALING_NAMES
 
 
 def _preset_list(value: str) -> list[str]:
@@ -32,9 +28,9 @@ def _preset_list(value: str) -> list[str]:
     if not names:
         raise argparse.ArgumentTypeError("need at least one preset name")
     for name in names:
-        if name not in SCALING_SPECS:
+        if name not in SCALING_NAMES:
             raise argparse.ArgumentTypeError(
-                f"unknown preset {name!r}; one of {sorted(SCALING_SPECS)}"
+                f"unknown preset {name!r}; one of {sorted(SCALING_NAMES)}"
             )
     return names
 
@@ -46,11 +42,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--preset",
         type=_preset_list,
-        default=list(DEFAULT_PRESETS),
+        default=list(SCALING_NAMES),
         metavar="A,B,...",
-        help="comma-separated generated presets to sweep "
-        f"(default {','.join(DEFAULT_PRESETS)}; "
-        f"available {','.join(sorted(SCALING_SPECS))})",
+        help="comma-separated scaling presets to sweep "
+        f"(default all: {','.join(SCALING_NAMES)})",
     )
     parser.add_argument("--iterations", type=int, default=3,
                         help="kernel iterations per point")
@@ -84,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     require_nonnegative(parser, workers=args.workers)
     for name in args.preset:
-        pus = SCALING_SPECS[name].n_pus
+        pus = cached_topology(name).nb_pus
         require_matrix_fits(
             parser, matrix_order(pus, args.cells_per_core), pus, openmp=True,
             flag="--cells-per-core",

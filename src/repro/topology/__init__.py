@@ -7,10 +7,10 @@ architecture".  This package is that abstraction, built synthetically:
 * :mod:`~repro.topology.objects` — typed objects (Machine/NUMANode/
   Package/L3/L2/L1/Core/PU) with cache and memory attributes.
 * :mod:`~repro.topology.tree` — the finalized, queryable topology tree.
-* :mod:`~repro.topology.builder` — programmatic and spec-string builders.
-* :mod:`~repro.topology.presets` — the paper's 24×8 SMP and friends.
-* :mod:`~repro.topology.generate` — declarative machine specs and the
-  generated mega-topology presets of the scaling study.
+* :mod:`~repro.topology.builder` — the one builder: level by level,
+  or from an hwloc-style synthetic string.
+* :mod:`~repro.topology.presets` — the registry of named machines: the
+  paper's 24×8 SMP, its friends, and the scaling study's machines.
 * :mod:`~repro.topology.distance` — hop/LCA/latency/bandwidth matrices.
 * :mod:`~repro.topology.query` — hwloc-flavoured convenience queries.
 * :mod:`~repro.topology.serialize` — JSON round-trip.
@@ -32,18 +32,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "hop_distance_matrix",
         "lca_depth_matrix",
     ],
-    "generate": [
-        "LevelDef",
-        "MachineSpec",
-        "SCALING_SPECS",
-        "build as build_spec",
-        "scaling_spec",
-        "smp",
-        "spec_dumps",
-        "spec_from_dict",
-        "spec_loads",
-        "spec_to_dict",
-        "two_tier",
-    ],
     "restrict": ["restrict", "restrict_to_objects", "restrict_without"],
-}, submodules=["generate", "presets", "query", "serialize"])
+}, submodules=["presets", "query", "serialize"])

@@ -66,7 +66,7 @@ class LevelSpec:
 
     def __post_init__(self) -> None:
         if self.count <= 0:
-            raise ValueError(f"level count must be > 0, got {self.count}")
+            raise TopologyError(f"level count must be > 0, got {self.count}")
 
 
 class TopologyBuilder:
@@ -99,15 +99,15 @@ class TopologyBuilder:
         """Append a level: every object of the previous level gets *count*
         children of *type_*.  Returns ``self`` for chaining."""
         if type_ is ObjType.MACHINE:
-            raise ValueError("MACHINE is implicit; do not add it as a level")
+            raise TopologyError("MACHINE is implicit; do not add it as a level")
         if self._levels:
             prev = self._levels[-1].type_
             if type_ <= prev and type_ is not ObjType.GROUP:
-                raise ValueError(
+                raise TopologyError(
                     f"level {type_.name} cannot nest inside {prev.name}"
                 )
             if prev is ObjType.PU:
-                raise ValueError("PU must be the innermost level")
+                raise TopologyError("PU must be the innermost level")
         self._levels.append(LevelSpec(type_, count, cache=cache, memory=memory))
         return self
 

@@ -200,7 +200,7 @@ class DistanceModel:
     def __post_init__(self) -> None:
         # One vectorized sweep yields both per-pair tables in compact
         # dtypes (int16 depths, int8 types) — the memory-lean layout the
-        # generator-built mega-topologies rely on.
+        # 4096-PU scaling presets rely on.
         lca_depth, lca_type = _lca_tables(self.topo)
         # Same PU: core-local (warm cache), not the PU object itself.
         np.fill_diagonal(lca_type, int(ObjType.CORE))

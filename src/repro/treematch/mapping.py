@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.topology.tree import Topology
 from repro.util.validate import ValidationError
 
@@ -114,9 +112,6 @@ class Mapping:
         return Mapping.prechecked(
             self.pu_of[:n_threads], self.labels[:n_threads], self.policy
         )
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.pu_of, dtype=np.int64)
 
     # -- IO (rankfile-style) -------------------------------------------------
 

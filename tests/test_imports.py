@@ -84,9 +84,8 @@ def declared_exports(pkg: str) -> dict[str, tuple[str, str | None]]:
             )
             out: dict[str, tuple[str, str | None]] = {}
             for sub, entries in names.items():
-                for entry in entries:
-                    attr, _, public = entry.partition(" as ")
-                    out[public or attr] = (sub, attr)
+                for attr in entries:
+                    out[attr] = (sub, attr)
             for sub in subs:
                 out[sub] = (sub, None)
             return out

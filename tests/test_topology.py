@@ -1,6 +1,9 @@
 """Tests for topology objects, tree finalization, builder, and presets."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.builder import (
     DEFAULT_CACHE_ATTRS,
@@ -181,6 +184,39 @@ class TestTreeQueries:
         assert len(objs) == 1 + 2 + 2 + 2 + 8 + 8
 
 
+#: Non-GROUP levels in containment order; a strictly increasing
+#: subsequence of these (plus leading GROUPs and the PU leaf) is a
+#: valid hierarchy.
+_CHAIN = (
+    ObjType.NUMANODE,
+    ObjType.PACKAGE,
+    ObjType.L3,
+    ObjType.L2,
+    ObjType.L1,
+    ObjType.CORE,
+)
+
+
+@st.composite
+def level_lists(draw, max_count: int = 3, max_pus: int = 128):
+    """``[(type, count), ...]`` outermost first, ending in PU."""
+    n_groups = draw(st.integers(min_value=0, max_value=2))
+    chain = draw(
+        st.lists(st.sampled_from(_CHAIN), unique=True, max_size=4).map(
+            lambda ts: sorted(ts, key=int)
+        )
+    )
+    levels = []
+    n_pus = 1
+    for t in [ObjType.GROUP] * n_groups + chain + [ObjType.PU]:
+        count = draw(st.integers(min_value=1, max_value=max_count))
+        if n_pus * count > max_pus:
+            count = 1
+        n_pus *= count
+        levels.append((t, count))
+    return levels
+
+
 class TestBuilder:
     def test_paper_machine_shape(self):
         t = presets.paper_smp()
@@ -196,17 +232,40 @@ class TestBuilder:
 
     def test_builder_rejects_bad_nesting(self):
         b = TopologyBuilder().add_level(ObjType.CORE, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError):
             b.add_level(ObjType.PACKAGE, 2)
 
     def test_builder_rejects_children_under_pu(self):
         b = TopologyBuilder().add_level(ObjType.PU, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError):
             b.add_level(ObjType.PU, 2)
 
     def test_builder_rejects_machine_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError):
             TopologyBuilder().add_level(ObjType.MACHINE, 1)
+
+    def test_group_may_repeat(self):
+        topo = from_spec("group:2 group:2 core:2 pu:1")
+        assert topo.nb_pus == 8
+        assert topo.nbobjs_by_type(ObjType.GROUP) == 6
+
+    @given(levels=level_lists())
+    @settings(max_examples=20, deadline=None)
+    def test_counts_and_depth_follow_the_levels(self, levels):
+        builder = TopologyBuilder("x")
+        for type_, count in levels:
+            builder.add_level(type_, count)
+        topo = builder.build()
+        assert topo.nb_pus == math.prod(count for _, count in levels)
+        assert topo.depth == len(levels) + 1  # + the implicit MACHINE root
+        assert topo.arities() == [count for _, count in levels]
+        for type_ in {t for t, _ in levels}:
+            expected, running = 0, 1
+            for t, count in levels:
+                running *= count
+                if t is type_:
+                    expected += running
+            assert topo.nbobjs_by_type(type_) == expected
 
     def test_builder_empty_rejected(self):
         with pytest.raises(TopologyError):
@@ -245,6 +304,13 @@ class TestFromSpec:
     def test_bare_number_is_group(self):
         t = from_spec("2 core:2 pu:1")
         assert t.nbobjs_by_type(ObjType.GROUP) == 2
+
+    @pytest.mark.parametrize(
+        "spec", ["machine:1 core:2 pu:1", "core:2 numa:2 pu:1", "numa:0 pu:1"]
+    )
+    def test_bad_levels_raise_topology_error(self, spec):
+        with pytest.raises(TopologyError):
+            from_spec(spec)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TopologyError):
