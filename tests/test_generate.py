@@ -1,253 +1,66 @@
-"""Tests for the parametric topology generator (`repro.topology.generate`).
+"""Tests for generating machines from level lists.
 
-Pinned guarantees:
-
-* **Spec round-trip** — for arbitrary valid specs (hypothesis-built),
-  ``spec_loads(spec_dumps(spec)) == spec``, and the tree built from the
-  re-parsed spec serializes byte-equal to the tree built from the
-  original.
-* **Build invariants** — PU count, depth, and arity vector of the built
-  tree follow from the spec alone.
-* **Generated == handwritten** — the generated ``paper`` preset is
-  tree-equal to :func:`repro.topology.presets.paper_smp`.
-* **Mega-topology budget** — the 512-socket two-tier preset (4096 PUs)
-  builds, with its full distance model, in seconds.
+Every synthetic machine comes out of :class:`TopologyBuilder`, level by
+level or through :func:`from_spec`'s hwloc-style string.  These cases
+pin the rules a level list must follow (PU innermost, containment
+order, no MACHINE level, known type names) and the shape of the paper's
+machine as the scaling study names it.  The preset registry's pinned
+serialized forms are in ``tests/test_presets.py``.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.topology import presets
-from repro.topology.distance import DistanceModel
-from repro.topology.generate import (
-    SCALING_SPECS,
-    LevelDef,
-    MachineSpec,
-    build,
-    from_spec_string,
-    scaling_sizes,
-    scaling_spec,
-    smp,
-    spec_dumps,
-    spec_from_dict,
-    spec_loads,
-    spec_to_dict,
-    two_tier,
-)
-from repro.topology.objects import CacheAttributes, MemoryAttributes, ObjType
+from repro.topology.builder import TopologyBuilder, from_spec
+from repro.topology.objects import ObjType
 from repro.topology.serialize import to_dict
 from repro.topology.tree import TopologyError
 
-#: Non-GROUP levels in containment order; a strictly increasing
-#: subsequence of these (plus leading GROUPs and the PU leaf) is a
-#: valid hierarchy.
-_CHAIN = (
-    ObjType.NUMANODE,
-    ObjType.PACKAGE,
-    ObjType.L3,
-    ObjType.L2,
-    ObjType.L1,
-    ObjType.CORE,
-)
-
-
-@st.composite
-def machine_specs(draw, max_count: int = 3, max_pus: int = 256):
-    n_groups = draw(st.integers(min_value=0, max_value=2))
-    chain = draw(
-        st.lists(st.sampled_from(_CHAIN), unique=True, max_size=4).map(
-            lambda ts: sorted(ts, key=int)
-        )
-    )
-    types = [ObjType.GROUP] * n_groups + chain + [ObjType.PU]
-    levels = []
-    n_pus = 1
-    for t in types:
-        count = draw(st.integers(min_value=1, max_value=max_count))
-        if n_pus * count > max_pus:
-            count = 1
-        n_pus *= count
-        cache = memory = None
-        if t in (ObjType.L1, ObjType.L2, ObjType.L3) and draw(st.booleans()):
-            cache = CacheAttributes(
-                size=draw(st.integers(min_value=1 << 10, max_value=1 << 24)),
-                latency=draw(
-                    st.floats(min_value=0.0, max_value=1e-7, allow_nan=False)
-                ),
-            )
-        if t is ObjType.NUMANODE and draw(st.booleans()):
-            memory = MemoryAttributes(
-                local_bytes=draw(st.integers(min_value=1 << 20, max_value=1 << 34)),
-                latency=draw(
-                    st.floats(min_value=0.0, max_value=1e-6, allow_nan=False)
-                ),
-                bandwidth=draw(
-                    st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
-                ),
-            )
-        levels.append(LevelDef(t, count, cache=cache, memory=memory))
-    name = draw(
-        st.text(alphabet="abcdefgh0123456789-", min_size=1, max_size=12)
-    )
-    return MachineSpec(name=name, levels=tuple(levels))
-
-
-class TestSpecRoundTrip:
-    @given(spec=machine_specs())
-    @settings(max_examples=50, deadline=None)
-    def test_json_roundtrip_is_identity(self, spec):
-        assert spec_loads(spec_dumps(spec)) == spec
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    @given(spec=machine_specs(max_pus=128))
-    @settings(max_examples=20, deadline=None)
-    def test_build_after_roundtrip_is_tree_equal(self, spec):
-        direct = build(spec)
-        reparsed = build(spec_loads(spec_dumps(spec)))
-        assert to_dict(reparsed) == to_dict(direct)
-
-    def test_attributes_survive_roundtrip(self):
-        spec = smp(4, 2)
-        back = spec_loads(spec_dumps(spec))
-        numa = back.levels[0]
-        assert numa.memory == MemoryAttributes(
-            local_bytes=32 << 30, latency=90e-9, bandwidth=40e9
-        )
-        l3 = back.levels[2]
-        assert l3.cache is not None and l3.cache.size == 20 << 20
-
 
 class TestBuildInvariants:
-    @given(spec=machine_specs(max_pus=128))
-    @settings(max_examples=20, deadline=None)
-    def test_counts_and_depth_follow_the_spec(self, spec):
-        topo = build(spec)
-        assert topo.nb_pus == spec.n_pus
-        assert topo.depth == spec.n_levels + 1  # + the implicit MACHINE root
-        assert topo.arities() == spec.arities()
-        for type_ in set(lvl.type for lvl in spec.levels):
-            assert topo.nbobjs_by_type(type_) == spec.count_of(type_)
-
     def test_count_of_paper_shape(self):
-        spec = smp(24, 8)
-        assert spec.n_pus == 192
-        assert spec.count_of(ObjType.NUMANODE) == 24
-        assert spec.count_of(ObjType.CORE) == 192
-        assert spec.count_of(ObjType.PU) == 192
-        assert spec.count_of(ObjType.GROUP) == 0
-        assert spec.describe() == "numanode:24 package:1 l3:1 core:8 pu:1"
+        topo = presets.by_name("paper")
+        assert topo.nb_pus == 192
+        assert topo.nbobjs_by_type(ObjType.NUMANODE) == 24
+        assert topo.nbobjs_by_type(ObjType.CORE) == 192
+        assert topo.nbobjs_by_type(ObjType.PU) == 192
+        assert topo.nbobjs_by_type(ObjType.GROUP) == 0
+        spelled = from_spec("numanode:24 package:1 l3:1 core:8 pu:1", name=topo.name)
+        assert to_dict(spelled) == to_dict(topo)
 
-    def test_two_tier_shape(self):
-        spec = two_tier(8, 64, 8)
-        assert spec.n_pus == 4096
-        assert spec.levels[0].type is ObjType.GROUP
-        assert spec.count_of(ObjType.GROUP) == 8
-        assert spec.count_of(ObjType.NUMANODE) == 512
+
+class TestScalingRegistry:
+    def test_from_spec_string(self):
+        topo = from_spec("numa:2 core:4 pu:1")
+        assert topo.nb_pus == 8
+        anon = from_spec("2 core:2 pu:1")
+        assert anon.root.children[0].type is ObjType.GROUP
 
 
 class TestValidation:
     def test_innermost_must_be_pu(self):
         with pytest.raises(TopologyError):
-            MachineSpec("x", (LevelDef(ObjType.NUMANODE, 2),))
+            TopologyBuilder("x").add_level(ObjType.NUMANODE, 2).build()
+        with pytest.raises(TopologyError):
+            from_spec("numa:2")
 
     def test_containment_order_enforced(self):
+        builder = TopologyBuilder("x").add_level(ObjType.CORE, 2)
         with pytest.raises(TopologyError):
-            MachineSpec(
-                "x",
-                (
-                    LevelDef(ObjType.CORE, 2),
-                    LevelDef(ObjType.NUMANODE, 2),
-                    LevelDef(ObjType.PU, 1),
-                ),
-            )
-
-    def test_group_may_repeat(self):
-        spec = MachineSpec(
-            "g",
-            (
-                LevelDef(ObjType.GROUP, 2),
-                LevelDef(ObjType.GROUP, 2),
-                LevelDef(ObjType.CORE, 2),
-                LevelDef(ObjType.PU, 1),
-            ),
-        )
-        assert build(spec).nb_pus == 8
+            builder.add_level(ObjType.NUMANODE, 2)
+        with pytest.raises(TopologyError):
+            from_spec("core:2 numa:2 pu:1")
 
     def test_machine_level_rejected(self):
         with pytest.raises(TopologyError):
-            MachineSpec("x", (LevelDef(ObjType.MACHINE, 1), LevelDef(ObjType.PU, 1)))
-
-    def test_bad_counts_rejected(self):
+            TopologyBuilder("x").add_level(ObjType.MACHINE, 1)
         with pytest.raises(TopologyError):
-            LevelDef(ObjType.PU, 0)
-        with pytest.raises(TopologyError):
-            LevelDef(ObjType.PU, -3)
-        with pytest.raises(TopologyError):
-            LevelDef(ObjType.PU, True)
+            from_spec("machine:1 pu:1")
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TopologyError):
-            LevelDef("quark", 2)
-
-    def test_empty_name_rejected(self):
+            from_spec("quark:2 pu:1")
         with pytest.raises(TopologyError):
-            MachineSpec("", (LevelDef(ObjType.PU, 1),))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json at all {",
-            '{"format": "something-else", "version": 1, "levels": []}',
-            '{"format": "repro-machine-spec", "version": 99, "levels": []}',
-            '{"format": "repro-machine-spec", "version": 1, "levels": "pu"}',
-            '{"format": "repro-machine-spec", "version": 1, "name": "x", '
-            '"levels": [{"type": "pu", "count": "two"}]}',
-            '{"format": "repro-machine-spec", "version": 1, "name": "x", '
-            '"levels": [{"type": "pu", "count": 1, "cache": {"latency": 1}}]}',
-        ],
-    )
-    def test_malformed_documents_raise_topology_error(self, text):
-        with pytest.raises(TopologyError):
-            spec_loads(text)
-
-
-class TestGeneratedVsHandwritten:
-    def test_paper_preset_matches_handwritten_24x8(self):
-        generated = build(SCALING_SPECS["paper"])
-        handwritten = presets.paper_smp()
-        assert to_dict(generated) == to_dict(handwritten)
-
-    def test_scaling_presets_registered_in_presets_registry(self):
-        for name in SCALING_SPECS:
-            topo = presets.by_name(name)
-            assert topo.nb_pus == SCALING_SPECS[name].n_pus
-
-
-class TestScalingRegistry:
-    def test_scaling_sizes_sorted_ascending(self):
-        sized = scaling_sizes(["smp96x8", "paper", "smp48x8"])
-        assert sized == [("paper", 192), ("smp48x8", 384), ("smp96x8", 768)]
-
-    def test_unknown_preset_raises(self):
-        with pytest.raises(KeyError):
-            scaling_spec("smp7x7")
-
-    def test_from_spec_string(self):
-        spec = from_spec_string("numa:2 core:4 pu:1")
-        assert spec.n_pus == 8
-        anon = from_spec_string("2 core:2 pu:1")
-        assert anon.levels[0].type is ObjType.GROUP
-
-
-class TestMegaTopologyBudget:
-    def test_512_socket_preset_builds_fast(self):
-        t0 = time.perf_counter()
-        topo = build(SCALING_SPECS["smp512x8"])
-        DistanceModel(topo)
-        elapsed = time.perf_counter() - t0
-        assert topo.nb_pus == 4096
-        assert elapsed < 10.0, f"512-socket build took {elapsed:.1f}s"
+            from_spec("numa:2 quark:2 pu:1")
