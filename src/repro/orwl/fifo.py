@@ -19,7 +19,7 @@ Semantics (Clauss & Gustedt, JPDC 2010):
 
 The FIFO is a passive data structure: granting calls the ``on_grant``
 callback the runtime supplied (which routes through a control thread or
-fires the grant event directly).
+delivers the grant directly).
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ class Request:
         #: the runtime prices the grant message to this thread.
         self.waiter = waiter
         #: runtime-owned grant state: ``None`` until the runtime touches
-        #: it, then the grant :class:`~repro.simulate.engine.SimEvent`
-        #: if an acquire had to wait for the grant, or a delivered marker
-        #: if the grant arrived first (then no event is ever built).
+        #: it, then the parked :class:`~repro.simulate.machine.SimThread`
+        #: of an acquire waiting for the grant, or a delivered marker
+        #: once the grant has arrived (an acquire that comes later does
+        #: not park).
         self.payload: object = None
 
     def __repr__(self) -> str:

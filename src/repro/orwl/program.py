@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 from repro.orwl.fifo import AccessMode
 from repro.orwl.handle import Handle
 from repro.orwl.location import Location
+from repro.simulate.syscalls import Park
 from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,6 +54,10 @@ class Operation:
         #: True for the compute-heavy op of the task (used to pair
         #: control threads with their task's main op).
         self.is_main = name == "main"
+        #: what the op's thread yields to wait for a grant (named
+        #: ``grant:<op>``, the detail of its traced ``wait`` span); one
+        #: serves every acquire of every run of the program.
+        self.park = Park(f"grant:{self.name}")
         #: set by Program.freeze: no more handles.
         self._frozen = False
 

@@ -33,10 +33,10 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
 from repro.orwl.program import Operation, Program
-from repro.simulate.engine import SimEvent, SimulationError
+from repro.simulate.engine import Engine, SimulationError
 from repro.simulate.machine import Machine, SimThread
 from repro.simulate.metrics import MachineMetrics
-from repro.simulate.syscalls import Compute, Receive, Wait
+from repro.simulate.syscalls import Compute, Park, Receive
 from repro.treematch.mapping import Mapping
 from repro.util.validate import ValidationError
 
@@ -45,9 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.tracer import Tracer
 
 
-#: ``Request.payload`` of a grant delivered before any acquire waited on
-#: it: the acquire then proceeds without a grant event ever being built.
+#: ``Request.payload`` of a delivered grant: an acquire that comes later
+#: proceeds without parking, and a second delivery is an error.
 _DELIVERED = object()
+
+#: What a control thread yields to sleep until a grant (or shutdown)
+#: wakes it.  Syscalls are immutable, so one serves every control thread.
+_CTL_WAKE = Park("ctl-wake")
 
 
 @dataclass(frozen=True)
@@ -87,21 +91,24 @@ class _ControlQueue:
     """Service queue of one task's control thread.
 
     It is also the grant callback of the FIFOs the task owns: a grant
-    joins the queue and wakes the control thread if it sleeps.
+    joins the queue and, if the control thread sleeps (``sleeper``),
+    reschedules it at once.
     """
 
-    __slots__ = ("jobs", "waiter", "shutdown")
+    __slots__ = ("engine", "jobs", "sleeper", "shutdown")
 
-    def __init__(self) -> None:
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
         self.jobs: deque[Request] = deque()
-        self.waiter: Optional[SimEvent] = None
+        self.sleeper: Optional[SimThread] = None
         self.shutdown = False
 
     def __call__(self, req: Request) -> None:
         self.jobs.append(req)
-        if self.waiter is not None:
-            w, self.waiter = self.waiter, None
-            w.fire()
+        ctl = self.sleeper
+        if ctl is not None:
+            self.sleeper = None
+            self.engine.schedule(0.0, ctl)
 
 
 class OpContext:
@@ -111,13 +118,15 @@ class OpContext:
     ``yield from ctx.acquire(h)``.  Non-blocking ones are plain calls.
     """
 
-    __slots__ = ("_rt", "op", "tid")
+    __slots__ = ("_rt", "op", "tid", "thread")
 
-    def __init__(self, runtime: "Runtime", op: Operation, tid: int) -> None:
+    def __init__(self, runtime: "Runtime", op: Operation, thread: SimThread) -> None:
         self._rt = runtime
         self.op = op
-        #: simulator thread id of this operation.
-        self.tid = tid
+        #: simulator thread of this operation (what a grant wakes), and
+        #: its id.
+        self.thread = thread
+        self.tid = thread.tid
 
     # -- work ------------------------------------------------------------
 
@@ -158,16 +167,17 @@ class OpContext:
                 f"{handle.op_name!r}: acquire without a pending request "
                 "(the runtime inserts the initial one; use ctx.next afterwards)"
             )
-        rt = self._rt
         if req.payload is None:
-            # Not delivered yet: build the grant event and wait on it.
-            event = req.payload = rt.machine.new_event(f"grant:{req.tag}")
-            yield Wait(event)
+            # Not delivered yet: leave this thread for the delivery to
+            # wake, and park.
+            req.payload = self.thread
+            yield self.op.park
         if handle.mode is AccessMode.READ:
             loc = handle.location
             writer = loc.last_writer_tid
             nbytes = loc.nbytes
             if writer >= 0 and writer != self.tid and nbytes > 0:
+                rt = self._rt
                 comm = rt.comm
                 if comm is not None:
                     comm_id = rt._comm_id_of_tid
@@ -294,7 +304,9 @@ class Runtime:
                 priority=True,
             ))
             for tname, tid in zip(task_names, self._control_tids):
-                cq = self._control_queue_of_task[tname] = _ControlQueue()
+                cq = self._control_queue_of_task[tname] = _ControlQueue(
+                    machine.engine
+                )
                 machine.set_body(tid, self._control_body(cq, tid))
 
         # -- the ORWL init protocol, copied from its outcome frozen with
@@ -313,7 +325,8 @@ class Runtime:
         # -- attach op bodies ------------------------------------------------
         self._ops_remaining = n_ops
         for op, tid in zip(ops, op_tids):
-            machine.set_body(tid, self._op_wrapper(op, OpContext(self, op, tid)))
+            ctx = OpContext(self, op, machine.thread(tid))
+            machine.set_body(tid, self._op_wrapper(op, ctx))
 
         self._ran = False
 
@@ -322,22 +335,21 @@ class Runtime:
     def _deliver(self, req: Request, ctl: Optional[SimThread]) -> None:
         """Deliver *req*'s grant from control thread *ctl* (None: direct).
 
-        Wakes the acquire waiting on it after the grant message latency;
-        if nobody waits yet, only marks the request delivered.  The state
-        lives on the request itself (``payload``) — a dict keyed by
-        ``id(req)`` would collide when a released request is garbage
+        Marks the request delivered and, if an acquire is parked on it,
+        reschedules that thread after the grant message latency.  The
+        state lives on the request itself (``payload``) — a dict keyed
+        by ``id(req)`` would collide when a released request is garbage
         collected and a new one reuses its id.
         """
-        event = req.payload
-        if event is None:
-            req.payload = _DELIVERED
-        elif event is _DELIVERED:
-            raise SimulationError(f"event 'grant:{req.tag}' fired twice")
-        else:
-            assert isinstance(event, SimEvent)
-            event.fire(
-                delay=self.config.direct_grant_latency if ctl is None
-                else self._grant_message_latency(ctl, req)
+        waiter = req.payload
+        if waiter is _DELIVERED:
+            raise SimulationError(f"grant:{req.tag} delivered twice")
+        req.payload = _DELIVERED
+        if waiter is not None:
+            self.machine.engine.schedule(
+                self.config.direct_grant_latency if ctl is None
+                else self._grant_message_latency(ctl, req),
+                waiter,
             )
 
     def _grant_direct(self, req: Request) -> None:
@@ -381,9 +393,8 @@ class Runtime:
                                    detail=req.tag)
             if cq.shutdown:
                 return
-            ev = machine.new_event("ctl-wake")
-            cq.waiter = ev
-            yield Wait(ev)
+            cq.sleeper = ctl
+            yield _CTL_WAKE
 
     def _op_wrapper(self, op: Operation, ctx: OpContext) -> Generator:
         """Run the user body, then tear down: cancel leftover requests and,
@@ -402,11 +413,13 @@ class Runtime:
             h.cancel()
         self._ops_remaining -= 1
         if self._ops_remaining == 0:
+            schedule = self.machine.engine.schedule
             for cq in self._control_queue_of_task.values():
                 cq.shutdown = True
-                if cq.waiter is not None:
-                    w, cq.waiter = cq.waiter, None
-                    w.fire()
+                ctl = cq.sleeper
+                if ctl is not None:
+                    cq.sleeper = None
+                    schedule(0.0, ctl)
 
     # -- execution ----------------------------------------------------------
 
@@ -440,7 +453,7 @@ class Runtime:
 
         The grant callbacks reach the runtime, which reaches the
         locations, so they are always detached.  A run that raised also
-        leaves requests queued and held, whose grant events reach the
+        leaves requests queued and held, whose parked threads reach the
         machine: they are dropped, so the failed run is freed at once
         rather than when the next runtime re-arms the program.
         Provenance stays (it is plain data).

@@ -20,6 +20,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "metrics": ["MachineMetrics"],
     "contention": ["ContentionConfig", "ContentionModel"],
     "scheduler": ["OsScheduler", "SchedulerConfig"],
-    "syscalls": ["Compute", "ComputeFlops", "Receive", "ReceiveFromNode", "Wait", "Yield"],
+    "syscalls": [
+        "Compute", "ComputeFlops", "Park", "Receive", "ReceiveFromNode", "Wait", "Yield",
+    ],
     "timeline": ["Segment", "Timeline"],
 })

@@ -33,10 +33,10 @@ from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.simulate.syscalls import (
     Compute,
     ComputeFlops,
+    Park,
     Receive,
     ReceiveFromNode,
     Syscall,
-    Wait,
     Yield,
 )
 from repro.topology.distance import DEFAULT_LEVEL_COSTS, DistanceModel
@@ -68,7 +68,8 @@ class ThreadState(enum.Enum):
 
 #: What a thread's continuation does before it resumes the body
 #: (:attr:`SimThread.resume_kind`): nothing, wait accounting for the
-#: ``Wait`` it woke from, or the end of its in-flight transfer.
+#: ``Park`` or ``Wait`` it woke from, or the end of its in-flight
+#: transfer.
 RESUME, WAKE, TRANSFER_DONE = 0, 1, 2
 
 
@@ -77,9 +78,10 @@ class SimThread:
 
     The thread is its own engine callback: calling it resumes the body
     after whatever :attr:`resume_kind` says its pending continuation
-    ends.  A thread has at most one pending continuation, so the engine
-    and :meth:`SimEvent.wait <repro.simulate.engine.SimEvent.wait>`
-    take the thread itself and no per-thread closure is ever built.
+    ends.  A thread has at most one pending continuation, so the engine,
+    the waker of a :class:`~repro.simulate.syscalls.Park` and
+    :meth:`SimEvent.wait <repro.simulate.engine.SimEvent.wait>` take the
+    thread itself and no per-thread closure is ever built.
     """
 
     __slots__ = (
@@ -124,8 +126,8 @@ class SimThread:
         #: continuation (RESUME, WAKE or TRANSFER_DONE).
         self.machine: Optional["Machine"] = None
         self.resume_kind = RESUME
-        #: the name of the event the thread is parked on (the wait
-        #: span's trace detail).
+        #: the name of the ``Park`` or ``Wait`` the thread is blocked
+        #: on (the wait span's trace detail).
         self.wait_name = ""
         #: the contention slot (sharing level, producer node) of the
         #: thread's one in-flight transfer.
@@ -465,7 +467,7 @@ class Machine:
         self.scheduler.observer = None
 
     def _end_wait(self, t: SimThread) -> None:
-        """Account the ``Wait`` thread *t* wakes from."""
+        """Account the ``Park`` or ``Wait`` thread *t* wakes from."""
         waited = self.engine._now - t.blocked_since
         self.metrics.record_wait(waited)
         t.wait_time += waited
@@ -490,12 +492,14 @@ class Machine:
             self._do_receive(t, sc.producer, sc.nbytes)
         elif isinstance(sc, ReceiveFromNode):
             self._do_receive_from_node(t, sc.node_index, sc.nbytes)
-        elif isinstance(sc, Wait):
+        elif isinstance(sc, Park):
             t.state = ThreadState.BLOCKED
             t.blocked_since = self.engine._now
-            t.wait_name = sc.event.name
+            t.wait_name = sc.name
             t.resume_kind = WAKE
-            sc.event.wait(t)
+            event = sc.event
+            if event is not None:
+                event.wait(t)
         elif isinstance(sc, Yield):
             t.state = ThreadState.READY
             t.resume_kind = RESUME

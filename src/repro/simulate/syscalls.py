@@ -9,13 +9,18 @@ simulated analogue of a pthread calling into libc/the ORWL runtime.
 * :class:`Receive` — pull bytes last produced by another thread; the
   cost depends on the topological distance between the two threads'
   PUs (this is where placement pays off or doesn't).
+* :class:`Park` — block until whoever holds the thread reschedules it
+  with ``engine.schedule(delay, thread)`` (ORWL lock grants and
+  control-thread sleeps: one waiter, one known waker).
 * :class:`Wait` — park on a :class:`~repro.simulate.engine.SimEvent`
-  (lock grants, barrier releases).
+  (barrier releases: any number of waiters).
 * :class:`Yield` — give up the PU to other ready threads (cooperative
   scheduling point, zero-cost otherwise).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.simulate.engine import SimEvent
 
@@ -95,12 +100,33 @@ class ReceiveFromNode(Syscall):
         self.nbytes = nbytes
 
 
-class Wait(Syscall):
-    """Block until the event fires."""
+class Park(Syscall):
+    """Block until whoever holds this thread reschedules it with
+    ``engine.schedule(delay, thread)``.
+
+    The waker keeps the thread itself (the thread is its own engine
+    callback), so a one-waiter wake needs no event object.  *name* is
+    the wait span's trace detail.
+    """
+
+    __slots__ = ("name",)
+
+    #: the event a :class:`Wait` parks on (a plain park has none).
+    event: Optional[SimEvent] = None
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+
+
+class Wait(Park):
+    """Block until the event fires: a :class:`Park` whose waker is a
+    :class:`~repro.simulate.engine.SimEvent`, for events any number of
+    threads wait on (the event's name is the trace detail)."""
 
     __slots__ = ("event",)
 
     def __init__(self, event: SimEvent) -> None:
+        self.name = event.name
         self.event = event
 
 

@@ -1,4 +1,4 @@
-"""Tests for grant-message latency, lazy grant events, scaling
+"""Tests for grant-message latency, event-free grant wakes, scaling
 efficiency, and model stability across seeds."""
 
 import pytest
@@ -8,7 +8,7 @@ from repro.observe import Tracer
 from repro.orwl import AccessMode, Program, Runtime, RuntimeConfig
 from repro.simulate.engine import SimEvent, SimulationError
 from repro.simulate.machine import Machine
-from repro.simulate.syscalls import Wait
+from repro.simulate.syscalls import Park
 from repro.treematch.mapping import Mapping
 
 
@@ -74,11 +74,24 @@ class TestGrantMessageLatency:
         assert t_ctl > t_direct
 
 
+@pytest.fixture
+def built_events(monkeypatch):
+    """Names of every :class:`SimEvent` constructed while the test runs."""
+    built: list[str] = []
+    init = SimEvent.__init__
+
+    def counting_init(self, engine, name=""):
+        built.append(name)
+        init(self, engine, name)
+
+    monkeypatch.setattr(SimEvent, "__init__", counting_init)
+    return built
+
+
 def _single_acquire_runtime(topo, compute_first, control_threads=True):
     """One op on PU 0 acquiring a lock it alone uses (control thread on
     PU 4); *compute_first* seconds of work precede the acquire.  Returns
-    the runtime, the handle, the names of every event the machine built
-    and a log of what the op observed."""
+    the runtime, the handle and a log of what the op observed."""
     prog = Program("lazy")
     loc = prog.location("l", 0, owner_task="a")
     op = prog.task("a").operation("main", body=None)
@@ -98,42 +111,48 @@ def _single_acquire_runtime(topo, compute_first, control_threads=True):
 
     op.body = body
     machine = Machine(topo, seed=0, tracer=Tracer())
-    built: list[str] = []
-    new_event = machine.new_event
-
-    def counting_new_event(name=""):
-        built.append(name)
-        return new_event(name)
-
-    machine.new_event = counting_new_event
     rt = Runtime(
         prog, machine, mapping=Mapping((0,)), control_mapping=Mapping((4,)),
         config=RuntimeConfig(control_threads=control_threads),
     )
-    return rt, h, built, log
+    return rt, h, log
 
 
 class TestLazyGrantEvents:
+    """A grant wakes its parked acquire directly: no event is built."""
+
     @pytest.mark.parametrize("control_threads", [True, False])
-    def test_grant_before_acquire_builds_no_event(self, small_topo, control_threads):
-        rt, _, built, log = _single_acquire_runtime(
+    def test_orwl_run_builds_no_event(self, small_topo, built_events, control_threads):
+        prog = _grant_latency_program(iterations=5)
+        Runtime(
+            prog, Machine(small_topo, seed=0), mapping=Mapping((0, 4)),
+            config=RuntimeConfig(control_threads=control_threads),
+        ).run()
+        assert built_events == []
+
+    @pytest.mark.parametrize("control_threads", [True, False])
+    def test_grant_before_acquire_builds_no_event(
+        self, small_topo, built_events, control_threads
+    ):
+        rt, _, log = _single_acquire_runtime(
             small_topo, compute_first=1e-3, control_threads=control_threads
         )
         rt.run()
         assert log["payload_before"] is not None  # delivered, as a marker
-        assert not isinstance(log["request"].payload, SimEvent)
-        assert log["syscalls"] == []  # the acquire yielded no Wait
+        assert log["syscalls"] == []  # the acquire yielded nothing
         assert log["woken_at"] == pytest.approx(1e-3)
-        assert not [name for name in built if name.startswith("grant:")]
+        assert built_events == []
 
-    def test_grant_while_waiting_wakes_after_message_latency(self, small_topo):
-        rt, _, built, log = _single_acquire_runtime(small_topo, compute_first=0.0)
+    def test_grant_while_waiting_wakes_after_message_latency(
+        self, small_topo, built_events
+    ):
+        rt, _, log = _single_acquire_runtime(small_topo, compute_first=0.0)
         rt.run()
-        (wait,) = log["syscalls"]
-        assert isinstance(wait, Wait)
-        event = log["request"].payload
-        assert wait.event is event and event.fired and event.name == "grant:a/main"
-        assert built.count("grant:a/main") == 1
+        (park,) = log["syscalls"]
+        (op,) = rt.program.operations()
+        assert type(park) is Park and park is op.park
+        assert park.name == "grant:a/main"
+        assert built_events == []
         # Control-thread service, then the grant message from PU 4 to PU 0.
         expected = rt.config.grant_cost + rt.machine.distances.latency(4, 0)
         assert log["woken_at"] == expected
@@ -141,17 +160,28 @@ class TestLazyGrantEvents:
                  if e.kind == "wait" and e.detail == "grant:a/main"]
         assert [(w.ts, w.ts + w.dur) for w in waits] == [(0.0, expected)]
 
+    def test_kept_program_reuses_its_park(self, small_topo):
+        prog = _grant_latency_program(iterations=2)
+        parks = [op.park for op in prog.operations()]
+        assert [p.name for p in parks] == ["grant:a/main", "grant:b/main"]
+        for _ in range(2):
+            machine = Machine(small_topo, seed=0, tracer=Tracer())
+            Runtime(prog, machine, mapping=Mapping((0, 4))).run()
+            assert [op.park for op in prog.operations()] == parks
+            details = {e.detail for e in machine.tracer.events if e.kind == "wait"}
+            assert {"grant:a/main", "grant:b/main"} <= details
+
     def test_second_delivery_raises(self, small_topo):
         # Delivered before anyone waited (by the init protocol, directly).
-        rt, h, _, _ = _single_acquire_runtime(
+        rt, h, _ = _single_acquire_runtime(
             small_topo, compute_first=1e-3, control_threads=False
         )
-        with pytest.raises(SimulationError, match="fired twice"):
+        with pytest.raises(SimulationError, match="grant:a/main delivered twice"):
             rt._deliver(h.request, None)
-        # Delivered to a waiting acquire: its grant event has fired.
-        rt, _, _, log = _single_acquire_runtime(small_topo, compute_first=0.0)
+        # Delivered to a parked acquire: the thread has been woken.
+        rt, _, log = _single_acquire_runtime(small_topo, compute_first=0.0)
         rt.run()
-        with pytest.raises(SimulationError, match="fired twice"):
+        with pytest.raises(SimulationError, match="grant:a/main delivered twice"):
             rt._deliver(log["request"], None)
 
 

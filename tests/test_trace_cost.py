@@ -20,6 +20,7 @@ bound leaves room.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from repro.core.api import run_lk23
@@ -35,7 +36,12 @@ MAX_EXTRA_CALLS_PER_EVENT = 1.5
 
 
 def _python_calls(trace: bool):
-    """(Python calls made by one run, its result)."""
+    """(Python calls made by one run, its result).
+
+    The collector is off while the profiler counts: a collection would
+    finalize generators that earlier tests left suspended and count
+    their frames as this run's calls.
+    """
     count = 0
 
     def profile(frame, event, arg):
@@ -43,11 +49,14 @@ def _python_calls(trace: bool):
         if event == "call":
             count += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = run_lk23(trace=trace, **CONFIG)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return count, result
 
 

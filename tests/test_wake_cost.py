@@ -1,0 +1,112 @@
+"""A parked ORWL thread is woken directly: no event object per wake.
+
+Every lock grant an acquire waits on, and every control-thread sleep,
+has exactly one waiter and one known waker.  The runtime parks the
+thread (:class:`~repro.simulate.syscalls.Park`) and the waker
+reschedules it with ``engine.schedule``, so a run builds no
+:class:`~repro.simulate.engine.SimEvent` at all.  This case runs two
+ORWL workloads under ``sys.setprofile``, counts their ``SimEvent``
+constructions and bounds their Python calls per engine event, so a
+return to a one-shot event (plus its ``Wait`` and name string) per wake
+fails on any host.
+
+Only ``Runtime.run`` is profiled, with the collector off (a collection
+would finalize generators that earlier tests left suspended and count
+their frames).  Measured on CPython 3.11, calls per engine event:
+
+* LK23 (``tests/test_trace_cost.py``'s configuration): 19.24, and
+  20.77 with an event per wake (839 events for 2,743 engine events);
+* a ``divconq`` DAG point (scale 2, TreeMatch, 16 cores): 14.94, and
+  16.50 with an event per wake (297 events for 951 engine events).
+
+Other versions count calls differently, so the bounds leave a few
+percent of room; the ``SimEvent`` count is exact everywhere.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+
+import pytest
+
+from repro.comm.patterns import square_grid_shape
+from repro.exec.cache import machine_inputs
+from repro.experiments.dag import build_workload
+from repro.kernels.lk23_orwl import Lk23Config, build_program
+from repro.orwl.runtime import Runtime
+from repro.placement.binder import bind_program
+from repro.simulate.engine import SimEvent
+from repro.simulate.machine import Machine
+from repro.tasks.compile import compile_graph, dag_matrix
+
+_SIM_EVENT_INIT = SimEvent.__init__.__code__
+
+
+def _lk23_runtime() -> Runtime:
+    """Small-numa, n=4096, 8 iterations, TreeMatch, seed 0."""
+    topo, dm = machine_inputs("small-numa")
+    rows, cols = square_grid_shape(topo.nb_pus)
+    program = build_program(
+        Lk23Config(n=4096, grid_rows=rows, grid_cols=cols, iterations=8)
+    )
+    plan = bind_program(program, topo, policy="treematch")
+    return Runtime(
+        program, Machine(topo, distance_model=dm, seed=0),
+        mapping=plan.mapping, control_mapping=plan.control_mapping,
+    )
+
+
+def _divconq_runtime() -> Runtime:
+    """A divide-and-conquer DAG (scale 2), TreeMatch on 2x8 cores, seed 0."""
+    graph = build_workload("divconq", scale=2, graph_seed=0)
+    topo, dm = machine_inputs("paper-smp", 2, 8)
+    program = compile_graph(graph)
+    plan = bind_program(program, topo, policy="treematch", matrix=dag_matrix(graph))
+    return Runtime(
+        program, Machine(topo, distance_model=dm, seed=0),
+        mapping=plan.mapping, control_mapping=plan.control_mapping,
+    )
+
+
+#: (runtime factory, bound on Python calls per engine event).
+CASES = {
+    "lk23": (_lk23_runtime, 20.0),
+    "divconq": (_divconq_runtime, 15.6),
+}
+
+
+def _profiled_run(runtime: Runtime):
+    """(Python calls, SimEvents built, result) of one ``runtime.run()``."""
+    calls = events = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, events
+        if event == "call":
+            calls += 1
+            if frame.f_code is _SIM_EVENT_INIT:
+                events += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = runtime.run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, events, result
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_wakes_build_no_event_and_few_calls_per_engine_event(case):
+    make, max_calls_per_event = CASES[case]
+    make().run()  # warm: imports and per-process caches are paid once
+    calls, events, result = _profiled_run(make())
+    assert result.engine_events > 500
+    assert events == 0, f"{events} SimEvents built"
+    per_event = calls / result.engine_events
+    assert per_event <= max_calls_per_event, (
+        f"{per_event:.2f} Python calls per engine event "
+        f"({calls} calls, {result.engine_events} engine events)"
+    )
