@@ -56,8 +56,9 @@ class Request:
         self.state = RequestState.PENDING
         #: free-form identifier (op name) for diagnostics.
         self.tag = tag
-        #: simulator thread id of the requesting operation (-1 = none);
-        #: the runtime prices the grant message to this thread.
+        #: simulator thread id of the requesting operation (-1 = none),
+        #: for diagnostics (the grant message is priced to the thread
+        #: parked in ``payload``).
         self.waiter = waiter
         #: runtime-owned grant state: ``None`` until the runtime touches
         #: it, then the parked :class:`~repro.simulate.machine.SimThread`
@@ -160,11 +161,21 @@ class OrwlFifo:
         Grants the same requests in the same order as :meth:`insert`
         followed by ``release(old)``: while *old* is held, insert's pass
         can grant only the new tail request, and then nothing precedes
-        it that release's pass would grant before it.
+        it that release's pass would grant before it.  A held head (the
+        common case) is unlinked here, without the general
+        :meth:`_unlink`.
         """
-        self._unlink(old)
+        queue = self._queue
+        if old.state is RequestState.GRANTED and queue and queue[0] is old:
+            queue.popleft()
+            old.state = RequestState.RELEASED
+            self._n_granted -= 1
+            if old.mode is AccessMode.WRITE:
+                self._n_granted_writes -= 1
+        else:
+            self._unlink(old)
         req = Request(old.mode, tag, waiter)
-        self._queue.append(req)
+        queue.append(req)
         self.inserted += 1
         self._pump()
         return req

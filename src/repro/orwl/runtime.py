@@ -28,12 +28,14 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
 from repro.orwl.program import Operation, Program
-from repro.simulate.engine import Engine, SimulationError
+from repro.simulate.engine import _INF, Engine, SimulationError
 from repro.simulate.machine import Machine, SimThread
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.syscalls import Compute, Park, Receive
@@ -92,7 +94,8 @@ class _ControlQueue:
 
     It is also the grant callback of the FIFOs the task owns: a grant
     joins the queue and, if the control thread sleeps (``sleeper``),
-    reschedules it at once.
+    reschedules it at once (the ``(now, seq, thread)`` entry
+    ``engine.schedule(0.0, thread)`` would push).
     """
 
     __slots__ = ("engine", "jobs", "sleeper", "shutdown")
@@ -108,7 +111,9 @@ class _ControlQueue:
         ctl = self.sleeper
         if ctl is not None:
             self.sleeper = None
-            self.engine.schedule(0.0, ctl)
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._heap, (engine._now, seq, ctl))
 
 
 class OpContext:
@@ -322,91 +327,88 @@ class Runtime:
         for h in program._init_grants:
             queues.get(h.location.owner_task, direct)(h.request)
 
-        # -- attach op bodies ------------------------------------------------
+        # -- attach op bodies; an op's teardown is its thread's exit hook.
         self._ops_remaining = n_ops
         for op, tid in zip(ops, op_tids):
-            ctx = OpContext(self, op, machine.thread(tid))
-            machine.set_body(tid, self._op_wrapper(op, ctx))
+            thread = machine.thread(tid)
+            machine.set_body(tid, op.body(OpContext(self, op, thread)))
+            thread.on_exit = partial(self._finish_op, op)
 
         self._ran = False
 
     # -- grant plumbing ------------------------------------------------------
 
-    def _deliver(self, req: Request, ctl: Optional[SimThread]) -> None:
-        """Deliver *req*'s grant from control thread *ctl* (None: direct).
+    def _deliver(self, req: Request, latency: float) -> None:
+        """Deliver *req*'s grant: mark it delivered and, if an acquire is
+        parked on it, reschedule that thread after *latency*.
 
-        Marks the request delivered and, if an acquire is parked on it,
-        reschedules that thread after the grant message latency.  The
-        state lives on the request itself (``payload``) — a dict keyed
-        by ``id(req)`` would collide when a released request is garbage
-        collected and a new one reuses its id.
+        The state lives on the request itself (``payload``) — a dict
+        keyed by ``id(req)`` would collide when a released request is
+        garbage collected and a new one reuses its id.  The control
+        threads' loop (:meth:`_control_body`) does the same inline.
         """
         waiter = req.payload
         if waiter is _DELIVERED:
             raise SimulationError(f"grant:{req.tag} delivered twice")
         req.payload = _DELIVERED
         if waiter is not None:
-            self.machine.engine.schedule(
-                self.config.direct_grant_latency if ctl is None
-                else self._grant_message_latency(ctl, req),
-                waiter,
-            )
+            self.machine.engine.schedule(latency, waiter)
 
     def _grant_direct(self, req: Request) -> None:
         """Grant callback of a location whose owner has no control
         thread: deliver the grant at once."""
-        self._deliver(req, None)
+        self._deliver(req, self.config.direct_grant_latency)
         machine = self.machine
         if machine.tracer is not None:
             machine._trace("grant", None, machine.engine._now, detail=req.tag)
 
-    def _grant_message_latency(self, ctl: SimThread, req: Request) -> float:
-        """Latency of the grant message from control thread to waiter.
-
-        Priced by the topological distance between the two threads'
-        PUs: tens of nanoseconds under a shared cache, microseconds
-        across a cluster network — the decentralized runtime's messages
-        are not free, and their cost follows placement like everything
-        else.
-        """
-        if req.waiter < 0:
-            return 0.0
-        src = ctl.current_pu
-        dst = self.machine.thread(req.waiter).current_pu
-        if src < 0 or dst < 0:
-            return 0.0
-        return self._level_latency[self._type_rows[src][dst]]
-
     def _control_body(self, cq: _ControlQueue, ctl_tid: int) -> Generator:
-        """Control-thread loop: service grant messages until shutdown."""
+        """Control-thread loop: service grant messages until shutdown.
+
+        Each grant is delivered as :meth:`_deliver` would, inline.  The
+        message latency is priced by the topological distance between
+        this thread's PU and the parked thread's: tens of nanoseconds
+        under a shared cache, microseconds across a cluster network —
+        the decentralized runtime's messages are not free, and their
+        cost follows placement like everything else.  The wake is the
+        ``(now + latency, seq, thread)`` entry ``engine.schedule`` would
+        push.
+        """
         machine = self.machine
+        engine = machine.engine
+        heap = engine._heap
         ctl = machine.thread(ctl_tid)
         jobs = cq.jobs
         service = self._grant_service
+        type_rows = self._type_rows
+        level_latency = self._level_latency
         while True:
             while jobs:
                 req = jobs.popleft()
                 yield service
-                self._deliver(req, ctl)
+                waiter = req.payload
+                if waiter is _DELIVERED:
+                    raise SimulationError(f"grant:{req.tag} delivered twice")
+                req.payload = _DELIVERED
+                if waiter is not None:
+                    src = ctl.current_pu
+                    dst = waiter.current_pu
+                    latency = (
+                        0.0 if src < 0 or dst < 0
+                        else level_latency[type_rows[src][dst]]
+                    )
+                    if not 0.0 <= latency < _INF:
+                        raise SimulationError(
+                            f"delay must be finite and non-negative, got {latency}"
+                        )
+                    engine._seq = seq = engine._seq + 1
+                    heappush(heap, (engine._now + latency, seq, waiter))
                 if machine.tracer is not None:
-                    machine._trace("grant", ctl, machine.engine._now,
-                                   detail=req.tag)
+                    machine._trace("grant", ctl, engine._now, detail=req.tag)
             if cq.shutdown:
                 return
             cq.sleeper = ctl
             yield _CTL_WAKE
-
-    def _op_wrapper(self, op: Operation, ctx: OpContext) -> Generator:
-        """Run the user body, then tear down: cancel leftover requests and,
-        when the last op finishes, shut the control threads down."""
-        try:
-            yield from op.body(ctx)
-        finally:
-            # The body of a run that raised is closed whenever its
-            # machine is freed, maybe after another runtime re-armed the
-            # program: then these handles are no longer this run's.
-            if self.program._armed_by() is self:
-                self._finish_op(op)
 
     def _finish_op(self, op: Operation) -> None:
         for h in op.handles:

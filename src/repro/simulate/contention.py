@@ -73,22 +73,16 @@ class ContentionModel:
     # it loads.  NUMANODE-level transfers hit one memory controller;
     # wider transfers hit the producer's controller AND the interconnect.
 
-    def _crosses_dram(self, level: ObjType) -> bool:
-        return level in _DRAM_LEVELS
-
-    def _crosses_interconnect(self, level: ObjType) -> bool:
-        return level in _INTERCONNECT_LEVELS
-
     def slowdown(self, level: ObjType, producer_node: int) -> float:
         """Multiplicative stretch a transfer starting now experiences."""
         exp = self.config.saturation_exponent
         factor = 1.0
-        if self._crosses_dram(level) and producer_node >= 0:
+        if level in _DRAM_LEVELS and producer_node >= 0:
             k = self._node_inflight[producer_node]
             overload = (k + 1) / self.config.node_capacity
             if overload > 1.0:
                 factor = max(factor, overload**exp)
-        if self._crosses_interconnect(level):
+        if level in _INTERCONNECT_LEVELS:
             k = self._interconnect_inflight
             overload = (k + 1) / self.config.interconnect_capacity
             if overload > 1.0:
@@ -97,17 +91,17 @@ class ContentionModel:
 
     def begin(self, level: ObjType, producer_node: int) -> None:
         """Register a transfer as in-flight."""
-        if self._crosses_dram(level) and producer_node >= 0:
+        if level in _DRAM_LEVELS and producer_node >= 0:
             self._node_inflight[producer_node] += 1
-        if self._crosses_interconnect(level):
+        if level in _INTERCONNECT_LEVELS:
             self._interconnect_inflight += 1
 
     def end(self, level: ObjType, producer_node: int) -> None:
         """Unregister a finished transfer."""
-        if self._crosses_dram(level) and producer_node >= 0:
+        if level in _DRAM_LEVELS and producer_node >= 0:
             self._node_inflight[producer_node] -= 1
             assert self._node_inflight[producer_node] >= 0
-        if self._crosses_interconnect(level):
+        if level in _INTERCONNECT_LEVELS:
             self._interconnect_inflight -= 1
             assert self._interconnect_inflight >= 0
 

@@ -6,7 +6,8 @@ so two events at the same timestamp always fire in scheduling order and
 every simulation is bit-for-bit reproducible.
 
 Everything above (machine, threads, ORWL runtime) is built out of
-:meth:`Engine.schedule` plus :class:`SimEvent` wait/notify.  The
+:meth:`Engine.schedule` (or the same push inline, on the per-event
+paths) plus :class:`SimEvent` wait/notify.  The
 ordering contract (seq tie-break, registration-order release, late
 waiters) is spelled out in DESIGN.md, "Determinism contract", and
 pinned by ``tests/test_engine_differential.py`` against a minimal
@@ -15,7 +16,7 @@ reference engine.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.util.errors import ReproError
@@ -32,11 +33,14 @@ class Engine:
 
     The event loop is the single hottest code path in the repo — a
     paper-scale sweep fires tens of millions of events — so ``run``
-    binds :meth:`step` once and the class carries ``__slots__`` (one
+    pops the heap itself, one loop iteration and no Python call per
+    event beyond the callback, and the class carries ``__slots__`` (one
     engine exists per machine, but its attributes are read per event).
-    The drain deliberately delegates per-event work to ``step``: on
-    CPython 3.11+ the specializing interpreter inlines the call and
-    keeps one hot code path.
+    :meth:`step` fires one event the same way, for callers that drive
+    the engine by hand.  The machine's per-event paths push their
+    continuations with the same finiteness check :meth:`at` makes and
+    the same ``_seq`` counter, so every entry is the one :meth:`at`
+    would push.
     """
 
     __slots__ = ("_now", "_heap", "_seq", "_events_fired")
@@ -81,7 +85,7 @@ class Engine:
                 f"delay must be finite and non-negative, got {delay}"
             )
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self._now + delay, seq, fn))
+        heappush(self._heap, (self._now + delay, seq, fn))
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Run *fn* at absolute simulated *time* (>= now, finite)."""
@@ -90,13 +94,13 @@ class Engine:
                 f"time must be finite and >= now, got {time} (now={self._now})"
             )
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (time, seq, fn))
+        heappush(self._heap, (time, seq, fn))
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
         if not self._heap:
             return False
-        time, _, fn = heapq.heappop(self._heap)
+        time, _, fn = heappop(self._heap)
         self._now = time
         self._events_fired += 1
         fn()
@@ -109,27 +113,31 @@ class Engine:
         guard; exceeding it raises :class:`SimulationError`.
 
         Callbacks may keep scheduling — ``schedule`` / ``at`` push onto
-        the same heap ``step`` pops from; a zero-delay event joins the
+        the same heap the drain pops from; a zero-delay event joins the
         end of the current timestamp (its seq is necessarily higher).
+        Each iteration does what :meth:`step` does, inline.
         """
-        step = self.step
-        fired = 0
+        heap = self._heap
+        pop = heappop
+        limit = self._events_fired + max_events
         if until is None:
-            while step():
-                fired += 1
-                if fired > max_events:
+            while heap:
+                self._now, _, fn = pop(heap)
+                self._events_fired = fired = self._events_fired + 1
+                fn()
+                if fired > limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; livelock?"
                     )
         else:
-            heap = self._heap
             while heap:
                 if heap[0][0] > until:
                     self._now = until
                     break
-                step()
-                fired += 1
-                if fired > max_events:
+                self._now, _, fn = pop(heap)
+                self._events_fired = fired = self._events_fired + 1
+                fn()
+                if fired > limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; livelock?"
                     )

@@ -19,6 +19,7 @@ simulated time (see DESIGN.md §1).
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 from repro.metrics import core as _metrics_core
 
 from repro.simulate.contention import ContentionConfig, ContentionModel
-from repro.simulate.engine import Engine, SimEvent, SimulationError
+from repro.simulate.engine import _INF, Engine, SimEvent, SimulationError
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.simulate.syscalls import (
@@ -72,6 +73,9 @@ class ThreadState(enum.Enum):
 #: transfer.
 RESUME, WAKE, TRANSFER_DONE = 0, 1, 2
 
+#: Sharing-level index of a node stream read on its own node (local DRAM).
+_LOCAL_DRAM = int(ObjType.NUMANODE)
+
 
 class SimThread:
     """A simulated thread: identity, placement, and its generator body.
@@ -106,6 +110,7 @@ class SimThread:
         "runq_time",
         "migrations",
         "done_at",
+        "on_exit",
     )
 
     def __init__(
@@ -146,28 +151,58 @@ class SimThread:
         self.migrations = 0
         #: simulated time the body finished (-1 while running).
         self.done_at = -1.0
+        #: called with no argument when the body finishes, before the
+        #: thread retires (the ORWL runtime's operation teardown).
+        self.on_exit: Optional[Callable[[], None]] = None
 
     def __call__(self) -> None:
         """The thread's continuation: end what it was blocked on, then
-        drive the body until it blocks or finishes."""
+        drive the body until it blocks or finishes.
+
+        One frame per event: the wake accounting and the common
+        syscalls are handled here and in one machine method each;
+        :meth:`Machine._perform` takes the rare kinds.
+        """
         machine = self.machine
         assert machine is not None and self.body is not None, "not running"
         kind = self.resume_kind
         if kind == WAKE:
-            machine._end_wait(self)
+            since = self.blocked_since
+            waited = machine.engine._now - since
+            machine.metrics.wait_time += waited
+            self.wait_time += waited
+            if machine.tracer is not None:
+                machine._trace("wait", self, since, waited, detail=self.wait_name)
         elif kind == TRANSFER_DONE:
             machine.contention.end(self.transfer_level, self.transfer_node)
         self.state = ThreadState.RUNNING
         try:
             sc = next(self.body)
         except StopIteration:
+            if self.on_exit is not None:
+                self.on_exit()
             machine._end_thread(self)
             return
-        machine._perform(self, sc)
-
-    @property
-    def is_bound(self) -> bool:
-        return self.bound_pu is not None
+        if isinstance(sc, ComputeFlops):
+            if self.bound_pu is None:
+                machine._maybe_pull(self)  # pick the PU before pricing the work
+            machine._do_work(self, sc.flops / machine._rate_of_pu[self.current_pu])
+        elif isinstance(sc, Compute):
+            machine._do_work(self, sc.duration)
+        elif isinstance(sc, Park):
+            self.state = ThreadState.BLOCKED
+            self.blocked_since = machine.engine._now
+            self.wait_name = sc.name
+            self.resume_kind = WAKE
+            event = sc.event
+            if event is not None:
+                event.wait(self)
+        elif isinstance(sc, Receive):
+            machine._do_receive(self, sc.producer, sc.nbytes)
+        elif isinstance(sc, ReceiveFromNode):
+            machine._do_receive(self, sc.node_index, sc.nbytes, True)
+        else:
+            machine._perform(self, sc)
 
     def __repr__(self) -> str:
         return f"<SimThread {self.tid} {self.name!r} {self.state.value} pu={self.current_pu}>"
@@ -395,13 +430,16 @@ class Machine:
         for t in self._threads:
             if t.body is None:
                 raise SimulationError(f"thread {t.tid} ({t.name}) has no body")
-            t.current_pu = t.bound_pu if t.is_bound else self.scheduler.initial_pu()
+            t.current_pu = (
+                t.bound_pu if t.bound_pu is not None
+                else self.scheduler.initial_pu()
+            )
             self.scheduler.occupy(t.current_pu)
             t.state = ThreadState.READY
             t.machine = self
             if self.tracer is not None:
                 self._trace("thread_start", t, 0.0,
-                            detail="bound" if t.is_bound else "unbound")
+                            detail="unbound" if t.bound_pu is None else "bound")
             self.engine.schedule(0.0, t)
         flush_metrics = _metrics_core.is_enabled()
         wall_t0 = perf_counter() if flush_metrics else 0.0
@@ -458,21 +496,15 @@ class Machine:
         """Drop the links that tie the machine into reference cycles.
 
         Each thread points back at the machine (its continuation runs
-        there), and the trace observer closes over it from the
-        scheduler; the machine reaches both.  Nothing calls them once
-        the engine has stopped.
+        there) and may hold an exit hook into whoever built it, and the
+        trace observer closes over the machine from the scheduler; the
+        machine reaches all of them.  Nothing calls them once the engine
+        has stopped.
         """
         for t in self._threads:
             t.machine = None
+            t.on_exit = None
         self.scheduler.observer = None
-
-    def _end_wait(self, t: SimThread) -> None:
-        """Account the ``Park`` or ``Wait`` thread *t* wakes from."""
-        waited = self.engine._now - t.blocked_since
-        self.metrics.record_wait(waited)
-        t.wait_time += waited
-        if self.tracer is not None:
-            self._trace("wait", t, t.blocked_since, waited, detail=t.wait_name)
 
     def _end_thread(self, t: SimThread) -> None:
         """Retire thread *t*, whose body has finished."""
@@ -483,54 +515,13 @@ class Machine:
         self.scheduler.vacate(t.current_pu)
 
     def _perform(self, t: SimThread, sc: Syscall) -> None:
-        if isinstance(sc, Compute):
-            self._do_work(t, sc.duration)
-        elif isinstance(sc, ComputeFlops):
-            self._maybe_pull(t)  # pick the PU before pricing the work
-            self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu])
-        elif isinstance(sc, Receive):
-            self._do_receive(t, sc.producer, sc.nbytes)
-        elif isinstance(sc, ReceiveFromNode):
-            self._do_receive_from_node(t, sc.node_index, sc.nbytes)
-        elif isinstance(sc, Park):
-            t.state = ThreadState.BLOCKED
-            t.blocked_since = self.engine._now
-            t.wait_name = sc.name
-            t.resume_kind = WAKE
-            event = sc.event
-            if event is not None:
-                event.wait(t)
-        elif isinstance(sc, Yield):
+        """The syscalls :meth:`SimThread.__call__` does not handle itself."""
+        if isinstance(sc, Yield):
             t.state = ThreadState.READY
             t.resume_kind = RESUME
             self.engine.schedule(0.0, t)
         else:
             raise SimulationError(f"thread {t.tid} yielded non-syscall {sc!r}")
-
-    def _occupy_pu(self, t: SimThread, duration: float) -> tuple[float, float]:
-        """Serialize *duration* of PU occupancy; returns (start, end).
-
-        Priority threads preempt: they start immediately and push the
-        PU's next-free time back by their (short) burst, approximating a
-        kernel scheduling a woken high-priority thread within the
-        running thread's timeslice.
-        """
-        pu = t.current_pu
-        now = self.engine._now
-        free_at = self._pu_free_at
-        if t.priority:
-            end = now + duration
-            free_at[pu] = max(free_at[pu] + duration, end)
-            return now, end
-        start = max(now, free_at[pu])
-        if start > now:
-            self.metrics.record_runq(start - now)
-            t.runq_time += start - now
-            if self.tracer is not None:
-                self._trace("runq", t, now, start - now)
-        end = start + duration
-        free_at[pu] = end
-        return start, end
 
     def _backlog(self) -> np.ndarray:
         """Per-PU pending-CPU-seconds vector, built on demand for a
@@ -583,22 +574,67 @@ class Machine:
             self._migrate(t, target, "pull")
 
     def _do_work(self, t: SimThread, duration: float) -> None:
-        """Charge a compute burst of *duration* seconds on t's PU."""
-        self._maybe_pull(t)
+        """Charge a compute burst of *duration* seconds on t's PU.
+
+        One frame: the idle-balance pull (its bound and scalar guards
+        tested here, see :meth:`_maybe_pull`), run-queue serialization,
+        the accounts, the balancing quantum (see
+        :meth:`_account_balancing`) and the continuation's heap entry,
+        pushed with :meth:`Engine.at <repro.simulate.engine.Engine.at>`'s
+        checks and sequence counter.
+
+        Priority threads preempt: they start at once and push the PU's
+        next-free time back by their (short) burst, approximating a
+        kernel scheduling a woken high-priority thread within the
+        running thread's timeslice.
+        """
+        engine = self.engine
+        now = engine._now
+        free_at = self._pu_free_at
+        config = self.scheduler.config
+        if (
+            t.bound_pu is None
+            and free_at[t.current_pu] - now > config.imbalance_threshold
+        ):
+            self._maybe_pull(t)
         if self.compute_jitter > 0.0:
             duration *= 1.0 + self.compute_jitter * (2.0 * self._jitter_rng.random() - 1.0)
         if t.pending_penalty > 0.0:
             duration += t.pending_penalty
             t.pending_penalty = 0.0
-        start, end = self._occupy_pu(t, duration)
-        self.metrics.record_compute(duration)
+        pu = t.current_pu
+        metrics = self.metrics
+        if t.priority:
+            start = now
+            end = now + duration
+            free_at[pu] = max(free_at[pu] + duration, end)
+        else:
+            start = free_at[pu]
+            if start > now:
+                metrics.runq_time += start - now
+                t.runq_time += start - now
+                if self.tracer is not None:
+                    self._trace("runq", t, now, start - now)
+            else:
+                start = now
+            end = free_at[pu] = start + duration
+        metrics.compute_time += duration
         t.compute_time += duration
         if self.tracer is not None:
             self._trace("compute", t, start, duration)
-        self._account_balancing(t, duration)
+        if t.bound_pu is None:
+            if t.consumed_since_balance + duration < config.migration_quantum:
+                t.consumed_since_balance += duration
+            else:
+                self._account_balancing(t, duration)
         t.state = ThreadState.READY
         t.resume_kind = RESUME
-        self.engine.at(end, t)
+        if not now <= end < _INF:
+            raise SimulationError(
+                f"time must be finite and >= now, got {end} (now={now})"
+            )
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (end, seq, t))
 
     def _account_balancing(self, t: SimThread, consumed: float) -> None:
         """Run the OS balancer for unbound threads per consumed quantum.
@@ -618,81 +654,97 @@ class Machine:
             if target is not None:
                 self._migrate(t, target, "balance")
 
-    def _transfer_duration(
-        self, consumer: SimThread, level: ObjType, base: float, producer_node: int
-    ) -> float:
-        slow = self.contention.slowdown(level, producer_node)
-        if slow > 1.0:
-            self.metrics.record_contention()
-        return base * slow
-
-    def _finish_transfer(
-        self,
-        t: SimThread,
-        level: ObjType,
-        nbytes: float,
-        duration: float,
-        producer_node: int,
+    def _do_receive(
+        self, t: SimThread, source: int, nbytes: float, from_node: bool = False
     ) -> None:
-        self.metrics.record_transfer(level, nbytes, duration)
+        """Charge thread *t* a transfer of *nbytes*: from the PU of thread
+        *source*, or (*from_node*) from the DRAM of NUMA node *source*.
+
+        One frame, like :meth:`_do_work`: the pull, the price by sharing
+        level, the contention stretch, the accounts, run-queue
+        serialization and the heap entry of the transfer's end.
+        """
+        engine = self.engine
+        now = engine._now
+        free_at = self._pu_free_at
+        if (
+            t.bound_pu is None
+            and free_at[t.current_pu] - now > self.scheduler.config.imbalance_threshold
+        ):
+            self._maybe_pull(t)
+        dst_pu = t.current_pu
+        if from_node and not self._numa_nodes:
+            # UMA machine: charge NUMANODE-class cost, no node contention;
+            # a pending migration penalty waits for the next burst.
+            level = ObjType.NUMANODE
+            base = self._uma_node_costs.transfer_time(nbytes)
+            node = -1
+        else:
+            if from_node:
+                if not 0 <= source < len(self._numa_nodes):
+                    raise SimulationError(f"no NUMA node {source}")
+                node = source
+                if self._node_of_pu[dst_pu] == node:
+                    ti = _LOCAL_DRAM
+                else:
+                    ti = self._type_rows[self._node_rep_pu[node]][dst_pu]
+            else:
+                if not 0 <= source < len(self._threads):
+                    raise SimulationError(f"Receive from unknown thread {source}")
+                src_pu = self._threads[source].current_pu
+                if src_pu < 0 or dst_pu < 0:  # pragma: no cover - placed at start
+                    raise SimulationError("transfer before placement")
+                ti = self._type_rows[src_pu][dst_pu]
+                node = self._node_of_pu[src_pu]
+            dm = self.distances
+            level = dm.level_types[ti]
+            base = (
+                0.0 if nbytes <= 0
+                else dm.level_latency[ti] + nbytes / dm.level_bandwidth[ti]
+            )
+            if t.pending_penalty > 0.0:
+                base += t.pending_penalty
+                t.pending_penalty = 0.0
+        contention = self.contention
+        slow = contention.slowdown(level, node)
+        metrics = self.metrics
+        if slow > 1.0:
+            metrics.contended_transfers += 1
+        duration = base * slow
+        metrics.bytes_by_level[level] += nbytes
+        metrics.transfer_time_by_level[level] += duration
+        metrics.transfers += 1
         t.transfer_time += duration
-        start, end = self._occupy_pu(t, duration)
+        if t.priority:
+            start = now
+            end = now + duration
+            free_at[dst_pu] = max(free_at[dst_pu] + duration, end)
+        else:
+            start = free_at[dst_pu]
+            if start > now:
+                metrics.runq_time += start - now
+                t.runq_time += start - now
+                if self.tracer is not None:
+                    self._trace("runq", t, now, start - now)
+            else:
+                start = now
+            end = free_at[dst_pu] = start + duration
         if self.tracer is not None:
             # ``_name_`` is the member's plain attribute; ``name`` is an
             # enum property, two Python calls per traced transfer.
             self._trace("transfer", t, start, duration, level=level._name_,
-                        nbytes=nbytes, detail=f"from-node:{producer_node}")
-        self.contention.begin(level, producer_node)
+                        nbytes=nbytes, detail=f"from-node:{node}")
+        contention.begin(level, node)
         t.transfer_level = level
-        t.transfer_node = producer_node
+        t.transfer_node = node
         t.state = ThreadState.READY
         t.resume_kind = TRANSFER_DONE
-        self.engine.at(end, t)
-
-    def _do_receive(self, t: SimThread, producer_tid: int, nbytes: float) -> None:
-        self._maybe_pull(t)
-        if not 0 <= producer_tid < len(self._threads):
-            raise SimulationError(f"Receive from unknown thread {producer_tid}")
-        producer = self._threads[producer_tid]
-        src_pu = producer.current_pu
-        dst_pu = t.current_pu
-        if src_pu < 0 or dst_pu < 0:  # pragma: no cover - placed at start
-            raise SimulationError("transfer before placement")
-        dm = self.distances
-        ti = self._type_rows[src_pu][dst_pu]
-        level = dm.level_types[ti]
-        base = 0.0 if nbytes <= 0 else dm.level_latency[ti] + nbytes / dm.level_bandwidth[ti]
-        if t.pending_penalty > 0.0:
-            base += t.pending_penalty
-            t.pending_penalty = 0.0
-        node = self._node_of_pu[src_pu]
-        duration = self._transfer_duration(t, level, base, node)
-        self._finish_transfer(t, level, nbytes, duration, node)
-
-    def _do_receive_from_node(self, t: SimThread, node_index: int, nbytes: float) -> None:
-        self._maybe_pull(t)
-        dst_pu = t.current_pu
-        if not self._numa_nodes:
-            # UMA machine: charge NUMANODE-class cost, no node contention.
-            level = ObjType.NUMANODE
-            base = self._uma_node_costs.transfer_time(nbytes)
-            duration = self._transfer_duration(t, level, base, -1)
-            self._finish_transfer(t, level, nbytes, duration, -1)
-            return
-        if not 0 <= node_index < len(self._numa_nodes):
-            raise SimulationError(f"no NUMA node {node_index}")
-        dm = self.distances
-        if self._node_of_pu[dst_pu] == node_index:
-            ti = int(ObjType.NUMANODE)  # local DRAM
-        else:
-            ti = self._type_rows[self._node_rep_pu[node_index]][dst_pu]
-        level = dm.level_types[ti]
-        base = 0.0 if nbytes <= 0 else dm.level_latency[ti] + nbytes / dm.level_bandwidth[ti]
-        if t.pending_penalty > 0.0:
-            base += t.pending_penalty
-            t.pending_penalty = 0.0
-        duration = self._transfer_duration(t, level, base, node_index)
-        self._finish_transfer(t, level, nbytes, duration, node_index)
+        if not now <= end < _INF:
+            raise SimulationError(
+                f"time must be finite and >= now, got {end} (now={now})"
+            )
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (end, seq, t))
 
     # -- convenience -----------------------------------------------------------
 

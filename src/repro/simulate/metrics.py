@@ -39,28 +39,14 @@ class MachineMetrics:
     #: number of Receive/ReceiveFromNode operations.
     transfers: int = 0
 
-    # -- recording hooks (called by the machine) ---------------------------
-
-    def record_transfer(self, level: ObjType, nbytes: float, duration: float) -> None:
-        self.bytes_by_level[level] += nbytes
-        self.transfer_time_by_level[level] += duration
-        self.transfers += 1
-
-    def record_compute(self, duration: float) -> None:
-        self.compute_time += duration
-
-    def record_wait(self, duration: float) -> None:
-        self.wait_time += duration
-
-    def record_runq(self, duration: float) -> None:
-        self.runq_time += duration
+    # -- recording ----------------------------------------------------------
+    # The machine writes the per-event counters above in place, on its
+    # compute, transfer and wake paths; a migration (rare) goes through
+    # this hook.
 
     def record_migration(self, penalty: float) -> None:
         self.migrations += 1
         self.migration_penalty_time += penalty
-
-    def record_contention(self) -> None:
-        self.contended_transfers += 1
 
     # -- derived -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.orwl.runtime import Runtime
 from repro.placement.binder import bind_program
-from repro.simulate.engine import Engine
+from repro.simulate import engine as engine_mod
 from repro.simulate.machine import Machine
 from repro.simulate.scheduler import SchedulerConfig
 from repro.tasks.run import run_graph
@@ -32,17 +32,17 @@ def test_dag_point_time_is_float():
 
 
 def _watch_event_times(monkeypatch):
-    """Record the type of every event time an engine fires at."""
+    """Record the type of every event time an engine fires at (the
+    drain's ``heappop`` hands it the entry whose time becomes ``now``)."""
     seen = set()
-    step = Engine.step
+    pop = engine_mod.heappop
 
-    def watched(engine):
-        fired = step(engine)
-        if fired:
-            seen.add(type(engine._now))
-        return fired
+    def watched(heap):
+        entry = pop(heap)
+        seen.add(type(entry[0]))
+        return entry
 
-    monkeypatch.setattr(Engine, "step", watched)
+    monkeypatch.setattr(engine_mod, "heappop", watched)
     return seen
 
 

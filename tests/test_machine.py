@@ -7,7 +7,14 @@ from repro.simulate.engine import SimulationError
 from repro.simulate.machine import Machine, ThreadState
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
-from repro.simulate.syscalls import Compute, Receive, ReceiveFromNode, Wait, Yield
+from repro.simulate.syscalls import (
+    Compute,
+    ComputeFlops,
+    Receive,
+    ReceiveFromNode,
+    Wait,
+    Yield,
+)
 from repro.topology.builder import flat_topology
 from repro.topology.objects import ObjType
 
@@ -347,6 +354,38 @@ class TestUnboundThreads:
         assert done_time[0] < 0.1
 
 
+class TestNonFiniteWork:
+    """A burst or transfer whose end is not a finite time raises before
+    it reaches the event heap (the machine pushes its continuations
+    itself, with the checks ``Engine.at`` makes)."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", [Compute, ComputeFlops])
+    def test_non_finite_compute_raises(self, small_topo, kind, bad):
+        def body(m, tid):
+            yield kind(bad)
+
+        with pytest.raises(SimulationError, match="finite"):
+            run_single(small_topo, body)
+
+    @pytest.mark.parametrize("bound", [0, None])
+    def test_nan_byte_receive_raises(self, small_topo, bound):
+        m = Machine(small_topo, seed=0)
+        prod = m.add_thread("producer", bound_pu_os=4)
+        cons = m.add_thread("consumer", bound_pu_os=bound)
+        m.set_body(prod, iter([Compute(1e-3)]))
+        m.set_body(cons, iter([Receive(prod, float("nan"))]))
+        with pytest.raises(SimulationError, match="finite"):
+            m.run()
+
+    def test_nan_byte_node_stream_raises(self, small_topo):
+        def body(m, tid):
+            yield ReceiveFromNode(1, float("nan"))
+
+        with pytest.raises(SimulationError, match="finite"):
+            run_single(small_topo, body)
+
+
 class TestContentionModel:
     def test_slowdown_grows_with_inflight(self):
         c = ContentionModel(2, ContentionConfig(node_capacity=2, interconnect_capacity=4))
@@ -441,6 +480,6 @@ class TestMetricsUnit:
 
     def test_local_fraction_mixed(self):
         m = MachineMetrics()
-        m.record_transfer(ObjType.L3, 100, 0.1)
-        m.record_transfer(ObjType.MACHINE, 300, 0.1)
+        m.bytes_by_level[ObjType.L3] += 100
+        m.bytes_by_level[ObjType.MACHINE] += 300
         assert m.local_fraction == pytest.approx(0.25)

@@ -2,8 +2,9 @@
 
 The fault-injection cases are the load-bearing ones: they prove the
 InvariantChecker actually catches the accounting corruptions it exists
-to catch, by running a machine through a deliberately mis-charging
-metrics double and asserting the *specific* invariant trips.
+to catch, by corrupting one account of a finished run's metrics (the
+checker reads only final accounts) and asserting the *specific*
+invariant trips.
 """
 
 import io
@@ -213,18 +214,20 @@ class TestInvariants:
 class TestFaultInjection:
     """Corrupt one account, assert the checker names that invariant."""
 
-    def run_with_metrics_double(self, topo, double):
+    def run_with_corrupted_metrics(self, topo, corrupt):
+        """Run the two-thread machine (one transfer), apply *corrupt* to
+        its metrics, and check it."""
         machine = two_thread_machine(topo, Tracer())
-        machine.metrics = double
         machine.run()
+        corrupt(machine.metrics)
         return check_run(machine, raise_on_violation=False)
 
     def test_mischarged_transfer_duration_is_caught(self, small_topo):
-        class MischargingMetrics(MachineMetrics):
-            def record_transfer(self, level, nbytes, duration):
-                super().record_transfer(level, nbytes, duration * 1.5)
+        def mischarge(m):
+            for level in m.transfer_time_by_level:
+                m.transfer_time_by_level[level] *= 1.5
 
-        report = self.run_with_metrics_double(small_topo, MischargingMetrics())
+        report = self.run_with_corrupted_metrics(small_topo, mischarge)
         assert not report.ok
         violated = {v.invariant for v in report.violations}
         assert violated == {"transfer-time-conservation"}
@@ -232,11 +235,11 @@ class TestFaultInjection:
         assert v.magnitude > 0
 
     def test_dropped_bytes_are_caught(self, small_topo):
-        class LeakyMetrics(MachineMetrics):
-            def record_transfer(self, level, nbytes, duration):
-                super().record_transfer(level, 0.0, duration)
+        def leak(m):
+            for level in m.bytes_by_level:
+                m.bytes_by_level[level] = 0.0
 
-        report = self.run_with_metrics_double(small_topo, LeakyMetrics())
+        report = self.run_with_corrupted_metrics(small_topo, leak)
         # The dropped bytes break the per-level ledger *and* its
         # reconciliation against the trace-derived NUMA traffic matrix.
         assert {v.invariant for v in report.violations} == {
@@ -245,22 +248,22 @@ class TestFaultInjection:
         }
 
     def test_double_counted_transfer_is_caught(self, small_topo):
-        class DoubleCounting(MachineMetrics):
-            def record_transfer(self, level, nbytes, duration):
-                super().record_transfer(level, nbytes, duration)
-                super().record_transfer(level, nbytes, duration)
+        def double_count(m):
+            for level in m.bytes_by_level:
+                m.bytes_by_level[level] *= 2
+                m.transfer_time_by_level[level] *= 2
+            m.transfers *= 2
 
-        report = self.run_with_metrics_double(small_topo, DoubleCounting())
+        report = self.run_with_corrupted_metrics(small_topo, double_count)
         violated = {v.invariant for v in report.violations}
         assert "transfer-count" in violated
         assert "transfer-bytes-conservation" in violated
 
     def test_lost_wait_time_is_caught(self, small_topo):
-        class ForgetfulMetrics(MachineMetrics):
-            def record_wait(self, duration):
-                pass  # drops the account entirely
+        def forget(m):
+            m.wait_time = 0.0  # drops the account entirely
 
-        report = self.run_with_metrics_double(small_topo, ForgetfulMetrics())
+        report = self.run_with_corrupted_metrics(small_topo, forget)
         assert {v.invariant for v in report.violations} == {
             "wait-time-conservation"
         }
@@ -296,13 +299,9 @@ class TestFaultInjection:
         assert [v.invariant for v in report.violations] == ["monotonic-timestamps"]
 
     def test_raise_carries_structured_report(self, small_topo):
-        class MischargingMetrics(MachineMetrics):
-            def record_compute(self, duration):
-                super().record_compute(duration * 2.0)
-
         machine = two_thread_machine(small_topo, Tracer())
-        machine.metrics = MischargingMetrics()
         machine.run()
+        machine.metrics.compute_time *= 2.0
         with pytest.raises(InvariantError) as exc:
             check_run(machine)
         report = exc.value.report
@@ -322,8 +321,10 @@ class TestDeterminism:
     def test_metrics_fingerprint_sensitive_to_levels(self):
         m1 = MachineMetrics()
         m2 = MachineMetrics()
-        m1.record_transfer(ObjType.L3, 100.0, 1e-6)
-        m2.record_transfer(ObjType.MACHINE, 100.0, 1e-6)
+        for m, level in ((m1, ObjType.L3), (m2, ObjType.MACHINE)):
+            m.bytes_by_level[level] += 100.0
+            m.transfer_time_by_level[level] += 1e-6
+            m.transfers += 1
         assert metrics_fingerprint(m1) != metrics_fingerprint(m2)
         assert metrics_fingerprint(m1) == metrics_fingerprint(m1)
 

@@ -21,7 +21,7 @@ from repro.experiments.dag import WORKLOADS, run_dag_point
 from repro.experiments.fig1 import IMPLEMENTATIONS, run_point
 from repro.orwl.program import Program
 from repro.simulate import machine as machine_mod
-from repro.simulate.engine import Engine
+from repro.simulate import engine as engine_mod
 from repro.simulate.scheduler import OsScheduler, SchedulerConfig
 from repro.util.rng import make_rng
 
@@ -75,16 +75,16 @@ def test_no_callback_objects_per_thread(monkeypatch):
     before = _callback_objects()
     seen = {}
     machines = []
-    step = Engine.step
+    pop = engine_mod.heappop
 
-    def probe(engine):
-        if engine.events_fired == 3000:
+    def probe(heap):
+        if machines and machines[-1].engine.events_fired == 3000:
             seen["threads"] = machines[-1].n_threads
             seen["grown"] = _callback_objects() - before
-        return step(engine)
+        return pop(heap)
 
     monkeypatch.setattr(machine_mod, "new_machine_hook", machines.append)
-    monkeypatch.setattr(Engine, "step", probe)
+    monkeypatch.setattr(engine_mod, "heappop", probe)
     run_dag_point("divconq", "bind", **point)
     assert seen["threads"] > 1000
     assert seen["grown"]["function"] < 50 and seen["grown"]["cell"] < 50, seen
