@@ -13,9 +13,12 @@ Semantics (Clauss & Gustedt, JPDC 2010):
   consecutive **read** requests at the head are granted together
   (readers share), a **write** request is granted alone (exclusive);
 * a granted request stays at the head region until *released*;
-* iterative tasks re-insert a fresh request at the tail when releasing
+* iterative tasks re-enter their request at the tail when releasing
   (``orwl_next``), which yields the deterministic round-robin access
-  order that makes ORWL programs livelock- and deadlock-free.
+  order that makes ORWL programs livelock- and deadlock-free.  A held
+  head whose grant has been delivered re-enters as the same
+  :class:`Request` object, so an iterating handle keeps one request for
+  a whole run.
 
 The FIFO is a passive data structure: granting calls the ``on_grant``
 callback the runtime supplied (which routes through a control thread or
@@ -69,6 +72,12 @@ class Request:
 
     def __repr__(self) -> str:
         return f"<Request {self.tag!r} {self.mode.value} {self.state.value}>"
+
+
+#: ``Request.payload`` of a delivered grant (the runtime sets it): an
+#: acquire that comes later proceeds without parking, a second delivery
+#: is an error, and :meth:`OrwlFifo.requeue` may re-enter the request.
+_DELIVERED = object()
 
 
 def _ignore_grant(req: Request) -> None:
@@ -155,56 +164,116 @@ class OrwlFifo:
         return req
 
     def requeue(self, old: Request, tag: str = "", waiter: int = -1) -> Request:
-        """``orwl_next`` in one grant pass: append a request like *old*,
-        release *old*; returns the new request.
+        """``orwl_next`` in one grant pass: append a request like *old*
+        (stamped *tag* and *waiter*), release *old*; returns the request
+        now queued.
+
+        A held head whose grant has been delivered (the common case) is
+        re-entered itself: it moves to the tail, PENDING with no
+        payload, so an iterating handle keeps one request for a whole
+        run.  Any other *old* is released through the general path and
+        a fresh request is appended: a grant not yet delivered may still
+        be on its way to *old* (a control queue holds it).
 
         Grants the same requests in the same order as :meth:`insert`
         followed by ``release(old)``: while *old* is held, insert's pass
         can grant only the new tail request, and then nothing precedes
-        it that release's pass would grant before it.  A held head (the
-        common case) is unlinked here, without the general
-        :meth:`_unlink`.
+        it that release's pass would grant before it.  The pass is
+        :meth:`_pump`'s, written out: once a held request has left, no
+        write is held.
         """
         queue = self._queue
-        if old.state is RequestState.GRANTED and queue and queue[0] is old:
-            queue.popleft()
-            old.state = RequestState.RELEASED
+        if (
+            old.state is RequestState.GRANTED
+            and old.payload is _DELIVERED
+            and queue
+            and queue[0] is old
+        ):
+            queue.rotate(-1)
+            old.state = RequestState.PENDING
+            old.payload = None
+            old.tag = tag
+            old.waiter = waiter
+            req = old
             self._n_granted -= 1
-            if old.mode is AccessMode.WRITE:
-                self._n_granted_writes -= 1
+            self._n_granted_writes = 0
         else:
             self._unlink(old)
-        req = Request(old.mode, tag, waiter)
-        queue.append(req)
+            req = Request(old.mode, tag, waiter)
+            queue.append(req)
         self.inserted += 1
-        self._pump()
+        n = self._n_granted
+        nxt = queue[n]
+        if nxt.mode is AccessMode.WRITE:
+            if n == 0:
+                nxt.state = RequestState.GRANTED
+                self._n_granted = self._n_granted_writes = 1
+                self._on_grant(nxt)
+            return req
+        granted = []
+        for nxt in islice(queue, n, None):
+            if nxt.mode is AccessMode.WRITE:
+                break
+            nxt.state = RequestState.GRANTED
+            granted.append(nxt)
+        self._n_granted = n + len(granted)
+        on_grant = self._on_grant
+        for nxt in granted:
+            on_grant(nxt)
         return req
 
     def release(self, req: Request) -> None:
-        """Release a granted request, allowing successors to be granted."""
-        self._unlink(req)
-        self._pump()
+        """Release a granted request, allowing successors to be granted.
+
+        The grant pass is :meth:`requeue`'s, for a queue that may have
+        run empty.
+        """
+        queue = self._queue
+        if req.state is RequestState.GRANTED and queue and queue[0] is req:
+            queue.popleft()
+            req.state = RequestState.RELEASED
+            self._n_granted -= 1
+            self._n_granted_writes = 0
+        else:
+            self._unlink(req)
+        n = self._n_granted
+        if n == len(queue):
+            return
+        nxt = queue[n]
+        if nxt.mode is AccessMode.WRITE:
+            if n == 0:
+                nxt.state = RequestState.GRANTED
+                self._n_granted = self._n_granted_writes = 1
+                self._on_grant(nxt)
+            return
+        granted = []
+        for nxt in islice(queue, n, None):
+            if nxt.mode is AccessMode.WRITE:
+                break
+            nxt.state = RequestState.GRANTED
+            granted.append(nxt)
+        self._n_granted = n + len(granted)
+        on_grant = self._on_grant
+        for nxt in granted:
+            on_grant(nxt)
 
     def _unlink(self, req: Request) -> None:
-        """Take a granted request out of the queue (no grant pass)."""
+        """Take a granted request out of the queue (no grant pass): the
+        general path of :meth:`release` and :meth:`requeue`.  Afterwards
+        no write is held, since a held write is held alone."""
         if req.state is not RequestState.GRANTED:
             raise FifoError(
                 f"cannot release request {req!r} in state {req.state.value}"
             )
-        queue = self._queue
-        if queue and queue[0] is req:
-            queue.popleft()
-        else:
-            try:
-                queue.remove(req)
-            except ValueError:
-                raise FifoError(
-                    f"request {req!r} is not in FIFO {self.name!r}"
-                ) from None
+        try:
+            self._queue.remove(req)
+        except ValueError:
+            raise FifoError(
+                f"request {req!r} is not in FIFO {self.name!r}"
+            ) from None
         req.state = RequestState.RELEASED
         self._n_granted -= 1
-        if req.mode is AccessMode.WRITE:
-            self._n_granted_writes -= 1
+        self._n_granted_writes = 0
 
     def cancel(self, req: Request) -> None:
         """Withdraw a request.  Granted requests are released instead."""
@@ -231,6 +300,8 @@ class OrwlFifo:
         Invariant: granted requests always form a prefix of the queue.
         A WRITE is granted only when it is the head and nothing is
         granted; READs are granted while the granted prefix is all-READ.
+        :meth:`requeue` and :meth:`release` run this pass written out,
+        for a queue that a held request has just left.
         """
         queue = self._queue
         n = self._n_granted

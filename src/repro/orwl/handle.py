@@ -17,7 +17,8 @@ The canonical iterative lifecycle is::
     release()   # final
 
 The handle itself is runtime-agnostic bookkeeping; the blocking behaviour
-lives in :class:`repro.orwl.runtime.OpContext`.
+lives in :class:`repro.orwl.runtime.OpContext`, which runs the
+``next_request`` and ``release`` steps itself, one frame to the FIFO.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ class Handle:
         round ahead of any competitor that might otherwise jump the queue
         — the ordering rule that makes iterative ORWL deterministic.  Both
         steps run as one FIFO grant pass (:meth:`OrwlFifo.requeue`).
-        Returns the *new* request (pending, or already granted).
+        Returns the next round's request (pending, or already granted):
+        the same object once its grant has been delivered, so an
+        iterating handle keeps one request for a whole run.
         """
         old = self._request
         if old is None or old.state is not RequestState.GRANTED:

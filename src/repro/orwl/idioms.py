@@ -30,18 +30,6 @@ def publish_initial(ctx, handles: Sequence[Handle]) -> Generator:
         ctx.next(h)
 
 
-def acquire_all(ctx, handles: Sequence[Handle]) -> Generator:
-    """Acquire several handles in declaration order."""
-    for h in handles:
-        yield from ctx.acquire(h)
-
-
-def requeue_all(ctx, handles: Sequence[Handle]) -> None:
-    """``orwl_next`` on several handles."""
-    for h in handles:
-        ctx.next(h)
-
-
 def iterative(
     ctx,
     iterations: int,
@@ -71,13 +59,17 @@ def iterative(
         raise ValidationError(f"iterations must be > 0, got {iterations}")
     if publish_first and writes:
         yield from publish_initial(ctx, writes)
+    acquire = ctx.acquire
+    requeue = ctx.next
     for k in range(iterations):
-        yield from acquire_all(ctx, reads)
+        for h in reads:
+            yield from acquire(h)
         yield from work(ctx, k)
-        requeue_all(ctx, reads)
+        for h in reads:
+            requeue(h)
         for h in writes:
-            yield from ctx.acquire(h)
-            ctx.next(h)
+            yield from acquire(h)
+            requeue(h)
 
 
 def compute_sweep(seconds: Optional[float] = None, flops: Optional[float] = None) -> SweepFn:

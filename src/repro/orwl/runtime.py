@@ -32,7 +32,7 @@ from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.orwl.fifo import AccessMode, Request
+from repro.orwl.fifo import _DELIVERED, AccessMode, FifoError, Request, RequestState
 from repro.orwl.handle import Handle
 from repro.orwl.program import Operation, Program
 from repro.simulate.engine import _INF, Engine, SimulationError
@@ -46,10 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.comm.trace import CommTracer
     from repro.observe.tracer import Tracer
 
-
-#: ``Request.payload`` of a delivered grant: an acquire that comes later
-#: proceeds without parking, and a second delivery is an error.
-_DELIVERED = object()
 
 #: What a control thread yields to sleep until a grant (or shutdown)
 #: wakes it.  Syscalls are immutable, so one serves every control thread.
@@ -166,7 +162,7 @@ class OpContext:
     def acquire(self, handle: Handle) -> Generator:
         """Block until the handle's request is granted; readers then pull
         the payload from its last writer (the locality-priced transfer)."""
-        req = handle.request
+        req = handle._request
         if req is None:
             raise ValidationError(
                 f"{handle.op_name!r}: acquire without a pending request "
@@ -190,17 +186,37 @@ class OpContext:
                 yield Receive(writer, nbytes)
 
     def release(self, handle: Handle) -> None:
-        """Release the grant (``orwl_release``); writers stamp provenance."""
+        """Release the grant (``orwl_release``); writers stamp provenance
+        (what :meth:`~repro.orwl.location.Location.note_write` does).
+        :meth:`Handle.release` written out: one frame to the FIFO."""
+        loc = handle.location
         if handle.mode is AccessMode.WRITE:
-            handle.location.note_write(self.tid, self.op.name)
-        handle.release()
+            loc.last_writer_tid = self.tid
+            loc.last_writer_op = self.op.name
+            loc.version += 1
+        req = handle._request
+        if req is None:
+            raise FifoError(f"handle {handle.op_name!r} has no request to release")
+        loc.fifo.release(req)
+        handle._request = None
 
     def next(self, handle: Handle) -> None:
         """``orwl_next``: finish this iteration's access and queue the
-        next one (insert-at-tail then release, keeping round order)."""
+        next one (insert-at-tail then release, keeping round order).
+        Writers stamp provenance first, as :meth:`release` does.
+        :meth:`Handle.next_request` written out: one frame to the FIFO,
+        which re-enters the handle's delivered request itself."""
+        loc = handle.location
         if handle.mode is AccessMode.WRITE:
-            handle.location.note_write(self.tid, self.op.name)
-        handle.next_request()
+            loc.last_writer_tid = self.tid
+            loc.last_writer_op = self.op.name
+            loc.version += 1
+        old = handle._request
+        if old is None or old.state is not RequestState.GRANTED:
+            raise FifoError(
+                f"orwl_next on handle {handle.op_name!r} without a granted request"
+            )
+        handle._request = loc.fifo.requeue(old, handle.op_name, handle.waiter)
 
 
 class Runtime:
@@ -325,7 +341,7 @@ class Runtime:
         for loc, queue, n_granted in program._init_queues:
             loc.rearm(queues.get(loc.owner_task, direct), queue, n_granted)
         for h in program._init_grants:
-            queues.get(h.location.owner_task, direct)(h.request)
+            queues.get(h.location.owner_task, direct)(h._request)
 
         # -- attach op bodies; an op's teardown is its thread's exit hook.
         self._ops_remaining = n_ops

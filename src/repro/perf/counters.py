@@ -104,9 +104,16 @@ def compute_counter_groups(
     events: "Sequence[TraceEvent] | TraceIndex",
     n_pus: Optional[int] = None,
     n_nodes: Optional[int] = None,
+    raw_events: "Sequence[TraceEvent] | None" = None,
 ) -> list[CounterGroup]:
-    """Derive all counter groups from one run's event stream."""
+    """Derive all counter groups from one run's event stream.
+
+    When handing in a prebuilt index, also pass *raw_events* so
+    migration instants (not spans, hence not indexed) are counted.
+    """
     idx = ensure_index(events)
+    if raw_events is None and not isinstance(events, TraceIndex):
+        raw_events = events
     makespan = idx.makespan
     busy_by_pu: dict[int, float] = {}
     wait = runq = 0.0
@@ -133,9 +140,9 @@ def compute_counter_groups(
             runq += ev.dur
 
     # Migration instants are not spans, so scan the raw stream if we
-    # have it (an index built elsewhere has already dropped them).
-    if not isinstance(events, TraceIndex):
-        for ev in events:
+    # have it (an index has already dropped them).
+    if raw_events is not None:
+        for ev in raw_events:
             if ev.kind == "migration":
                 n_migrations += 1
                 migration_penalty += ev.dur

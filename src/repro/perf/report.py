@@ -161,7 +161,7 @@ def analyze(
         attribution=attribute_makespan(idx, raw_events=raw),
         groups=tuple(
             compute_counter_groups(
-                raw if raw is not None else idx, n_pus=n_pus, n_nodes=n_nodes
+                idx, n_pus=n_pus, n_nodes=n_nodes, raw_events=raw
             )
         ),
         matrix=traffic_matrix(idx, n_nodes=n_nodes),

@@ -160,6 +160,32 @@ class TestTransfers:
         assert time > 0
         assert m.metrics.total_bytes == 4096
 
+    @pytest.mark.parametrize("uma", [True, False], ids=["uma", "numa"])
+    def test_node_stream_and_pending_migration_penalty(self, small_topo, uma):
+        """Model rule (docs/simulator.md): a node stream on a UMA machine
+        leaves a pending migration penalty for the thread's next compute
+        burst; on a NUMA machine the stream pays it, like every other
+        transfer."""
+        penalty = 5e-5
+        topo = flat_topology(4) if uma else small_topo
+        threads = []
+        for pending in (0.0, penalty):
+            m = Machine(topo, seed=0)
+            tid = m.add_thread("t", bound_pu_os=0)
+            m.thread(tid).pending_penalty = pending
+            m.set_body(tid, iter([ReceiveFromNode(0, 4096), Compute(1e-3)]))
+            m.run()
+            threads.append(m.thread(tid))
+        plain, charged = threads
+        assert charged.pending_penalty == 0.0
+        assert charged.done_at == pytest.approx(plain.done_at + penalty)
+        if uma:
+            assert charged.transfer_time == plain.transfer_time
+            assert charged.compute_time == pytest.approx(plain.compute_time + penalty)
+        else:
+            assert charged.transfer_time == pytest.approx(plain.transfer_time + penalty)
+            assert charged.compute_time == plain.compute_time
+
     def test_negative_transfer_rejected(self):
         with pytest.raises(ValueError):
             Receive(0, -5)

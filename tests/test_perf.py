@@ -8,6 +8,7 @@ must respect ``length <= makespan <= serial_time`` on every run the
 suite can throw at it.
 """
 
+import hashlib
 import json
 import random
 
@@ -294,6 +295,38 @@ def test_report_deterministic_across_same_seed_runs(runs):
     assert json.dumps(rep_a.to_json_dict(), sort_keys=True) == json.dumps(
         rep_b.to_json_dict(), sort_keys=True
     )
+
+
+#: sha256 of ``analyze``'s sorted JSON on a traced small-numa NoBind
+#: LK23 run (n=4096, 4 iterations, seed 7) whose 76 migration instants
+#: only the raw stream carries: the report of a pipeline that built a
+#: second index for the counter groups, which one shared index must
+#: reproduce byte for byte.
+GOLDEN_MIGRATING_REPORT_SHA256 = (
+    "a4fd374ba4cc98b63424076b1d152492fb641f7430d0f682cfe6c9f224d46ab4"
+)
+
+
+def test_analyze_builds_one_index_and_keeps_its_report(monkeypatch):
+    r = run_lk23(
+        policy="nobind", trace=True, topology="small-numa", n=4096,
+        iterations=4, seed=7,
+    )
+    events = list(r.trace.events)
+    built = []
+    of = TraceIndex.of.__func__
+
+    def counting_of(cls, evs):
+        built.append(evs)
+        return of(cls, evs)
+
+    monkeypatch.setattr(TraceIndex, "of", classmethod(counting_of))
+    rep = analyze(events, label="nobind", measured_time=r.time, n_pus=8, n_nodes=2)
+    assert len(built) == 1
+    metrics = {m.name: m.value for g in rep.groups for m in g.metrics}
+    assert metrics["migrations"] == 76.0
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MIGRATING_REPORT_SHA256
 
 
 def test_report_summary_flat_scalars(reports):

@@ -15,18 +15,21 @@ syscall outcome (the thread's continuation dispatches the common
 syscalls itself, compute and transfers are one frame each, the drain
 pops the heap inline and an operation's teardown is an exit hook, not
 a wrapping generator), so a return to a chain of small helpers per
-event fails here too.
+event fails here too, and so does a return to a new request and a
+chain of frames per ORWL handle iteration (``orwl_next``).
 
 Only ``Runtime.run`` is profiled, with the collector off (a collection
 would finalize generators that earlier tests left suspended and count
 their frames).  Measured on CPython 3.11, calls per engine event:
 
-* LK23 (``tests/test_trace_cost.py``'s configuration): 9.05; 19.24
-  with a helper chain per event, and 20.77 with an event per wake as
-  well (839 events for 2,743 engine events);
-* a ``divconq`` DAG point (scale 2, TreeMatch, 16 cores): 7.36; 14.94
-  with a helper chain per event, and 16.50 with an event per wake as
-  well (297 events for 951 engine events).
+* LK23 (``tests/test_trace_cost.py``'s configuration): 6.56 (17,984
+  calls for 2,743 engine events); 9.05 with a new request and a chain
+  of frames per handle iteration, 19.24 with a helper chain per event
+  as well, and 20.77 with an event per wake as well (839 events);
+* a ``divconq`` DAG point (scale 2, TreeMatch, 16 cores): 6.18 (5,879
+  calls for 951 engine events); 7.36 with a chain of frames per
+  release, 14.94 with a helper chain per event as well, and 16.50 with
+  an event per wake as well (297 events).
 
 Other versions count calls differently, so the bounds leave up to 4 %
 of room; the ``SimEvent`` count is exact everywhere.
@@ -80,8 +83,8 @@ def _divconq_runtime() -> Runtime:
 
 #: (runtime factory, bound on Python calls per engine event).
 CASES = {
-    "lk23": (_lk23_runtime, 9.4),
-    "divconq": (_divconq_runtime, 7.6),
+    "lk23": (_lk23_runtime, 6.8),
+    "divconq": (_divconq_runtime, 6.4),
 }
 
 
