@@ -57,7 +57,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "EventFilter",
         "TraceEvent",
         "Tracer",
-        "TraceSummary",
     ],
 })
 __all__ += ["Capture", "capture"]

@@ -40,7 +40,6 @@ Use :meth:`InvariantChecker.check` after a run; raise on violation with
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -48,6 +47,7 @@ from repro.observe.tracer import SPAN_KINDS, TraceEvent
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.perf.spans import TraceIndex
     from repro.simulate.machine import Machine
 
 #: Names of all invariants the checker knows, in check order.
@@ -167,23 +167,25 @@ class InvariantChecker:
         Requires a tracer attached before the run (``Machine(...,
         tracer=...)``); raises :class:`ValueError` otherwise.
         """
+        # Imported lazily, here and in _check_perf: repro.perf and
+        # repro.topology are higher layers, and repro.perf consumes
+        # this package.
+        from repro.perf.spans import TraceIndex
+
         tracer = machine.tracer
         if tracer is None:
             raise ValueError(
                 "InvariantChecker needs a traced run: pass tracer= to Machine"
             )
         events = tracer.events
+        idx = TraceIndex.of(events)
         report = InvariantReport(events_audited=len(events))
         out = report.violations
-        m = machine.metrics
 
         self._check_shapes(events, out)
         self._check_thread_accounting(machine, out)
-        self._check_aggregates(machine, events, out)
-        self._check_perf(machine, events, out)
-
-        # Keep m referenced for clarity even when every sum is zero.
-        del m
+        self._check_aggregates(machine, idx, out)
+        self._check_perf(machine, idx, out)
         return report
 
     def _check_shapes(
@@ -268,33 +270,23 @@ class InvariantChecker:
             )
 
     def _check_aggregates(
-        self, machine: "Machine", events: tuple[TraceEvent, ...], out: list[Violation]
+        self, machine: "Machine", idx: "TraceIndex", out: list[Violation]
     ) -> None:
         m = machine.metrics
-        traced_dur: dict[str, float] = defaultdict(float)
-        traced_bytes: dict[str, float] = defaultdict(float)
-        traced_tdur: dict[str, float] = defaultdict(float)
-        n_transfers = 0
-        n_migrations = 0
-        migration_penalty = 0.0
-        for ev in events:
-            traced_dur[ev.kind] += ev.dur
-            if ev.kind == "transfer":
-                n_transfers += 1
-                traced_bytes[ev.level] += ev.nbytes
-                traced_tdur[ev.level] += ev.dur
-            elif ev.kind == "migration":
-                n_migrations += 1
-                migration_penalty += ev.dur
+        traced_dur = idx.dur_by_kind
+        traced_bytes = idx.bytes_by_level
+        traced_tdur = idx.secs_by_level
+        n_transfers = idx.count_by_kind.get("transfer", 0)
+        n_migrations = idx.count_by_kind.get("migration", 0)
 
         per_thread = [machine.thread(t) for t in range(machine.n_threads)]
         checks = (
             ("compute-time-conservation", "compute seconds", m.compute_time,
-             traced_dur["compute"], sum(t.compute_time for t in per_thread)),
+             traced_dur.get("compute", 0.0), sum(t.compute_time for t in per_thread)),
             ("wait-time-conservation", "lock-wait seconds", m.wait_time,
-             traced_dur["wait"], sum(t.wait_time for t in per_thread)),
+             traced_dur.get("wait", 0.0), sum(t.wait_time for t in per_thread)),
             ("runq-time-conservation", "runq seconds", m.runq_time,
-             traced_dur["runq"], sum(t.runq_time for t in per_thread)),
+             traced_dur.get("runq", 0.0), sum(t.runq_time for t in per_thread)),
         )
         for name, what, counter, traced, threads in checks:
             self._mismatch(out, name, f"{what} (counter vs events)", counter, traced)
@@ -331,7 +323,7 @@ class InvariantChecker:
             "transfer-time-conservation",
             "transfer seconds (threads vs events)",
             sum(t.transfer_time for t in per_thread),
-            traced_dur["transfer"],
+            traced_dur.get("transfer", 0.0),
         )
         if m.transfers != n_transfers:
             out.append(
@@ -354,20 +346,17 @@ class InvariantChecker:
             "migration-accounting",
             "migration penalty seconds",
             m.migration_penalty_time,
-            migration_penalty,
+            traced_dur.get("migration", 0.0),
         )
 
-
     def _check_perf(
-        self, machine: "Machine", events: tuple[TraceEvent, ...], out: list[Violation]
+        self, machine: "Machine", idx: "TraceIndex", out: list[Violation]
     ) -> None:
-        # Imported lazily: repro.perf consumes this package, so a
-        # module-level import would be a cycle.
-        from repro.perf.counters import LOCAL_LEVELS
         from repro.perf.critpath import extract_critical_path
         from repro.perf.numa import traffic_matrix
+        from repro.topology.objects import OFF_NODE_LEVELS
 
-        cp = extract_critical_path(events)
+        cp = extract_critical_path(idx)
         if not cp.bound_ok():
             out.append(
                 Violation(
@@ -381,11 +370,11 @@ class InvariantChecker:
             )
 
         m = machine.metrics
-        tm = traffic_matrix(events)
+        tm = traffic_matrix(idx)
         local = sum(
             float(v)
             for lv, v in m.bytes_by_level.items()
-            if lv.name in LOCAL_LEVELS
+            if lv not in OFF_NODE_LEVELS
         )
         self._mismatch(
             out,

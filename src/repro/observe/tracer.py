@@ -25,7 +25,7 @@ and ``tests/test_trace_cost.py`` the Python calls per traced activity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterable, Iterator, Optional
 
@@ -130,19 +130,12 @@ class Tracer:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def for_thread(self, tid: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.tid == tid]
-
     def for_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
     def counts(self) -> Counter:
         """``{kind: number of events}``."""
         return Counter(row[0] for row in self._rows)
-
-    def total(self, kind: str, field_: str = "dur") -> float:
-        """Sum of a numeric field over all events of *kind*."""
-        return sum(getattr(e, field_) for e in self.events if e.kind == kind)
 
     def stream_hash(self) -> str:
         """Determinism fingerprint of the full stream (sha-256 hex),
@@ -241,30 +234,3 @@ class EventFilter:
         """Lazily yield the matching events, order preserved."""
         return (ev for ev in events if self(ev))
 
-
-@dataclass
-class TraceSummary:
-    """Cheap aggregate view of a stream (for reports and sanity prints)."""
-
-    events: int = 0
-    spans: int = 0
-    by_kind: Counter = field(default_factory=Counter)
-    busy_by_kind: dict = field(default_factory=dict)
-    bytes_by_level: Counter = field(default_factory=Counter)
-    makespan: float = 0.0
-
-    @classmethod
-    def of(cls, events: Iterable[TraceEvent]) -> "TraceSummary":
-        s = cls()
-        busy: dict[str, float] = {}
-        for e in events:
-            s.events += 1
-            s.by_kind[e.kind] += 1
-            if e.is_span():
-                s.spans += 1
-                busy[e.kind] = busy.get(e.kind, 0.0) + e.dur
-                s.makespan = max(s.makespan, e.end)
-            if e.kind == "transfer" and e.level:
-                s.bytes_by_level[e.level] += e.nbytes
-        s.busy_by_kind = busy
-        return s

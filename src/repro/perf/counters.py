@@ -38,14 +38,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.observe.tracer import TraceEvent
-from repro.perf.spans import WORK_KINDS, TraceIndex, ensure_index
+from repro.perf.spans import TraceIndex, ensure_index
+from repro.topology.objects import OFF_NODE_LEVELS, ObjType
 
 #: Sharing levels (``TraceEvent.level``) that keep traffic inside one
-#: NUMA node.  Mirrors ``MachineMetrics.remote_bytes``: only GROUP and
-#: MACHINE transfers cross a node boundary.
-LOCAL_LEVELS = frozenset(
-    {"NUMANODE", "PACKAGE", "L3", "L2", "L1", "CORE", "PU"}
-)
+#: NUMA node: every level but :data:`~repro.topology.objects.
+#: OFF_NODE_LEVELS`.  A transfer without a level counts as remote.
+LOCAL_LEVELS = frozenset(t.name for t in ObjType if t not in OFF_NODE_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -104,48 +103,18 @@ def compute_counter_groups(
     events: "Sequence[TraceEvent] | TraceIndex",
     n_pus: Optional[int] = None,
     n_nodes: Optional[int] = None,
-    raw_events: "Sequence[TraceEvent] | None" = None,
 ) -> list[CounterGroup]:
-    """Derive all counter groups from one run's event stream.
-
-    When handing in a prebuilt index, also pass *raw_events* so
-    migration instants (not spans, hence not indexed) are counted.
-    """
+    """Derive all counter groups from one run's event stream."""
     idx = ensure_index(events)
-    if raw_events is None and not isinstance(events, TraceIndex):
-        raw_events = events
     makespan = idx.makespan
-    busy_by_pu: dict[int, float] = {}
-    wait = runq = 0.0
-    bytes_by_level: dict[str, float] = {}
-    secs_by_level: dict[str, float] = {}
-    n_migrations = 0
-    migration_penalty = 0.0
-    compute_secs = transfer_secs = 0.0
-
-    for ev in idx.spans:
-        if ev.kind in WORK_KINDS:
-            if ev.pu >= 0:
-                busy_by_pu[ev.pu] = busy_by_pu.get(ev.pu, 0.0) + ev.dur
-            if ev.kind == "compute":
-                compute_secs += ev.dur
-            else:
-                transfer_secs += ev.dur
-                level = ev.level or "?"
-                bytes_by_level[level] = bytes_by_level.get(level, 0.0) + ev.nbytes
-                secs_by_level[level] = secs_by_level.get(level, 0.0) + ev.dur
-        elif ev.kind == "wait":
-            wait += ev.dur
-        elif ev.kind == "runq":
-            runq += ev.dur
-
-    # Migration instants are not spans, so scan the raw stream if we
-    # have it (an index has already dropped them).
-    if raw_events is not None:
-        for ev in raw_events:
-            if ev.kind == "migration":
-                n_migrations += 1
-                migration_penalty += ev.dur
+    busy_by_pu = idx.busy_by_pu
+    wait = idx.dur_by_kind.get("wait", 0.0)
+    runq = idx.dur_by_kind.get("runq", 0.0)
+    bytes_by_level = idx.bytes_by_level
+    secs_by_level = idx.secs_by_level
+    n_migrations = idx.count_by_kind.get("migration", 0)
+    migration_penalty = idx.dur_by_kind.get("migration", 0.0)
+    transfer_secs = idx.dur_by_kind.get("transfer", 0.0)
 
     pus_used = len(busy_by_pu)
     pus_total = n_pus if n_pus is not None else pus_used

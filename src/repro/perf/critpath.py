@@ -249,44 +249,20 @@ class Attribution:
         return "\n".join(lines)
 
 
-def _embedded_penalties(events: Sequence[TraceEvent]) -> dict[int, float]:
-    """Migration penalty seconds charged into each work span, by seq.
-
-    The simulator adds a migrated thread's pending cache-refill penalty
-    to the duration of its *next* compute or transfer; this maps each
-    such span to the penalty it absorbed so the walk can carve it out.
-    """
-    pending: dict[int, float] = {}
-    out: dict[int, float] = {}
-    for ev in events:
-        if ev.kind == "migration":
-            pending[ev.tid] = pending.get(ev.tid, 0.0) + ev.dur
-        elif ev.kind in WORK_KINDS:
-            pen = pending.pop(ev.tid, 0.0)
-            if pen > 0.0:
-                out[ev.seq] = min(pen, ev.dur)
-    return out
-
-
 def attribute_makespan(
     events: "Sequence[TraceEvent] | TraceIndex",
-    raw_events: "Sequence[TraceEvent] | None" = None,
 ) -> Attribution:
     """Walk backward from the last finisher and charge every second.
 
-    Pass the raw event sequence (or a :class:`TraceIndex` built from
-    one).  When handing in a prebuilt index, also pass *raw_events* so
-    migration instants (not spans, hence not indexed) are visible;
-    without them the ``migration`` bucket stays merged into compute.
+    The migration penalty the index found charged into a span
+    (:attr:`TraceIndex.penalty_of`) goes to the ``migration`` bucket.
     """
     idx = ensure_index(events)
-    if raw_events is None and not isinstance(events, TraceIndex):
-        raw_events = events
     makespan = idx.makespan
     out = Attribution(makespan=makespan)
     if makespan <= 0.0 or not idx.spans:
         return out
-    pen_of = _embedded_penalties(raw_events) if raw_events is not None else {}
+    pen_of = idx.penalty_of
     buckets = out.buckets
 
     def add(bucket: str, seconds: float) -> None:

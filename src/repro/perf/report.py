@@ -150,19 +150,14 @@ def analyze(
     come from the topology and make utilization and matrix sizing
     exact (otherwise both are inferred from the stream).
     """
-    raw = None if isinstance(events, TraceIndex) else list(events)
-    idx = ensure_index(events if raw is None else raw)
+    idx = ensure_index(events)
     return PerfReport(
         label=label,
         makespan=idx.makespan,
         measured_time=idx.makespan if measured_time is None else measured_time,
         n_events=idx.n_events,
         critical_path=extract_critical_path(idx),
-        attribution=attribute_makespan(idx, raw_events=raw),
-        groups=tuple(
-            compute_counter_groups(
-                idx, n_pus=n_pus, n_nodes=n_nodes, raw_events=raw
-            )
-        ),
+        attribution=attribute_makespan(idx),
+        groups=tuple(compute_counter_groups(idx, n_pus=n_pus, n_nodes=n_nodes)),
         matrix=traffic_matrix(idx, n_nodes=n_nodes),
     )

@@ -1,11 +1,12 @@
 """Span indexing: the shared substrate of every ``repro.perf`` analysis.
 
-All of :mod:`repro.perf` consumes the same raw material — the span
-events (:data:`repro.observe.tracer.SPAN_KINDS`) of one traced run.
-:class:`TraceIndex` digests an event stream once into the views every
-analysis needs (per-thread ordered spans, the global end-sorted order,
-makespan, the time ledgers) so critical-path extraction, counter
-groups, and traffic matrices never re-scan the stream themselves.
+All of :mod:`repro.perf` consumes the same raw material — the events
+of one traced run.  :class:`TraceIndex` digests an event stream once
+into the views every analysis needs (per-thread ordered spans, the
+global end-sorted order, makespan, the time ledgers, the per-kind,
+per-level and per-PU totals, the migration penalties) so critical-path
+extraction, attribution, counter groups, traffic matrices and the
+invariant checker never re-scan the stream themselves.
 
 The index relies on two properties the tracer guarantees (and
 :class:`repro.observe.invariants.InvariantChecker` audits):
@@ -22,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.observe.tracer import TraceEvent
+from repro.observe.tracer import SPAN_KINDS, TraceEvent
 
 #: Span kinds that represent *work* (occupying a PU making progress);
 #: ``wait`` (parked on a lock) and ``runq`` (queued behind another
@@ -42,6 +43,9 @@ def bucket_of(ev: TraceEvent) -> str:
 class TraceIndex:
     """One traced run, digested for analysis.
 
+    Every total is summed in emission order, so it is bit-identical to
+    a sequential rescan of the stream.
+
     Attributes
     ----------
     spans:
@@ -59,6 +63,18 @@ class TraceIndex:
         Total compute + transfer seconds — the work the run performed.
     n_events:
         Size of the raw stream the index was built from.
+    count_by_kind, dur_by_kind:
+        ``kind -> number of events / summed dur``, instants included
+        (a ``migration``'s dur is its penalty).
+    bytes_by_level, secs_by_level:
+        ``level -> transfer bytes / transfer seconds``; a transfer
+        without a level is keyed ``"?"``.
+    busy_by_pu:
+        ``pu -> work seconds`` of the spans placed on a PU.
+    penalty_of:
+        ``seq -> migration penalty seconds`` charged into that work
+        span.  The simulator adds a migrated thread's pending refill
+        penalty to the duration of its *next* compute or transfer.
     """
 
     spans: tuple[TraceEvent, ...] = ()
@@ -67,6 +83,12 @@ class TraceIndex:
     serial_time: float = 0.0
     work_time: float = 0.0
     n_events: int = 0
+    count_by_kind: dict[str, int] = field(default_factory=dict)
+    dur_by_kind: dict[str, float] = field(default_factory=dict)
+    bytes_by_level: dict[str, float] = field(default_factory=dict)
+    secs_by_level: dict[str, float] = field(default_factory=dict)
+    busy_by_pu: dict[int, float] = field(default_factory=dict)
+    penalty_of: dict[int, float] = field(default_factory=dict)
     #: spans sorted by ``(end, seq)`` (for releaser lookups).
     _by_end: list[TraceEvent] = field(default_factory=list, repr=False)
     _end_keys: list[float] = field(default_factory=list, repr=False)
@@ -74,33 +96,66 @@ class TraceIndex:
     @classmethod
     def of(cls, events: Iterable[TraceEvent]) -> "TraceIndex":
         spans: list[TraceEvent] = []
+        ends: list[float] = []
         by_thread: dict[int, list[TraceEvent]] = {}
         makespan = 0.0
         serial = 0.0
         work = 0.0
-        n_events = 0
+        count: dict[str, int] = {}
+        durs: dict[str, float] = {}
+        nbytes: dict[str, float] = {}
+        secs: dict[str, float] = {}
+        busy: dict[int, float] = {}
+        penalty_of: dict[int, float] = {}
+        pending: dict[int, float] = {}  # tid -> penalty not yet charged
         for ev in events:
-            n_events += 1
-            if not ev.is_span():
+            kind = ev.kind
+            dur = ev.dur
+            count[kind] = count.get(kind, 0) + 1
+            durs[kind] = durs.get(kind, 0.0) + dur
+            if kind not in SPAN_KINDS:
+                if kind == "migration":
+                    pending[ev.tid] = pending.get(ev.tid, 0.0) + dur
                 continue
             spans.append(ev)
             by_thread.setdefault(ev.tid, []).append(ev)
-            end = ev.end
+            end = ev.ts + dur
+            ends.append(end)
             if end > makespan:
                 makespan = end
-            serial += ev.dur
-            if ev.kind in WORK_KINDS:
-                work += ev.dur
-        by_end = sorted(spans, key=lambda e: (e.end, e.seq))
+            serial += dur
+            if kind not in WORK_KINDS:
+                continue
+            work += dur
+            if ev.pu >= 0:
+                busy[ev.pu] = busy.get(ev.pu, 0.0) + dur
+            if kind == "transfer":
+                level = ev.level or "?"
+                nbytes[level] = nbytes.get(level, 0.0) + ev.nbytes
+                secs[level] = secs.get(level, 0.0) + dur
+            if pending:
+                pen = pending.pop(ev.tid, 0.0)
+                if pen > 0.0:
+                    penalty_of[ev.seq] = min(pen, dur)
+        # Order by (end, seq) with two stable sorts on plain keys: far
+        # cheaper than one sort keyed by tuples.
+        order = sorted(range(len(spans)), key=[e.seq for e in spans].__getitem__)
+        order.sort(key=ends.__getitem__)
         return cls(
             spans=tuple(spans),
             by_thread=by_thread,
             makespan=makespan,
             serial_time=serial,
             work_time=work,
-            n_events=n_events,
-            _by_end=by_end,
-            _end_keys=[e.end for e in by_end],
+            n_events=sum(count.values()),
+            count_by_kind=count,
+            dur_by_kind=durs,
+            bytes_by_level=nbytes,
+            secs_by_level=secs,
+            busy_by_pu=busy,
+            penalty_of=penalty_of,
+            _by_end=[spans[i] for i in order],
+            _end_keys=[ends[i] for i in order],
         )
 
     # -- lookups ------------------------------------------------------------

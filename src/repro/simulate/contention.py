@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.topology.objects import ObjType
+from repro.topology.objects import OFF_NODE_LEVELS, ObjType
 from repro.util.validate import check_positive
 
 
@@ -55,8 +55,8 @@ class ContentionConfig:
 #: Levels whose transfers cross a NUMA node's DRAM controller / the
 #: global interconnect.  Frozen sets resolved once at import: the
 #: membership tests below run on every transfer of every simulation.
-_DRAM_LEVELS = frozenset({ObjType.NUMANODE, ObjType.GROUP, ObjType.MACHINE})
-_INTERCONNECT_LEVELS = frozenset({ObjType.GROUP, ObjType.MACHINE})
+_DRAM_LEVELS = OFF_NODE_LEVELS | {ObjType.NUMANODE}
+_INTERCONNECT_LEVELS = OFF_NODE_LEVELS
 
 
 class ContentionModel:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from repro.topology.objects import ObjType
+from repro.topology.objects import OFF_NODE_LEVELS
 
 
 @dataclass
@@ -56,13 +56,8 @@ class MachineMetrics:
 
     @property
     def remote_bytes(self) -> float:
-        """Bytes that crossed a NUMA boundary.
-
-        An LCA of NUMANODE means both endpoints share the node (local
-        DRAM); only GROUP/MACHINE-level transfers are off-node.
-        """
-        wide = (ObjType.GROUP, ObjType.MACHINE)
-        return float(sum(self.bytes_by_level.get(t, 0) for t in wide))
+        """Bytes that crossed a NUMA boundary (:data:`OFF_NODE_LEVELS`)."""
+        return float(sum(self.bytes_by_level.get(t, 0) for t in OFF_NODE_LEVELS))
 
     @property
     def local_fraction(self) -> float:

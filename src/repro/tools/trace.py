@@ -28,10 +28,11 @@ from pathlib import Path
 from repro.observe.determinism import run_fingerprint
 from repro.observe.export import read_jsonl, write_chrome, write_jsonl
 from repro.observe.invariants import check_run
-from repro.observe.tracer import EventFilter, Tracer, TraceSummary
+from repro.observe.tracer import EventFilter, Tracer
 from repro.orwl.fifo import AccessMode
 from repro.orwl.program import Program
 from repro.orwl.runtime import Runtime
+from repro.perf.spans import TraceIndex
 from repro.placement.binder import bind_program
 from repro.placement.policies import POLICY_REGISTRY
 from repro.placement.report import render_traffic_report
@@ -216,10 +217,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(events)} events")
         events = selected
 
-    summary = TraceSummary.of(events)
+    idx = TraceIndex.of(events)
     print(f"workload   : {source}")
-    print(f"trace      : {summary.events} events ({summary.spans} spans), "
-          f"kinds { {k: v for k, v in sorted(summary.by_kind.items())} }")
+    print(f"trace      : {idx.n_events} events ({len(idx.spans)} spans), "
+          f"kinds {dict(sorted(idx.count_by_kind.items()))}")
 
     if args.stats:
         print()

@@ -51,6 +51,11 @@ class ObjType(enum.IntEnum):
 #: Types that can appear between MACHINE and PU, outermost first.
 CONTAINMENT_ORDER: tuple[ObjType, ...] = tuple(ObjType)
 
+#: Sharing levels whose transfers cross a NUMA node boundary.  An LCA
+#: of NUMANODE or below means both endpoints share one node's DRAM;
+#: only GROUP- and MACHINE-level traffic is off-node.
+OFF_NODE_LEVELS: frozenset[ObjType] = frozenset({ObjType.GROUP, ObjType.MACHINE})
+
 
 @dataclass
 class CacheAttributes:

@@ -1,6 +1,12 @@
-"""Shared fixtures: small topologies and matrices used across modules."""
+"""Shared fixtures: small topologies and matrices used across modules,
+the reference drain loop, and the call counter of the cost tests."""
 
 from __future__ import annotations
+
+import gc
+import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pytest
@@ -98,3 +104,50 @@ def mode(request, monkeypatch):
     step_drain.calls = 0
     yield request.param
     assert step_drain.calls > 0, "the scalar drain never ran"
+
+
+@dataclass
+class CallCount:
+    """What :func:`count_calls` saw: Python and C calls, and the result."""
+
+    python: int
+    c: int
+    result: Any
+
+
+def count_calls(
+    fn: Callable[..., Any],
+    *args: Any,
+    on_call: Optional[Callable[[Any], None]] = None,
+    **kwargs: Any,
+) -> CallCount:
+    """Run ``fn(*args, **kwargs)`` under ``sys.setprofile`` and count
+    its calls.
+
+    *on_call(code)*, if given, sees the code object of every Python
+    call.  The collector is off while the profiler counts: a collection
+    would finalize generators that earlier tests left suspended and
+    count their frames as calls of *fn*.  Counts are exact for one
+    CPython version; other versions count differently (3.12 inlines
+    comprehensions).
+    """
+    python = c = 0
+
+    def profile(frame, event, arg):
+        nonlocal python, c
+        if event == "call":
+            python += 1
+            if on_call is not None:
+                on_call(frame.f_code)
+        elif event == "c_call":
+            c += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return CallCount(python, c, result)

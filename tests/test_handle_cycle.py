@@ -26,9 +26,7 @@ generators that earlier tests left suspended and count their frames).
 
 from __future__ import annotations
 
-import gc
 import os
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +41,7 @@ from repro.orwl.runtime import Runtime, RuntimeConfig
 from repro.placement.binder import bind_program
 from repro.simulate.machine import Machine
 from repro.treematch.mapping import Mapping
+from tests.conftest import count_calls
 from tests.test_wake_cost import _lk23_runtime
 
 R, W = AccessMode.READ, AccessMode.WRITE
@@ -52,23 +51,6 @@ _ORWL_DIR = os.path.dirname(fifo_mod.__file__) + os.sep
 
 #: Python calls the ``orwl`` layer may make per handle iteration.
 MAX_ORWL_CALLS_PER_ITERATION = 8.2
-
-
-def _profiled(runtime: Runtime, on_call) -> None:
-    """Run *runtime* with *on_call(code)* seeing every Python call."""
-
-    def profile(frame, event, arg):
-        if event == "call":
-            on_call(frame.f_code)
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        runtime.run()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
 
 
 def _lk23(policy: str, control_threads: bool) -> Runtime:
@@ -97,7 +79,7 @@ def test_lk23_run_builds_no_request(policy, control_threads):
         elif code is _REQUEUE:
             counts["requeues"] += 1
 
-    _profiled(_lk23(policy, control_threads), on_call)
+    count_calls(_lk23(policy, control_threads).run, on_call=on_call)
     assert counts["requeues"] > 100
     assert counts["requests"] == 0, f"{counts['requests']} requests built"
 
@@ -238,7 +220,7 @@ def test_orwl_calls_per_handle_iteration_are_bounded():
             if code is _REQUEUE:
                 counts["iterations"] += 1
 
-    _profiled(_lk23_runtime(), on_call)
+    count_calls(_lk23_runtime().run, on_call=on_call)
     assert counts["iterations"] > 500
     per_iteration = counts["orwl"] / counts["iterations"]
     assert per_iteration <= MAX_ORWL_CALLS_PER_ITERATION, (

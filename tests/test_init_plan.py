@@ -14,9 +14,6 @@ per-handle call chains fails on any host.
 
 from __future__ import annotations
 
-import gc
-import sys
-
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +28,7 @@ from repro.orwl.runtime import Runtime, RuntimeConfig
 from repro.placement.binder import bind_program
 from repro.simulate.machine import Machine
 from repro.tasks.compile import compile_graph, dag_matrix
+from tests.conftest import count_calls
 from tests.test_dag_differential import task_graphs
 
 SHAPE = (2, 8)  # paper-smp, 16 cores
@@ -179,27 +177,10 @@ def _calls_in_runtime_init(program, matrix) -> int:
     topo, dm = machine_inputs("paper-smp", *SHAPE)
     plan = bind_program(program, topo, policy="treematch", matrix=matrix)
     machine = Machine(topo, distance_model=dm, seed=0)
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call":
-            count += 1
-
-    # A collection inside the profiled region would finalize earlier
-    # tests' suspended generators and count their frames as calls.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        Runtime(
-            program, machine, mapping=plan.mapping,
-            control_mapping=plan.control_mapping,
-        )
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return count
+    return count_calls(
+        Runtime, program, machine, mapping=plan.mapping,
+        control_mapping=plan.control_mapping,
+    ).python
 
 
 @pytest.mark.parametrize("kind", ["lk23", *WORKLOADS])

@@ -19,7 +19,6 @@ from repro.observe import (
     InvariantError,
     TraceEvent,
     Tracer,
-    TraceSummary,
     check_run,
     chrome_payload,
     dumps_jsonl,
@@ -31,6 +30,7 @@ from repro.observe import (
     write_chrome,
     write_jsonl,
 )
+from repro.perf.spans import TraceIndex
 from repro.simulate.engine import SimulationError
 from repro.simulate.machine import Machine
 from repro.simulate.metrics import MachineMetrics
@@ -108,11 +108,12 @@ class TestTracer:
         tracer = Tracer()
         machine = two_thread_machine(small_topo, tracer)
         machine.run()
-        s = TraceSummary.of(tracer.events)
-        assert s.events == len(tracer)
-        assert s.bytes_by_level == {"MACHINE": 1e6}
-        assert s.busy_by_kind["compute"] == pytest.approx(3e-3)
-        assert s.makespan == pytest.approx(machine.engine.now)
+        idx = TraceIndex.of(tracer.events)
+        assert idx.n_events == len(tracer)
+        assert idx.count_by_kind == dict(tracer.counts())
+        assert idx.bytes_by_level == {"MACHINE": 1e6}
+        assert idx.dur_by_kind["compute"] == pytest.approx(3e-3)
+        assert idx.makespan == pytest.approx(machine.engine.now)
 
     def test_untraced_machine_pays_nothing(self, small_topo):
         machine = two_thread_machine(small_topo)

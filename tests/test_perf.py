@@ -22,6 +22,7 @@ from repro.observe.tracer import TraceEvent
 from repro.perf import (
     LOCAL_LEVELS,
     PerfReport,
+    WORK_KINDS,
     TraceIndex,
     analyze,
     attribute_gap,
@@ -329,6 +330,24 @@ def test_analyze_builds_one_index_and_keeps_its_report(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MIGRATING_REPORT_SHA256
 
 
+def test_check_run_builds_one_index(monkeypatch):
+    from repro.observe import capture
+
+    with capture() as cap:
+        run_lk23(policy="nobind", topology="small-numa", n=512, iterations=1)
+    (machine,) = cap.machines
+    built = []
+    of = TraceIndex.of.__func__
+
+    def counting_of(cls, evs):
+        built.append(evs)
+        return of(cls, evs)
+
+    monkeypatch.setattr(TraceIndex, "of", classmethod(counting_of))
+    assert check_run(machine).ok
+    assert len(built) == 1
+
+
 def test_report_summary_flat_scalars(reports):
     s = reports["bind"].summary()
     assert s["makespan"] > 0 and s["critical_path"] > 0
@@ -342,28 +361,99 @@ def test_report_summary_flat_scalars(reports):
 @st.composite
 def tiled_streams(draw):
     """Streams satisfying the tracer's guarantees: per-thread tiling
-    spans from t=0, emission ordered by start time."""
+    spans from t=0, emission ordered by start time.  A migration
+    instant may precede a span; its penalty is charged into the
+    thread's next work span, as the simulator does."""
     n_threads = draw(st.integers(1, 4))
     staged = []
     for tid in range(n_threads):
         clock = 0.0
+        pu = draw(st.integers(-1, 3))
         for _ in range(draw(st.integers(1, 8))):
+            if draw(st.booleans()):
+                penalty = draw(st.floats(0.0, 1e-4, allow_nan=False))
+                staged.append((clock, tid, "migration", penalty, pu, {}))
             kind = draw(st.sampled_from(["compute", "transfer", "wait", "runq"]))
             dur = draw(st.floats(1e-7, 1e-3, allow_nan=False))
             extra = {}
             if kind == "transfer":
-                level = draw(st.sampled_from(["L3", "NUMANODE", "MACHINE"]))
+                level = draw(st.sampled_from(["L3", "NUMANODE", "MACHINE", ""]))
                 extra = dict(level=level,
                              nbytes=draw(st.floats(1.0, 1e6)),
                              detail=f"from-node:{draw(st.integers(0, 3))}")
-            staged.append((clock, tid, kind, dur, extra))
+            staged.append((clock, tid, kind, dur, pu, extra))
             clock += dur
+    # Stable: a migration stays ahead of the span it was staged before.
     staged.sort(key=lambda s: (s[0], s[1]))
     return [
-        TraceEvent(seq, kind, ts, dur, tid=tid, thread=f"T{tid}", pu=tid,
+        TraceEvent(seq, kind, ts, dur, tid=tid, thread=f"T{tid}", pu=pu,
                    node=tid % 4, **extra)
-        for seq, (ts, tid, kind, dur, extra) in enumerate(staged)
+        for seq, (ts, tid, kind, dur, pu, extra) in enumerate(staged)
     ]
+
+
+def _embedded_penalties(events) -> dict[int, float]:
+    """Oracle for ``TraceIndex.penalty_of``: a thread's pending
+    migration penalty is charged into its next work span, by seq."""
+    pending: dict[int, float] = {}
+    out: dict[int, float] = {}
+    for ev in events:
+        if ev.kind == "migration":
+            pending[ev.tid] = pending.get(ev.tid, 0.0) + ev.dur
+        elif ev.kind in WORK_KINDS:
+            pen = pending.pop(ev.tid, 0.0)
+            if pen > 0.0:
+                out[ev.seq] = min(pen, ev.dur)
+    return out
+
+
+def _rescan(events, key, value) -> list:
+    """``[(key, total)]`` in first-seen key order, each total summed
+    left to right from zero (``sum`` may compensate on 3.12+)."""
+    totals: dict = {}
+    for ev in events:
+        k = key(ev)
+        totals[k] = totals.get(k, 0.0) + value(ev)
+    return list(totals.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=tiled_streams())
+def test_property_index_totals_equal_a_naive_rescan(events):
+    idx = TraceIndex.of(events)
+    transfers = [e for e in events if e.kind == "transfer"]
+    work = [e for e in events if e.kind in WORK_KINDS and e.pu >= 0]
+    assert idx.n_events == len(events)
+    assert list(idx.count_by_kind.items()) == [
+        (k, int(n)) for k, n in _rescan(events, lambda e: e.kind, lambda e: 1)
+    ]
+    assert list(idx.dur_by_kind.items()) == _rescan(
+        events, lambda e: e.kind, lambda e: e.dur
+    )
+    assert list(idx.bytes_by_level.items()) == _rescan(
+        transfers, lambda e: e.level or "?", lambda e: e.nbytes
+    )
+    assert list(idx.secs_by_level.items()) == _rescan(
+        transfers, lambda e: e.level or "?", lambda e: e.dur
+    )
+    assert list(idx.busy_by_pu.items()) == _rescan(
+        work, lambda e: e.pu, lambda e: e.dur
+    )
+    assert idx.penalty_of == _embedded_penalties(events)
+
+
+@settings(max_examples=30, deadline=None)
+@given(events=tiled_streams(), seed=st.integers(0, 2**16))
+def test_property_index_orders_spans_by_end_then_seq(events, seed):
+    shuffled = list(events)
+    random.Random(seed).shuffle(shuffled)
+    for stream in (events, shuffled):
+        idx = TraceIndex.of(stream)
+        want = sorted(
+            (e for e in stream if e.is_span()), key=lambda e: (e.end, e.seq)
+        )
+        assert [e.seq for e in idx._by_end] == [e.seq for e in want]
+        assert idx._end_keys == [e.end for e in want]
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,10 +20,8 @@ bound leaves room.
 
 from __future__ import annotations
 
-import gc
-import sys
-
 from repro.core.api import run_lk23
+from tests.conftest import count_calls
 
 #: ``benchmarks/bench_trace_overhead.py``'s configuration.
 CONFIG = dict(
@@ -35,38 +33,14 @@ CONFIG = dict(
 MAX_EXTRA_CALLS_PER_EVENT = 1.5
 
 
-def _python_calls(trace: bool):
-    """(Python calls made by one run, its result).
-
-    The collector is off while the profiler counts: a collection would
-    finalize generators that earlier tests left suspended and count
-    their frames as this run's calls.
-    """
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call":
-            count += 1
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = run_lk23(trace=trace, **CONFIG)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return count, result
-
-
 def test_traced_run_makes_few_extra_calls_per_event():
     # Warm both paths first: imports and per-process caches are paid once.
     run_lk23(trace=False, **CONFIG)
     run_lk23(trace=True, **CONFIG)
-    untraced, _ = _python_calls(trace=False)
-    traced, result = _python_calls(trace=True)
-    n_events = len(result.trace)
+    untraced = count_calls(run_lk23, trace=False, **CONFIG).python
+    counted = count_calls(run_lk23, trace=True, **CONFIG)
+    traced = counted.python
+    n_events = len(counted.result.trace)
     assert n_events > 1000
     extra = (traced - untraced) / n_events
     assert extra <= MAX_EXTRA_CALLS_PER_EVENT, (

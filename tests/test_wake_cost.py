@@ -37,9 +37,6 @@ of room; the ``SimEvent`` count is exact everywhere.
 
 from __future__ import annotations
 
-import gc
-import sys
-
 import pytest
 
 from repro.comm.patterns import square_grid_shape
@@ -51,6 +48,7 @@ from repro.placement.binder import bind_program
 from repro.simulate.engine import SimEvent
 from repro.simulate.machine import Machine
 from repro.tasks.compile import compile_graph, dag_matrix
+from tests.conftest import count_calls
 
 _SIM_EVENT_INIT = SimEvent.__init__.__code__
 
@@ -88,33 +86,19 @@ CASES = {
 }
 
 
-def _profiled_run(runtime: Runtime):
-    """(Python calls, SimEvents built, result) of one ``runtime.run()``."""
-    calls = events = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls, events
-        if event == "call":
-            calls += 1
-            if frame.f_code is _SIM_EVENT_INIT:
-                events += 1
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = runtime.run()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls, events, result
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_wakes_build_no_event_and_few_calls_per_engine_event(case):
     make, max_calls_per_event = CASES[case]
     make().run()  # warm: imports and per-process caches are paid once
-    calls, events, result = _profiled_run(make())
+    events = 0
+
+    def on_call(code):
+        nonlocal events
+        if code is _SIM_EVENT_INIT:
+            events += 1
+
+    counted = count_calls(make().run, on_call=on_call)
+    calls, result = counted.python, counted.result
     assert result.engine_events > 500
     assert events == 0, f"{events} SimEvents built"
     per_event = calls / result.engine_events
