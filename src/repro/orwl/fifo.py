@@ -76,7 +76,7 @@ class Request:
 
 #: ``Request.payload`` of a delivered grant (the runtime sets it): an
 #: acquire that comes later proceeds without parking, a second delivery
-#: is an error, and :meth:`OrwlFifo.requeue` may re-enter the request.
+#: is an error, and :meth:`OrwlFifo.release` may re-enter the request.
 _DELIVERED = object()
 
 
@@ -97,7 +97,7 @@ class OrwlFifo:
     on_grant:
         Callback invoked exactly once per request when it becomes
         granted.  The runtime uses it to wake the owner (directly or via
-        a control thread).
+        a control thread), and detaches it when its run ends.
     name:
         Diagnostic label (usually the location name).
     queue, n_granted:
@@ -109,7 +109,7 @@ class OrwlFifo:
     """
 
     __slots__ = (
-        "_queue", "_on_grant", "name", "inserted", "_n_granted", "_n_granted_writes"
+        "_queue", "on_grant", "name", "inserted", "_n_granted", "_n_granted_writes"
     )
 
     def __init__(
@@ -120,7 +120,7 @@ class OrwlFifo:
         n_granted: int = 0,
     ) -> None:
         self._queue: Deque[Request] = deque(queue)
-        self._on_grant = on_grant or _ignore_grant
+        self.on_grant = on_grant or _ignore_grant
         self.name = name
         #: total requests ever inserted (diagnostics).
         self.inserted = len(queue)
@@ -160,56 +160,85 @@ class OrwlFifo:
         req = Request(mode, tag, waiter)
         self._queue.append(req)
         self.inserted += 1
-        self._pump()
+        self.release(None)
         return req
 
-    def requeue(self, old: Request, tag: str = "", waiter: int = -1) -> Request:
-        """``orwl_next`` in one grant pass: append a request like *old*
-        (stamped *tag* and *waiter*), release *old*; returns the request
-        now queued.
+    def release(
+        self,
+        req: Optional[Request],
+        again: bool = False,
+        tag: str = "",
+        waiter: int = -1,
+    ) -> Optional[Request]:
+        """The FIFO's one transition: granted *req* leaves, re-enters at
+        the tail if *again* (stamped *tag* and *waiter*), and the grant
+        pass runs.  Returns the re-entered request, else ``None``.
 
-        A held head whose grant has been delivered (the common case) is
-        re-entered itself: it moves to the tail, PENDING with no
-        payload, so an iterating handle keeps one request for a whole
-        run.  Any other *old* is released through the general path and
-        a fresh request is appended: a grant not yet delivered may still
-        be on its way to *old* (a control queue holds it).
+        Without *again* this is ``orwl_release``; with it, ``orwl_next``:
+        a held head whose grant has been delivered (the common case)
+        re-enters itself, moving to the tail, PENDING with no payload,
+        so an iterating handle keeps one request for a whole run.  Any
+        other *req* is released and a fresh request appended: a grant
+        not yet delivered may still be on its way to *req* (a control
+        queue holds it).  Either way the grants are those of
+        :meth:`insert` followed by a plain release of *req*: while *req*
+        is held, insert's pass can grant only the new tail request, and
+        then nothing precedes it that the release's pass would grant
+        before it.
 
-        Grants the same requests in the same order as :meth:`insert`
-        followed by ``release(old)``: while *old* is held, insert's pass
-        can grant only the new tail request, and then nothing precedes
-        it that release's pass would grant before it.  The pass is
-        :meth:`_pump`'s, written out: once a held request has left, no
-        write is held.
+        *req* ``None`` leaves nothing: the pass alone, which
+        :meth:`insert` and :meth:`cancel` run after changing the queue.
+        ``FifoError`` (and no change) if *req* is not granted in this
+        FIFO.
+
+        The pass: granted requests always form a prefix of the queue.  A
+        WRITE is granted only when it is the head and nothing is
+        granted; READs are granted while the granted prefix is all-READ.
         """
         queue = self._queue
-        if (
-            old.state is RequestState.GRANTED
-            and old.payload is _DELIVERED
-            and queue
-            and queue[0] is old
-        ):
-            queue.rotate(-1)
-            old.state = RequestState.PENDING
-            old.payload = None
-            old.tag = tag
-            old.waiter = waiter
-            req = old
+        new = None
+        if req is not None:
+            if req.state is RequestState.GRANTED and queue and queue[0] is req:
+                if again and req.payload is _DELIVERED:
+                    queue.rotate(-1)
+                    req.state = RequestState.PENDING
+                    req.payload = None
+                    req.tag = tag
+                    req.waiter = waiter
+                    new = req
+                else:
+                    queue.popleft()
+                    req.state = RequestState.RELEASED
+            elif req.state is not RequestState.GRANTED:
+                raise FifoError(
+                    f"cannot release request {req!r} in state {req.state.value}"
+                )
+            else:
+                try:
+                    queue.remove(req)
+                except ValueError:
+                    raise FifoError(
+                        f"request {req!r} is not in FIFO {self.name!r}"
+                    ) from None
+                req.state = RequestState.RELEASED
+            # A held write is held alone: none is held once *req* left.
             self._n_granted -= 1
             self._n_granted_writes = 0
-        else:
-            self._unlink(old)
-            req = Request(old.mode, tag, waiter)
-            queue.append(req)
-        self.inserted += 1
+            if again:
+                if new is None:
+                    new = Request(req.mode, tag, waiter)
+                    queue.append(new)
+                self.inserted += 1
         n = self._n_granted
+        if n == len(queue) or self._n_granted_writes:
+            return new
         nxt = queue[n]
         if nxt.mode is AccessMode.WRITE:
             if n == 0:
                 nxt.state = RequestState.GRANTED
                 self._n_granted = self._n_granted_writes = 1
-                self._on_grant(nxt)
-            return req
+                self.on_grant(nxt)
+            return new
         granted = []
         for nxt in islice(queue, n, None):
             if nxt.mode is AccessMode.WRITE:
@@ -217,111 +246,25 @@ class OrwlFifo:
             nxt.state = RequestState.GRANTED
             granted.append(nxt)
         self._n_granted = n + len(granted)
-        on_grant = self._on_grant
+        on_grant = self.on_grant
         for nxt in granted:
             on_grant(nxt)
-        return req
-
-    def release(self, req: Request) -> None:
-        """Release a granted request, allowing successors to be granted.
-
-        The grant pass is :meth:`requeue`'s, for a queue that may have
-        run empty.
-        """
-        queue = self._queue
-        if req.state is RequestState.GRANTED and queue and queue[0] is req:
-            queue.popleft()
-            req.state = RequestState.RELEASED
-            self._n_granted -= 1
-            self._n_granted_writes = 0
-        else:
-            self._unlink(req)
-        n = self._n_granted
-        if n == len(queue):
-            return
-        nxt = queue[n]
-        if nxt.mode is AccessMode.WRITE:
-            if n == 0:
-                nxt.state = RequestState.GRANTED
-                self._n_granted = self._n_granted_writes = 1
-                self._on_grant(nxt)
-            return
-        granted = []
-        for nxt in islice(queue, n, None):
-            if nxt.mode is AccessMode.WRITE:
-                break
-            nxt.state = RequestState.GRANTED
-            granted.append(nxt)
-        self._n_granted = n + len(granted)
-        on_grant = self._on_grant
-        for nxt in granted:
-            on_grant(nxt)
-
-    def _unlink(self, req: Request) -> None:
-        """Take a granted request out of the queue (no grant pass): the
-        general path of :meth:`release` and :meth:`requeue`.  Afterwards
-        no write is held, since a held write is held alone."""
-        if req.state is not RequestState.GRANTED:
-            raise FifoError(
-                f"cannot release request {req!r} in state {req.state.value}"
-            )
-        try:
-            self._queue.remove(req)
-        except ValueError:
-            raise FifoError(
-                f"request {req!r} is not in FIFO {self.name!r}"
-            ) from None
-        req.state = RequestState.RELEASED
-        self._n_granted -= 1
-        self._n_granted_writes = 0
+        return new
 
     def cancel(self, req: Request) -> None:
         """Withdraw a request.  Granted requests are released instead."""
         if req.state is RequestState.GRANTED:
             self.release(req)
-            return
-        if req.state is not RequestState.PENDING:
-            return  # already out of the queue
-        self._queue.remove(req)  # beyond the granted prefix: counters hold
-        req.state = RequestState.CANCELLED
-        self._pump()
+        elif req.state is RequestState.PENDING:
+            self._queue.remove(req)  # beyond the granted prefix: counters hold
+            req.state = RequestState.CANCELLED
+            self.release(None)
 
     def clear(self) -> None:
         """Drop every queued request, granted or not, without a grant
         pass (a failed run's leftovers; see ``Runtime.run``)."""
         self._queue.clear()
         self._n_granted = self._n_granted_writes = 0
-
-    # -- grant engine -----------------------------------------------------------
-
-    def _pump(self) -> None:
-        """Grant every request that the ordered-RW-lock rules allow.
-
-        Invariant: granted requests always form a prefix of the queue.
-        A WRITE is granted only when it is the head and nothing is
-        granted; READs are granted while the granted prefix is all-READ.
-        :meth:`requeue` and :meth:`release` run this pass written out,
-        for a queue that a held request has just left.
-        """
-        queue = self._queue
-        n = self._n_granted
-        if n >= len(queue) or self._n_granted_writes:
-            return  # nothing pending, or a write holds the location alone
-        granted: list[Request] = []
-        for nxt in islice(queue, n, None):
-            if nxt.mode is AccessMode.WRITE:
-                if n == 0:
-                    nxt.state = RequestState.GRANTED
-                    granted.append(nxt)
-                    n = 1
-                    self._n_granted_writes = 1
-                break
-            nxt.state = RequestState.GRANTED
-            granted.append(nxt)
-            n += 1
-        self._n_granted = n
-        for req in granted:
-            self._on_grant(req)
 
     def __repr__(self) -> str:
         return f"<OrwlFifo {self.name!r} len={len(self._queue)} granted={self._n_granted}>"

@@ -8,24 +8,25 @@ A handle binds one operation to one location with one access mode and
 carries the currently pending/granted :class:`~repro.orwl.fifo.Request`.
 The canonical iterative lifecycle is::
 
-    request()   # insert into the FIFO (the ORWL init protocol: global
-                # declaration order; each run starts from its outcome,
-                # frozen with the program)
-    acquire()   # block until granted        \
-    ...use...                                 |  each iteration
-    next_request() + release()               /   (orwl_next)
-    release()   # final
+    request   # one per handle, inserted by the ORWL init protocol in
+              # global declaration order (each run starts from its
+              # outcome, frozen with the program)
+    acquire   # block until granted        \
+    ...use...                               |  each iteration
+    next      # re-enter at the tail, then  |  (orwl_next)
+              # release the old grant      /
+    release   # final
 
-The handle itself is runtime-agnostic bookkeeping; the blocking behaviour
-lives in :class:`repro.orwl.runtime.OpContext`, which runs the
-``next_request`` and ``release`` steps itself, one frame to the FIFO.
+A handle is state only: the protocol steps live in
+:class:`repro.orwl.runtime.OpContext`, each one frame to the location's
+:class:`~repro.orwl.fifo.OrwlFifo`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.orwl.fifo import AccessMode, FifoError, Request, RequestState
+from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.location import Location
 
 
@@ -40,7 +41,7 @@ class Handle:
         Owning operation (set when the operation declares the handle).
     """
 
-    __slots__ = ("location", "mode", "op_name", "init_phase", "waiter", "_request")
+    __slots__ = ("location", "mode", "op_name", "init_phase", "waiter", "request")
 
     def __init__(self, location: Location, mode: AccessMode, op_name: str = "") -> None:
         self.location = location
@@ -54,77 +55,9 @@ class Handle:
         #: simulator thread id of the owning operation, stamped on every
         #: request this handle inserts (set by the runtime; -1 = none).
         self.waiter = -1
-        self._request: Optional[Request] = None
-
-    # -- protocol steps (called by the runtime/context) ---------------------
-
-    @property
-    def request(self) -> Optional[Request]:
-        """The handle's live request, if any."""
-        return self._request
-
-    @property
-    def is_granted(self) -> bool:
-        return self._request is not None and self._request.state is RequestState.GRANTED
-
-    @property
-    def is_pending(self) -> bool:
-        return self._request is not None and self._request.state is RequestState.PENDING
-
-    def insert_request(self) -> Request:
-        """Insert a fresh request into the location FIFO (``orwl_request``)."""
-        if self._request is not None and self._request.state in (
-            RequestState.PENDING,
-            RequestState.GRANTED,
-        ):
-            raise FifoError(
-                f"handle {self.op_name!r}->{self.location.name!r} already has a "
-                f"live request ({self._request.state.value})"
-            )
-        self._request = self.location.fifo.insert(
-            self.mode, tag=self.op_name, waiter=self.waiter
-        )
-        return self._request
-
-    def release(self) -> None:
-        """Release the granted request (``orwl_release``)."""
-        if self._request is None:
-            raise FifoError(f"handle {self.op_name!r} has no request to release")
-        self.location.fifo.release(self._request)
-        self._request = None
-
-    def next_request(self) -> Request:
-        """``orwl_next``: re-insert at the tail, then release the old grant.
-
-        Inserting before releasing keeps the handle's position in the next
-        round ahead of any competitor that might otherwise jump the queue
-        — the ordering rule that makes iterative ORWL deterministic.  Both
-        steps run as one FIFO grant pass (:meth:`OrwlFifo.requeue`).
-        Returns the next round's request (pending, or already granted):
-        the same object once its grant has been delivered, so an
-        iterating handle keeps one request for a whole run.
-        """
-        old = self._request
-        if old is None or old.state is not RequestState.GRANTED:
-            raise FifoError(
-                f"orwl_next on handle {self.op_name!r} without a granted request"
-            )
-        self._request = new = self.location.fifo.requeue(
-            old, tag=self.op_name, waiter=self.waiter
-        )
-        return new
-
-    def cancel(self) -> None:
-        """Withdraw whatever request is live (used at op teardown)."""
-        if self._request is not None:
-            self.location.fifo.cancel(self._request)
-            self._request = None
-
-    def drop(self) -> None:
-        """Forget the live request without touching the FIFO (which a
-        failed run clears as a whole)."""
-        self._request = None
+        #: the handle's live request (pending or granted), if any.
+        self.request: Optional[Request] = None
 
     def __repr__(self) -> str:
-        state = self._request.state.value if self._request else "idle"
+        state = self.request.state.value if self.request else "idle"
         return f"<Handle {self.op_name!r} {self.mode.value} {self.location.name!r} {state}>"

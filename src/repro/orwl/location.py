@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.orwl.fifo import OrwlFifo, Request, RequestState, _ignore_grant
+from repro.orwl.fifo import OrwlFifo, Request, RequestState
 from repro.util.validate import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,28 +80,19 @@ class Location:
         """
         requests = []
         for h in queue:
-            h._request = req = Request(h.mode, h.op_name, h.waiter)
+            h.request = req = Request(h.mode, h.op_name, h.waiter)
             requests.append(req)
         for req in requests[:n_granted]:
             req.state = RequestState.GRANTED
         self.fifo = OrwlFifo(on_grant, self.name, requests, n_granted)
+        # Provenance, stamped by every write's release or ``orwl_next``
+        # (see :class:`~repro.orwl.runtime.OpContext`).
         #: thread id (simulator tid) of the last writer, -1 if never written.
         self.last_writer_tid: int = -1
         #: op name of the last writer ("" if never written).
         self.last_writer_op: str = ""
         #: number of completed writes (payload version).
         self.version: int = 0
-
-    def set_grant_callback(self, cb: Optional[Callable[[Request], None]]) -> None:
-        """Replace the grant-routing callback; ``None`` detaches it (a
-        finished run does, so it frees itself)."""
-        self.fifo._on_grant = cb or _ignore_grant
-
-    def note_write(self, tid: int, op_name: str) -> None:
-        """Record provenance after a write release."""
-        self.last_writer_tid = tid
-        self.last_writer_op = op_name
-        self.version += 1
 
     def __repr__(self) -> str:
         return (

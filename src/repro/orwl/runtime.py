@@ -32,7 +32,9 @@ from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.orwl.fifo import _DELIVERED, AccessMode, FifoError, Request, RequestState
+from repro.orwl.fifo import (
+    _DELIVERED, AccessMode, FifoError, Request, RequestState, _ignore_grant,
+)
 from repro.orwl.handle import Handle
 from repro.orwl.program import Operation, Program
 from repro.simulate.engine import _INF, Engine, SimulationError
@@ -162,7 +164,7 @@ class OpContext:
     def acquire(self, handle: Handle) -> Generator:
         """Block until the handle's request is granted; readers then pull
         the payload from its last writer (the locality-priced transfer)."""
-        req = handle._request
+        req = handle.request
         if req is None:
             raise ValidationError(
                 f"{handle.op_name!r}: acquire without a pending request "
@@ -187,36 +189,34 @@ class OpContext:
 
     def release(self, handle: Handle) -> None:
         """Release the grant (``orwl_release``); writers stamp provenance
-        (what :meth:`~repro.orwl.location.Location.note_write` does).
-        :meth:`Handle.release` written out: one frame to the FIFO."""
+        first."""
         loc = handle.location
         if handle.mode is AccessMode.WRITE:
             loc.last_writer_tid = self.tid
             loc.last_writer_op = self.op.name
             loc.version += 1
-        req = handle._request
+        req = handle.request
         if req is None:
             raise FifoError(f"handle {handle.op_name!r} has no request to release")
         loc.fifo.release(req)
-        handle._request = None
+        handle.request = None
 
     def next(self, handle: Handle) -> None:
         """``orwl_next``: finish this iteration's access and queue the
         next one (insert-at-tail then release, keeping round order).
-        Writers stamp provenance first, as :meth:`release` does.
-        :meth:`Handle.next_request` written out: one frame to the FIFO,
-        which re-enters the handle's delivered request itself."""
+        Writers stamp provenance first, as :meth:`release` does.  The
+        FIFO re-enters the handle's delivered request itself."""
         loc = handle.location
         if handle.mode is AccessMode.WRITE:
             loc.last_writer_tid = self.tid
             loc.last_writer_op = self.op.name
             loc.version += 1
-        old = handle._request
+        old = handle.request
         if old is None or old.state is not RequestState.GRANTED:
             raise FifoError(
                 f"orwl_next on handle {handle.op_name!r} without a granted request"
             )
-        handle._request = loc.fifo.requeue(old, handle.op_name, handle.waiter)
+        handle.request = loc.fifo.release(old, True, handle.op_name, handle.waiter)
 
 
 class Runtime:
@@ -341,7 +341,7 @@ class Runtime:
         for loc, queue, n_granted in program._init_queues:
             loc.rearm(queues.get(loc.owner_task, direct), queue, n_granted)
         for h in program._init_grants:
-            queues.get(h.location.owner_task, direct)(h._request)
+            queues.get(h.location.owner_task, direct)(h.request)
 
         # -- attach op bodies; an op's teardown is its thread's exit hook.
         self._ops_remaining = n_ops
@@ -354,34 +354,31 @@ class Runtime:
 
     # -- grant plumbing ------------------------------------------------------
 
-    def _deliver(self, req: Request, latency: float) -> None:
-        """Deliver *req*'s grant: mark it delivered and, if an acquire is
-        parked on it, reschedule that thread after *latency*.
+    def _grant_direct(self, req: Request) -> None:
+        """Grant callback of a location whose owner has no control
+        thread: deliver the grant at once.  Delivering marks *req*
+        delivered and, if an acquire is parked on it, reschedules that
+        thread after the direct grant latency.
 
         The state lives on the request itself (``payload``) — a dict
         keyed by ``id(req)`` would collide when a released request is
         garbage collected and a new one reuses its id.  The control
-        threads' loop (:meth:`_control_body`) does the same inline.
+        threads' loop (:meth:`_control_body`) delivers the same way.
         """
         waiter = req.payload
         if waiter is _DELIVERED:
             raise SimulationError(f"grant:{req.tag} delivered twice")
         req.payload = _DELIVERED
-        if waiter is not None:
-            self.machine.engine.schedule(latency, waiter)
-
-    def _grant_direct(self, req: Request) -> None:
-        """Grant callback of a location whose owner has no control
-        thread: deliver the grant at once."""
-        self._deliver(req, self.config.direct_grant_latency)
         machine = self.machine
+        if waiter is not None:
+            machine.engine.schedule(self.config.direct_grant_latency, waiter)
         if machine.tracer is not None:
             machine._trace("grant", None, machine.engine._now, detail=req.tag)
 
     def _control_body(self, cq: _ControlQueue, ctl_tid: int) -> Generator:
         """Control-thread loop: service grant messages until shutdown.
 
-        Each grant is delivered as :meth:`_deliver` would, inline.  The
+        Each grant is delivered as :meth:`_grant_direct` does.  The
         message latency is priced by the topological distance between
         this thread's PU and the parked thread's: tens of nanoseconds
         under a shared cache, microseconds across a cluster network —
@@ -427,8 +424,16 @@ class Runtime:
             yield _CTL_WAKE
 
     def _finish_op(self, op: Operation) -> None:
+        """An operation's teardown: withdraw whatever request each of
+        its handles has left (a granted one is released)."""
         for h in op.handles:
-            h.cancel()
+            req = h.request
+            if req is not None:
+                if req.state is RequestState.GRANTED:
+                    h.location.fifo.release(req)
+                else:
+                    h.location.fifo.cancel(req)
+                h.request = None
         self._ops_remaining -= 1
         if self._ops_remaining == 0:
             schedule = self.machine.engine.schedule
@@ -477,13 +482,13 @@ class Runtime:
         Provenance stays (it is plain data).
         """
         for loc in self.program.locations.values():
-            loc.set_grant_callback(None)
+            loc.fifo.on_grant = _ignore_grant
             if failed:
                 loc.fifo.clear()
         if failed:
             for op in self.program._ops:
                 for h in op.handles:
-                    h.drop()
+                    h.request = None
 
     def tid_of_op(self, op_name: str) -> int:
         return self._op_tid[op_name]

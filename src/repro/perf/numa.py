@@ -118,7 +118,8 @@ class TrafficMatrix:
 
 
 def producer_node_of(ev: TraceEvent) -> int:
-    """The producer node a transfer's bytes came from (-1 if untagged)."""
+    """The producer node a transfer's bytes came from (-1 if untagged):
+    the one parser of the ``from-node:N`` detail."""
     if ev.detail.startswith(_FROM_NODE):
         try:
             return int(ev.detail[len(_FROM_NODE):])
@@ -137,31 +138,46 @@ def traffic_matrix(
     stream produces the identical matrix.  *n_nodes* (the topology's
     node count) sizes the matrix; omitted, the largest node index seen
     in the stream sizes it.
+
+    One pass parses each transfer's producer node and sums its bytes
+    and seconds per ``(src, dst)`` pair in emission order; the arrays
+    are filled once at the end.
     """
-    idx = ensure_index(events)
-    transfers = [e for e in idx.spans if e.kind == "transfer"]
+    sums: dict[tuple[int, int], list[float]] = {}
+    n_transfers = 0
+    unattributed = 0.0
     max_node = -1
-    for ev in transfers:
+    for ev in ensure_index(events).spans:
+        if ev.kind != "transfer":
+            continue
+        n_transfers += 1
         src = producer_node_of(ev)
+        dst = ev.node
         if src > max_node:
             max_node = src
-        if ev.node > max_node:
-            max_node = ev.node
+        if dst > max_node:
+            max_node = dst
+        if src < 0 or dst < 0:
+            unattributed += ev.nbytes
+            continue
+        cell = sums.get((src, dst))
+        if cell is None:
+            cell = sums[src, dst] = [0.0, 0.0]
+        cell[0] += ev.nbytes
+        cell[1] += ev.dur
     n = max(n_nodes or 0, max_node + 1)
     tm = TrafficMatrix(
         n_nodes=n,
         bytes=np.zeros((n, n)),
         seconds=np.zeros((n, n)),
-        n_transfers=len(transfers),
+        n_transfers=n_transfers,
+        unattributed_bytes=unattributed,
     )
-    for ev in transfers:
-        src = producer_node_of(ev)
-        dst = ev.node
-        if 0 <= src < n and 0 <= dst < n:
-            tm.bytes[src, dst] += ev.nbytes
-            tm.seconds[src, dst] += ev.dur
-        else:
-            tm.unattributed_bytes += ev.nbytes
+    if sums:
+        rows, cols = zip(*sums)
+        cells = np.array(list(sums.values()))
+        tm.bytes[rows, cols] = cells[:, 0]
+        tm.seconds[rows, cols] = cells[:, 1]
     return tm
 
 

@@ -57,6 +57,7 @@ from repro.exec.cache import (
     topology_fingerprint,
 )
 from repro.metrics import core as metrics_core
+from repro.perf.numa import producer_node_of
 from repro.placement.affinity import matrix_correlation
 from repro.topology.distance import DistanceModel
 from repro.topology.tree import Topology
@@ -140,12 +141,8 @@ class CommSketch:
         consumer = event.tid
         if not (0 <= consumer < self.order):
             return 0
-        detail = event.detail
-        if not detail.startswith("from-node:"):
-            return 0
-        try:
-            producer_node = int(detail[len("from-node:"):])
-        except ValueError:
+        producer_node = producer_node_of(event)
+        if producer_node < 0:
             return 0
         peers = [
             t

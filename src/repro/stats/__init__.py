@@ -36,7 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "cliffs_delta_label",
         "compare",
         "compare_paired",
-        "compare_stats",
         "correct_verdicts",
         "holm_bonferroni",
         "paired_permutation_pvalue",

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.stats.aggregate import SeedStats, summarize
+from repro.stats.aggregate import summarize
 from repro.util.validate import ValidationError
 
 #: Fixed streams, distinct from the aggregation bootstrap.
@@ -207,22 +207,6 @@ def compare(
         p_value=p_value, alpha=alpha, significant=significant,
         verdict="significant" if significant else "not-significant",
         method=method,
-    )
-
-
-def compare_stats(
-    baseline: str,
-    baseline_stats: SeedStats,
-    candidate: str,
-    candidate_stats: SeedStats,
-    alpha: float = 0.05,
-    n_perm: int = 10_000,
-) -> SpeedupVerdict:
-    """:func:`compare` on two :class:`SeedStats` (uses their values)."""
-    return compare(
-        baseline, baseline_stats.values,
-        candidate, candidate_stats.values,
-        alpha=alpha, confidence=baseline_stats.confidence, n_perm=n_perm,
     )
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.comm import patterns
-from repro.comm.matrix import CommMatrix
 from repro.simulate.engine import Engine, SimulationError
 from repro.topology import presets
 from repro.topology.builder import TopologyBuilder, flat_topology

@@ -238,33 +238,34 @@ def _assert_counters_match_scan(fifo):
     ),
 )
 def test_granted_prefix_counters_match_scan(modes, script):
-    """Property: after every insert / release / ``next_request`` /
-    cancel, the FIFO's counters equal a rescan of the queue, and every
-    request is granted at most once."""
-    from repro.orwl.handle import Handle
-    from repro.orwl.location import Location
-
-    loc = Location("loc", 8.0)
+    """Property: after every insert / release / ``orwl_next`` / cancel,
+    the FIFO's counters equal a rescan of the queue, and every request
+    is granted at most once.  Each slot of *live* is one handle's live
+    request."""
     grants = []
-    loc.set_grant_callback(grants.append)
-    handles = [Handle(loc, m, op_name=f"op{k}") for k, m in enumerate(modes)]
+    fifo = OrwlFifo(grants.append, "loc")
+    live = [None] * len(modes)
     for action, k in script:
-        h = handles[k % len(handles)]
-        if action == "insert" and h.request is None:
-            h.insert_request()
-        elif action == "release" and h.is_granted:
-            h.release()
-        elif action == "next" and h.is_granted:
-            h.next_request()
-        elif action == "cancel":
-            h.cancel()
-        _assert_counters_match_scan(loc.fifo)
+        i = k % len(modes)
+        req = live[i]
+        granted = req is not None and req.state is RequestState.GRANTED
+        if action == "insert" and req is None:
+            live[i] = fifo.insert(modes[i], f"op{i}")
+        elif action == "release" and granted:
+            fifo.release(req)
+            live[i] = None
+        elif action == "next" and granted:
+            live[i] = fifo.release(req, True, f"op{i}")
+        elif action == "cancel" and req is not None:
+            fifo.cancel(req)
+            live[i] = None
+        _assert_counters_match_scan(fifo)
     assert len({id(r) for r in grants}) == len(grants)
     assert all(r.state is not RequestState.PENDING for r in grants)
 
 
 def _fifo_view(fifo, reqs):
-    """Everything ``requeue`` must agree on with its two-step oracle."""
+    """Everything ``orwl_next`` must agree on with its two-step oracle."""
     return (
         [(r.tag, r.mode, r.state, r.waiter) for r in reqs],
         [r.tag for r in fifo.queue],
@@ -286,10 +287,11 @@ def _fifo_view(fifo, reqs):
     )
 )
 def test_requeue_matches_insert_then_release(script):
-    """Property: ``requeue(old)`` gives the same grant-callback sequence,
-    request states and counters as ``insert()`` then ``release(old)`` —
-    the two-step form, kept here as the oracle — over random mixed
-    READ/WRITE queues with holders, pending entries and cancels."""
+    """Property: ``release(old, again=True)`` (``orwl_next``) gives the
+    same grant-callback sequence, request states and counters as
+    ``insert()`` then ``release(old)`` — the two-step form, kept here as
+    the oracle — over random mixed READ/WRITE queues with holders,
+    pending entries and cancels."""
     one, one_log = make()
     two, two_log = make()
     one_reqs, two_reqs = [], []  # same index = the same logical request
@@ -314,7 +316,7 @@ def test_requeue_matches_insert_then_release(script):
         elif action == "next" and granted:
             i = granted[k % len(granted)]
             old = two_reqs[i]
-            one_reqs.append(one.requeue(one_reqs[i], f"q{step}", waiter=step))
+            one_reqs.append(one.release(one_reqs[i], True, f"q{step}", waiter=step))
             two_reqs.append(two.insert(old.mode, f"q{step}", waiter=step))
             two.release(old)
         assert one_log == two_log
@@ -326,6 +328,6 @@ def test_requeue_of_ungranted_request_raises_and_changes_nothing():
     fifo.insert(W, "w1")
     r2 = fifo.insert(R, "r2")
     with pytest.raises(FifoError):
-        fifo.requeue(r2, "r2-next")
+        fifo.release(r2, True, "r2-next")
     assert [r.tag for r in fifo.queue] == ["w1", "r2"]
     assert fifo.inserted == 2 and log == ["w1"]

@@ -5,7 +5,7 @@ init protocol (every location's seeded queue, its granted prefix, and
 the order of the grant callbacks), and every
 :class:`~repro.orwl.runtime.Runtime` copies it.  Each case here arms a
 program through the runtime, snapshots what that left, then replays the
-protocol by hand on the same program, one ``Handle.insert_request`` per
+protocol by hand on the same program, one ``OrwlFifo.insert`` per
 handle in init order, and checks that both leave the same FIFOs, the
 same counters and the same grant-callback calls.  The last cases bound
 the Python calls a runtime's set-up makes per handle, so a return to
@@ -126,12 +126,12 @@ def _arm_both_ways(program, matrix, policy, monkeypatch, control_threads=True):
     # grant routing, no live request, then one insert per handle.
     calls.clear()
     for loc in program.locations.values():
-        loc.rearm(loc.fifo._on_grant)
+        loc.rearm(loc.fifo.on_grant)
     for op in program.operations():
         for h in op.handles:
-            h.drop()
+            h.request = None
     for h in program._init_order:
-        h.insert_request()
+        h.request = h.location.fifo.insert(h.mode, h.op_name, h.waiter)
     replayed = (_snapshot(program), list(calls))
     return frozen, replayed
 

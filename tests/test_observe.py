@@ -7,9 +7,7 @@ checker reads only final accounts) and asserting the *specific*
 invariant trips.
 """
 
-import io
 import json
-import math
 
 import pytest
 
@@ -35,7 +33,6 @@ from repro.simulate.engine import SimulationError
 from repro.simulate.machine import Machine
 from repro.simulate.metrics import MachineMetrics
 from repro.simulate.syscalls import Compute, Receive, Wait
-from repro.topology import presets
 from repro.topology.objects import ObjType
 
 

@@ -35,43 +35,61 @@ class TestLocation:
         with pytest.raises(ValidationError):
             Location("x", 1, affinity_bytes=-2)
 
-    def test_note_write(self):
-        loc = Location("x", 10)
-        loc.note_write(5, "op")
-        assert loc.last_writer_tid == 5
-        assert loc.last_writer_op == "op"
+    def test_note_write(self, small_topo):
+        """A write's release notes the writer's provenance."""
+        prog = Program("w")
+        loc = prog.location("x", 10, owner_task="t")
+        op = prog.task("t").operation("op", body=None)
+        h = op.handle(loc, W)
+
+        def body(ctx):
+            yield from ctx.acquire(h)
+            ctx.release(h)
+
+        op.body = body
+        rt = Runtime(prog, Machine(small_topo, seed=0), mapping=Mapping((0,)))
+        rt.run()
+        assert loc.last_writer_tid == rt.tid_of_op("t/op")
+        assert loc.last_writer_op == "t/op"
         assert loc.version == 1
 
 
 class TestHandle:
+    """A handle is state: the FIFO runs each protocol step on its live
+    request."""
+
     def test_insert_and_release(self):
         loc = Location("x", 10)
         h = Handle(loc, W, "op")
-        req = h.insert_request()
-        assert h.is_granted
-        h.release()
-        assert h.request is None
+        h.request = loc.fifo.insert(h.mode, h.op_name)
+        assert h.request.state is RequestState.GRANTED
+        assert loc.fifo.release(h.request) is None
+        assert len(loc.fifo) == 0
 
-    def test_double_insert_rejected(self):
-        loc = Location("x", 10)
-        h = Handle(loc, W, "op")
-        h.insert_request()
-        with pytest.raises(FifoError):
-            h.insert_request()
+    def test_release_without_request_rejected(self, small_topo):
+        prog = Program("bad")
+        loc = prog.location("l", 10, owner_task="t")
+        op = prog.task("t").operation("main", body=None)
+        h = op.handle(loc, W)
 
-    def test_release_without_request_rejected(self):
-        h = Handle(Location("x", 10), W, "op")
-        with pytest.raises(FifoError):
-            h.release()
+        def body(ctx):
+            ctx.release(h)  # release the init grant
+            ctx.release(h)  # no request live -> error
+            yield ctx.compute(seconds=1e-6)
+
+        op.body = body
+        rt = Runtime(prog, Machine(small_topo, seed=0), mapping=Mapping((0,)))
+        with pytest.raises(FifoError, match="no request to release"):
+            rt.run()
 
     def test_next_requires_grant(self):
         loc = Location("x", 10)
         h1 = Handle(loc, W, "a")
         h2 = Handle(loc, W, "b")
-        h1.insert_request()
-        h2.insert_request()
+        h1.request = loc.fifo.insert(h1.mode, h1.op_name)
+        h2.request = loc.fifo.insert(h2.mode, h2.op_name)
         with pytest.raises(FifoError):
-            h2.next_request()  # pending, not granted
+            loc.fifo.release(h2.request, True, h2.op_name)  # pending, not granted
 
     def test_next_keeps_round_order(self):
         """orwl_next: re-insertion happens before release, so the handle's
@@ -79,22 +97,23 @@ class TestHandle:
         loc = Location("x", 10)
         a = Handle(loc, W, "a")
         b = Handle(loc, W, "b")
-        a.insert_request()
-        b.insert_request()
-        a.next_request()
+        fifo = loc.fifo
+        a.request = fifo.insert(a.mode, a.op_name)
+        b.request = fifo.insert(b.mode, b.op_name)
+        a.request = fifo.release(a.request, True, a.op_name)
         # queue now: b (granted), a (pending) — strict alternation
-        assert b.is_granted
-        assert a.is_pending
-        b.next_request()
-        assert a.is_granted
+        assert b.request.state is RequestState.GRANTED
+        assert a.request.state is RequestState.PENDING
+        b.request = fifo.release(b.request, True, b.op_name)
+        assert a.request.state is RequestState.GRANTED
 
     def test_cancel_idempotent(self):
         loc = Location("x", 10)
-        h = Handle(loc, W, "op")
-        h.insert_request()
-        h.cancel()
-        h.cancel()
-        assert h.request is None
+        req = loc.fifo.insert(W, "op")
+        loc.fifo.cancel(req)
+        loc.fifo.cancel(req)
+        assert req.state is RequestState.RELEASED
+        assert len(loc.fifo) == 0
 
 
 class TestProgram:

@@ -177,12 +177,12 @@ class TestLazyGrantEvents:
             small_topo, compute_first=1e-3, control_threads=False
         )
         with pytest.raises(SimulationError, match="grant:a/main delivered twice"):
-            rt._deliver(h.request, None)
+            rt._grant_direct(h.request)
         # Delivered to a parked acquire: the thread has been woken.
         rt, _, log = _single_acquire_runtime(small_topo, compute_first=0.0)
         rt.run()
         with pytest.raises(SimulationError, match="grant:a/main delivered twice"):
-            rt._deliver(log["request"], None)
+            rt._grant_direct(log["request"])
 
 
 class TestEfficiency:

@@ -22,14 +22,16 @@ Only ``Runtime.run`` is profiled, with the collector off (a collection
 would finalize generators that earlier tests left suspended and count
 their frames).  Measured on CPython 3.11, calls per engine event:
 
-* LK23 (``tests/test_trace_cost.py``'s configuration): 6.56 (17,984
-  calls for 2,743 engine events); 9.05 with a new request and a chain
-  of frames per handle iteration, 19.24 with a helper chain per event
-  as well, and 20.77 with an event per wake as well (839 events);
-* a ``divconq`` DAG point (scale 2, TreeMatch, 16 cores): 6.18 (5,879
-  calls for 951 engine events); 7.36 with a chain of frames per
-  release, 14.94 with a helper chain per event as well, and 16.50 with
-  an event per wake as well (297 events).
+* LK23 (``tests/test_trace_cost.py``'s configuration): 6.46 (17,728
+  calls for 2,743 engine events); 6.56 with a chain of handle and FIFO
+  frames per operation teardown, 9.05 with a new request and a chain of
+  frames per handle iteration as well, 19.24 with a helper chain per
+  event as well, and 20.77 with an event per wake as well (839 events);
+* a ``divconq`` DAG point (scale 2, TreeMatch, 16 cores): 5.79 (5,507
+  calls for 951 engine events); 6.18 with that teardown chain, 7.36
+  with a chain of frames per release as well, 14.94 with a helper chain
+  per event as well, and 16.50 with an event per wake as well (297
+  events).
 
 Other versions count calls differently, so the bounds leave up to 4 %
 of room; the ``SimEvent`` count is exact everywhere.
@@ -81,8 +83,8 @@ def _divconq_runtime() -> Runtime:
 
 #: (runtime factory, bound on Python calls per engine event).
 CASES = {
-    "lk23": (_lk23_runtime, 6.8),
-    "divconq": (_divconq_runtime, 6.4),
+    "lk23": (_lk23_runtime, 6.7),
+    "divconq": (_divconq_runtime, 6.0),
 }
 
 
