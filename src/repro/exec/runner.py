@@ -22,9 +22,9 @@ notes that matter:
   submission order on the serial path, completion order on the pool
   path) propagates unchanged.
 * **The metrics registry is the sweep's one record.**  With metrics on,
-  each worker ships its registry delta home with its chunk, and the
-  parent keeps the ``sweep_*`` counters and the live
-  ``sweep_progress_total``/``sweep_progress_done`` gauges.
+  each worker ships the metrics its chunk recorded home with the
+  chunk's results, and the parent keeps the ``sweep_*`` counters and
+  the live ``sweep_progress_total``/``sweep_progress_done`` gauges.
 """
 
 from __future__ import annotations
@@ -112,32 +112,34 @@ _MISSING = object()
 
 def _run_chunk(
     items: list[tuple[int, Callable, dict]],
-) -> tuple[list[tuple[int, Any]], dict[str, Any]]:
+) -> tuple[list[tuple[int, Any]], list[metrics_core.Metric]]:
     """Worker body: run one chunk, return ``(index, result)`` pairs plus
-    (when enabled) the chunk's metric delta.
+    (when enabled) the metrics the chunk recorded.
 
-    The metric registry ships home as a delta (``dump``/``diff_dumps``/
-    ``merge`` — works under fork *and* spawn, since ``REPRO_METRICS``
-    rides the environment).  Runs in the worker process; anything it
+    With metrics on, the chunk records into a fresh registry (a forked
+    worker would otherwise hold the parent's counts, and a reused one
+    its earlier chunks'), and its :class:`~repro.metrics.core.Metric`
+    objects pickle home for :meth:`~repro.metrics.core.MetricRegistry.merge`
+    — under fork *and* spawn, since ``REPRO_METRICS`` rides the
+    environment.  Runs in the worker process; anything it
     raises is pickled back and re-raised from the future (worker stays
     alive).  A worker *dying* instead (os._exit, segfault, OOM kill)
     surfaces in the parent as :class:`BrokenProcessPool`.
     """
-    metrics_before = (
-        metrics_core.registry().dump() if metrics_core.is_enabled() else None
-    )
+    enabled = metrics_core.is_enabled()
+    if enabled:
+        metrics_core.reset_registry()
     chunk_t0 = time.perf_counter()
     pairs = [(index, fn(**kwargs)) for index, fn, kwargs in items]
-    metrics_delta: dict[str, Any] = {}
-    if metrics_before is not None:
-        reg = metrics_core.registry()
-        reg.histogram(
-            "sweep_chunk_wall_seconds",
-            "Wall-clock time per dispatched chunk",
-            stable=False,
-        ).observe(time.perf_counter() - chunk_t0)
-        metrics_delta = metrics_core.diff_dumps(metrics_before, reg.dump())
-    return pairs, metrics_delta
+    if not enabled:
+        return pairs, []
+    reg = metrics_core.registry()
+    reg.histogram(
+        "sweep_chunk_wall_seconds",
+        "Wall-clock time per dispatched chunk",
+        stable=False,
+    ).observe(time.perf_counter() - chunk_t0)
+    return pairs, list(reg)
 
 
 class SweepRunner:
@@ -290,9 +292,9 @@ class SweepRunner:
                     while not_done:
                         done_set, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                         for fut in done_set:
-                            pairs, metrics_delta = fut.result()
-                            if metrics_delta:
-                                metrics_core.registry().merge(metrics_delta)
+                            pairs, chunk_metrics = fut.result()
+                            if chunk_metrics:
+                                metrics_core.registry().merge(chunk_metrics)
                             for i, value in pairs:
                                 self._store(results, i, value)
             except BrokenProcessPool:

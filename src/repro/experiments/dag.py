@@ -13,11 +13,13 @@ comparing the placement policies:
 * ``nobind``  — identity placement, the OS-order baseline;
 * ``service`` — the dedicated-service-core strategy of PR 8.
 
-Statistics are the matched-seed paired layer of
-:mod:`repro.experiments.paired` (shared with the scaling sweep): every
-policy replays the same seed schedule per workload, per-workload
-comparisons are paired sign-flip permutation tests, and Holm–Bonferroni
-corrects each baseline's family across the three workloads.  With
+Statistics are the paired layer of :mod:`repro.experiments.paired`
+(shared with the scaling sweep): per-workload comparisons are paired
+sign-flip permutation tests, with replicates paired across policies by
+replicate index, and Holm–Bonferroni corrects each baseline's family
+across the three workloads.  Only replicate 0 shares its seed across
+policies; replicate r ≥ 1 derives its seed from the whole (workload,
+policy) key, so those pairs are independent draws.  With
 ``perf_report``, points carry the :func:`repro.perf.analyze` report
 plus a DAG-specific critical-path attribution (span flops, busy time
 along the span, span fraction of the makespan) — the DAG-intrinsic
@@ -299,10 +301,12 @@ def run_dag(
     """The full E7 sweep: workload families × placement policies.
 
     Every (workload, policy) point replicates *seeds* times on the
-    matched schedule of :func:`repro.stats.run_replicated` — same
-    derived seeds across policies, which is what makes the per-workload
-    tests paired.  Point weights scale with task count so the heavy
-    Cholesky instances dispatch first under a parallel runner.
+    schedule of :func:`repro.stats.run_replicated`.  The per-workload
+    tests pair replicates across policies by replicate index; only
+    replicate 0 shares its seed across policies, since replicate r ≥ 1
+    derives its seed from the whole (workload, policy) key.  Point
+    weights scale with task count so the heavy Cholesky instances
+    dispatch first under a parallel runner.
     """
     from repro.stats.sweep import ReplicateSpec, run_replicated
 

@@ -4,14 +4,16 @@ Every sweep of the experiment layer runs its points through
 :func:`repro.stats.run_replicated`; :func:`collect_sweep` turns that
 into a result's ``points`` / ``replicates`` / ``seed_stats``.
 
-:class:`PairedSweep` is what the matched-seed sweeps (E7 DAGs in
+:class:`PairedSweep` is what the paired sweeps (E7 DAGs in
 :mod:`repro.experiments.dag`, the machine-size sweep in
 :mod:`repro.experiments.scaling`) have in common: a grid of rows
 (workloads, machine sizes) x columns (policies, implementations),
-keyed ``(row, column)``, where every column replays the same seed
-schedule per row.  One candidate column is compared against each other
-column with paired sign-flip permutation tests, Holm-Bonferroni
-corrected across the rows.  The subclass names its axes and candidate
+keyed ``(row, column)``, where every column runs the same number of
+replicates per row and pairs go by replicate index.  Only replicate 0
+shares its seed across columns; replicate r ≥ 1 derives its seed from
+the whole ``(row, column)`` key.  One candidate column is compared
+against each other column with paired sign-flip permutation tests,
+Holm-Bonferroni corrected across the rows.  The subclass names its axes and candidate
 as data (class attributes) and supplies the row and column lists.
 """
 
@@ -114,7 +116,7 @@ class PairedSweep:
     # -- paired significance ----------------------------------------------
 
     def paired_verdicts(self) -> Verdicts:
-        """Matched-seed candidate comparisons, Holm-corrected per baseline.
+        """Index-paired candidate comparisons, Holm-corrected per baseline.
 
         For each baseline column the family is "candidate vs this
         baseline on every swept row"; Holm-Bonferroni runs across that
@@ -170,8 +172,9 @@ class PairedSweep:
             return []
         lines = [
             "",
-            f"paired sign-flip permutation tests over {self.n_seeds} matched "
-            f"seeds; p-values Holm-Bonferroni-corrected across the "
+            f"paired sign-flip permutation tests over {self.n_seeds} "
+            f"replicates paired by index (only replicate 0 shares its "
+            f"seed); p-values Holm-Bonferroni-corrected across the "
             f"{len(self._rows())} {self.family}; * = significant at "
             f"alpha={self.alpha:g}; delta = Cliff's effect size.",
         ]

@@ -14,9 +14,12 @@ also where it must eventually saturate, once ORWL-Bind's halo traffic
 is as local as the topology permits while the blind placements degrade
 no further.  :meth:`ScalingResult.saturation` finds that knee.
 
-Statistics are the powered-up matched-seed layer: every implementation
-runs the *same* seed schedule at each size, so the per-size comparisons
-are **paired** (sign-flip permutation tests on per-seed differences),
+Statistics are the powered-up paired layer: every implementation runs
+the same number of replicates at each size, and the per-size
+comparisons are **paired** by replicate index (sign-flip permutation
+tests on per-replicate differences).  Only replicate 0 shares its seed
+across implementations; replicate r ≥ 1 derives its seed from the whole
+(size, implementation) key, so those pairs are independent draws.
 Cliff's delta reports the effect size next to each p-value, and
 Holm–Bonferroni corrects the family of tests across the swept sizes —
 one blind 5 %-level test per size would otherwise hand the sweep a
@@ -316,9 +319,10 @@ def run_scaling(
     *presets* name entries of
     :data:`repro.topology.presets.SCALING_NAMES`; they are swept in
     ascending machine size regardless of input order.  Every point is
-    replicated *seeds* times with the matched schedule of
-    :func:`repro.stats.run_replicated` — the same derived seeds across
-    implementations, which is what makes the per-size tests paired.
+    replicated *seeds* times with the schedule of
+    :func:`repro.stats.run_replicated`; the per-size tests pair the
+    replicates across implementations by replicate index (only
+    replicate 0 shares its seed across implementations).
     Each replicate task carries the machine's PU count as its weight,
     so the runner's chunker dispatches 4096-core points alone instead
     of queueing light points behind them.

@@ -16,10 +16,9 @@ Design constraints (see docs/observability.md):
   (gauges, histogram ``sum``) are excluded from the stable view because
   float addition is not associative.
 * **Fork/spawn friendly.**  Enablement rides the ``REPRO_METRICS``
-  environment variable so pool workers inherit it; worker registries
-  ship deltas back to the parent via :meth:`MetricRegistry.dump` /
-  :func:`diff_dumps` / :meth:`MetricRegistry.merge` (the same pattern
-  ``repro.exec.cache`` uses for cache stats).
+  environment variable so pool workers inherit it.  A worker records
+  each chunk into a fresh registry and returns its :class:`Metric`
+  objects, which the parent folds in with :meth:`MetricRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.util.validate import ValidationError
 
@@ -40,12 +39,11 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricRegistry",
-    "diff_dumps",
+    "bucket_quantile",
     "disable",
     "enable",
     "exp_buckets",
     "is_enabled",
-    "metric_id",
     "registry",
     "reset_registry",
     "set_enabled",
@@ -57,7 +55,6 @@ __all__ = [
 ENV_METRICS = "REPRO_METRICS"
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 _TRUTHY = frozenset({"1", "on", "true", "yes"})
 
@@ -125,51 +122,41 @@ SIM_TIME_BUCKETS = exp_buckets(1e-9, 2.0, 41)
 SIZE_BUCKETS = exp_buckets(1.0, 2.0, 30)
 
 
-def metric_id(name: str, labels: Mapping[str, str] | None = None) -> str:
-    """Canonical registry key: ``name`` or ``name{k="v",...}`` (sorted)."""
-    if labels:
-        inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
-        return f"{name}{{{inner}}}"
-    return name
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[int], count: int, q: float
+) -> float:
+    """Upper bucket bound holding the q-quantile (0 if empty).
 
-
-def _check_name(name: str) -> None:
-    if not _NAME_RE.match(name):
-        raise ValidationError(f"invalid metric name {name!r}")
-
-
-def _check_labels(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    out = []
-    for key in sorted(labels):
-        if not _LABEL_RE.match(key):
-            raise ValidationError(f"invalid label name {key!r}")
-        out.append((key, str(labels[key])))
-    return tuple(out)
+    *counts* has one slot per bound plus the +Inf overflow slot, as in
+    :class:`Histogram` and its snapshot sample.  A bucket-resolution
+    estimate: precise enough for SLO lines (p50/p95/p99) given
+    exponential bounds.
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValidationError(f"quantile must be in [0, 1], got {q!r}")
+    if count == 0:
+        return 0.0
+    rank = q * count
+    seen = 0
+    for i, n in enumerate(counts):
+        seen += n
+        if seen >= rank and n:
+            return bounds[i] if i < len(bounds) else float("inf")
+    return float("inf")
 
 
 class Metric:
-    """Base: identity, help text, and the stable-snapshot flag."""
+    """Base: name, help text, and the stable-snapshot flag."""
 
     kind = "untyped"
-    __slots__ = ("name", "labels", "help", "stable")
+    __slots__ = ("name", "help", "stable")
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        labels: Mapping[str, str] | None = None,
-        help: str = "",
-        stable: bool = True,
-    ) -> None:
-        _check_name(name)
+    def __init__(self, name: str, *, help: str = "", stable: bool = True) -> None:
+        if not _NAME_RE.match(name):
+            raise ValidationError(f"invalid metric name {name!r}")
         self.name = name
-        self.labels: tuple[tuple[str, str], ...] = _check_labels(labels or {})
         self.help = help
         self.stable = stable
-
-    @property
-    def id(self) -> str:
-        return metric_id(self.name, dict(self.labels))
 
     def sample(self) -> dict[str, Any]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -220,9 +207,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def sample(self) -> dict[str, Any]:
         return {"type": "gauge", "value": self.value}
 
@@ -265,24 +249,8 @@ class Histogram(Metric):
         self.sum += value
 
     def quantile(self, q: float) -> float:
-        """Upper bucket bound holding the q-quantile (0 if empty).
-
-        A bucket-resolution estimate: precise enough for SLO lines
-        (p50/p95/p99) given exponential bounds.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValidationError(f"quantile must be in [0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank and n:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return float("inf")
-        return float("inf")
+        """See :func:`bucket_quantile`."""
+        return bucket_quantile(self.bounds, self.counts, self.count, q)
 
     def sample(self) -> dict[str, Any]:
         return {
@@ -295,7 +263,7 @@ class Histogram(Metric):
 
 
 class MetricRegistry:
-    """Get-or-create metric store keyed by :func:`metric_id`.
+    """Get-or-create metric store keyed by metric name.
 
     Thread-safe for metric *creation*; recording on an existing metric
     is a plain attribute update (fine under the GIL for our int/float
@@ -310,70 +278,47 @@ class MetricRegistry:
     def _get_or_create(
         self, cls: type, name: str, kw: dict[str, Any]
     ) -> Any:
-        key = metric_id(name, kw.get("labels") or {})
-        metric = self._metrics.get(key)
-        if metric is not None:
-            if not isinstance(metric, cls):
-                raise ValidationError(
-                    f"metric {key!r} already registered as {metric.kind}"
-                )
-            return metric
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = cls(name, **kw)
-                self._metrics[key] = metric
-            elif not isinstance(metric, cls):
-                raise ValidationError(
-                    f"metric {key!r} already registered as {metric.kind}"
-                )
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = cls(name, **kw)
+        if not isinstance(metric, cls):
+            raise ValidationError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        return metric
 
     def counter(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        labels: Mapping[str, str] | None = None,
-        stable: bool = True,
+        self, name: str, help: str = "", *, stable: bool = True
     ) -> Counter:
         return self._get_or_create(
-            Counter, name, {"help": help, "labels": labels, "stable": stable}
+            Counter, name, {"help": help, "stable": stable}
         )
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        labels: Mapping[str, str] | None = None,
-    ) -> Gauge:
-        return self._get_or_create(
-            Gauge, name, {"help": help, "labels": labels}
-        )
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get_or_create(Gauge, name, {"help": help})
 
     def histogram(
         self,
         name: str,
         help: str = "",
         *,
-        labels: Mapping[str, str] | None = None,
         buckets: Sequence[float] = LATENCY_BUCKETS,
         stable: bool = True,
     ) -> Histogram:
         return self._get_or_create(
-            Histogram,
-            name,
-            {"help": help, "labels": labels, "stable": stable, "buckets": buckets},
+            Histogram, name, {"help": help, "stable": stable, "buckets": buckets}
         )
 
     # -- access ---------------------------------------------------------
-    def get(self, name: str, labels: Mapping[str, str] | None = None) -> Metric | None:
-        return self._metrics.get(metric_id(name, labels))
+    def get(self, name: str) -> Metric | None:
+        return self._metrics.get(name)
 
     def __iter__(self) -> Iterator[Metric]:
-        for key in sorted(self._metrics):
-            yield self._metrics[key]
+        for name in sorted(self._metrics):
+            yield self._metrics[name]
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -384,15 +329,14 @@ class MetricRegistry:
 
     # -- snapshots ------------------------------------------------------
     def snapshot(self, *, stable_only: bool = False) -> dict[str, Any]:
-        """Samples keyed by metric id.
+        """Samples keyed by metric name.
 
         ``stable_only`` keeps only integer-exact data: counters and
         histogram bucket counts from metrics flagged ``stable``; the
         histogram float ``sum`` and all gauges are dropped.  Metrics
-        with zero activity are dropped too — worker deltas omit
-        untouched metrics, so a zero-valued counter would exist in a
-        serial run's registry but not a parallel one's.  This is the
-        view the determinism acceptance test byte-compares.
+        with zero activity are dropped too, so the view holds what a
+        run recorded, not which metrics it happened to create.  This
+        is the view the determinism acceptance test byte-compares.
         """
         out: dict[str, Any] = {}
         for metric in self:
@@ -405,9 +349,9 @@ class MetricRegistry:
                     continue
                 sample = metric.sample()
                 sample.pop("sum", None)
-                out[metric.id] = sample
+                out[metric.name] = sample
             else:
-                out[metric.id] = metric.sample()
+                out[metric.name] = metric.sample()
         return {"schema": "repro-metrics-v1", "metrics": out}
 
     def to_json(self, *, stable_only: bool = False) -> str:
@@ -418,99 +362,34 @@ class MetricRegistry:
             separators=(",", ":"),
         )
 
-    # -- worker delta shipping ------------------------------------------
-    def dump(self) -> dict[str, Any]:
-        """Full state + metadata, sufficient to recreate every metric."""
-        out: dict[str, Any] = {}
-        for metric in self:
-            entry: dict[str, Any] = {
-                "type": metric.kind,
-                "name": metric.name,
-                "labels": [list(kv) for kv in metric.labels],
-                "help": metric.help,
-                "stable": metric.stable,
-            }
-            if isinstance(metric, Histogram):
-                entry["bounds"] = list(metric.bounds)
-                entry["counts"] = list(metric.counts)
-                entry["count"] = metric.count
-                entry["sum"] = metric.sum
-            else:
-                entry["value"] = metric.value  # type: ignore[union-attr]
-            out[metric.id] = entry
-        return out
+    def merge(self, metrics: Iterable[Metric]) -> None:
+        """Fold metrics recorded elsewhere (a pool worker's chunk) in.
 
-    def merge(self, delta: Mapping[str, Any]) -> None:
-        """Fold a :func:`diff_dumps` delta (e.g. from a pool worker) in.
-
-        Counters and histogram counts add; gauges take the delta's
-        absolute value (last write wins).
+        Counters and histogram counts add; gauges take the incoming
+        value (last write wins).  A histogram whose bucket bounds differ
+        from the registered one raises.
         """
-        for key, entry in sorted(delta.items()):
-            kind = entry["type"]
-            labels = {k: v for k, v in entry.get("labels", [])}
-            kw = {"labels": labels, "help": entry.get("help", "")}
-            if kind == "counter":
-                metric = self.counter(
-                    entry["name"], stable=entry.get("stable", True), **kw
-                )
-                metric.inc(entry["value"])
-            elif kind == "gauge":
-                metric = self.gauge(entry["name"], **kw)
-                metric.set(entry["value"])
-            elif kind == "histogram":
+        for m in metrics:
+            if isinstance(m, Counter):
+                self.counter(m.name, m.help, stable=m.stable).inc(m.value)
+            elif isinstance(m, Gauge):
+                self.gauge(m.name, m.help).set(m.value)
+            elif isinstance(m, Histogram):
                 hist = self.histogram(
-                    entry["name"],
-                    buckets=entry["bounds"],
-                    stable=entry.get("stable", True),
-                    **kw,
+                    m.name, m.help, buckets=m.bounds, stable=m.stable
                 )
-                if list(hist.bounds) != [float(b) for b in entry["bounds"]]:
+                if hist.bounds != m.bounds:
                     raise ValidationError(
-                        f"histogram {key!r}: bucket bounds mismatch on merge"
+                        f"histogram {m.name!r}: bucket bounds mismatch on merge"
                     )
-                for i, n in enumerate(entry["counts"]):
+                for i, n in enumerate(m.counts):
                     hist.counts[i] += n
-                hist.count += entry["count"]
-                hist.sum += entry["sum"]
+                hist.count += m.count
+                hist.sum += m.sum
             else:
-                raise ValidationError(f"unknown metric type {kind!r} in delta")
-
-
-def diff_dumps(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Delta between two :meth:`MetricRegistry.dump` snapshots.
-
-    Metrics absent from ``before`` contribute their full value.  Empty
-    deltas (nothing changed) are omitted so cross-process payloads stay
-    small.
-    """
-    out: dict[str, Any] = {}
-    for key, entry in after.items():
-        prev = before.get(key)
-        kind = entry["type"]
-        if kind == "counter":
-            dv = entry["value"] - (prev["value"] if prev else 0)
-            if dv:
-                out[key] = {**entry, "value": dv}
-        elif kind == "gauge":
-            if prev is None or prev["value"] != entry["value"]:
-                out[key] = dict(entry)
-        elif kind == "histogram":
-            base_counts = prev["counts"] if prev else [0] * len(entry["counts"])
-            d_counts = [a - b for a, b in zip(entry["counts"], base_counts)]
-            if any(d_counts):
-                out[key] = {
-                    **entry,
-                    "counts": d_counts,
-                    "count": entry["count"] - (prev["count"] if prev else 0),
-                    "sum": entry["sum"] - (prev["sum"] if prev else 0.0),
-                }
-        else:
-            raise ValidationError(f"unknown metric type {kind!r} in dump")
-    return out
-
+                raise ValidationError(
+                    f"cannot merge metric {m.name!r} of kind {m.kind!r}"
+                )
 
 _REGISTRY: MetricRegistry | None = None
 _REGISTRY_LOCK = threading.Lock()

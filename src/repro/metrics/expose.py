@@ -1,9 +1,9 @@
 """Prometheus text exposition (format 0.0.4) + a strict parser.
 
-The renderer emits one ``# HELP`` / ``# TYPE`` pair per metric name
-(names sorted, then label sets sorted), histogram ``_bucket`` lines
-with cumulative counts and an explicit ``+Inf`` bucket, and ``_sum`` /
-``_count`` series.  :func:`parse_exposition` is the strict
+The renderer emits one ``# HELP`` / ``# TYPE`` pair per metric (names
+sorted), histogram ``_bucket`` lines with cumulative counts, an ``le``
+label and an explicit ``+Inf`` bucket, and ``_sum`` / ``_count``
+series.  :func:`parse_exposition` is the strict
 round-tripping validator the test suite uses: it rejects malformed
 names, unescaped label values, samples preceding their ``TYPE`` line,
 and non-monotonic histogram buckets.
@@ -12,20 +12,17 @@ and non-monotonic histogram buckets.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+import re
+from typing import Any
 
 from repro.metrics.core import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricRegistry,
-    _LABEL_RE,
-    _NAME_RE,
+    _NAME_RE, Counter, Gauge, Histogram, MetricRegistry,
 )
 from repro.util.validate import ValidationError
 
 __all__ = ["ExpositionError", "parse_exposition", "render_text"]
+
+_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 class ExpositionError(ValidationError):
@@ -34,12 +31,6 @@ class ExpositionError(ValidationError):
 
 def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _escape_label(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
 
 
 def _fmt_value(value: float) -> str:
@@ -54,49 +45,26 @@ def _fmt_value(value: float) -> str:
     return repr(value)
 
 
-def _label_str(pairs: Iterable[tuple[str, str]]) -> str:
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in pairs)
-    return f"{{{inner}}}" if inner else ""
-
-
 def render_text(registry: MetricRegistry) -> str:
     """Render the registry in Prometheus text exposition format."""
-    by_name: dict[str, list[Metric]] = {}
-    for metric in registry:
-        by_name.setdefault(metric.name, []).append(metric)
     lines: list[str] = []
-    for name in sorted(by_name):
-        group = by_name[name]
-        kind = group[0].kind
-        help_text = next((m.help for m in group if m.help), "")
-        if help_text:
-            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+    for metric in registry:
+        name = metric.name
+        if metric.help:
+            lines.append(f"# HELP {name} {_escape_help(metric.help)}")
         else:
             lines.append(f"# HELP {name}")
-        lines.append(f"# TYPE {name} {kind}")
-        for metric in group:
-            if isinstance(metric, (Counter, Gauge)):
-                lines.append(
-                    f"{name}{_label_str(metric.labels)} "
-                    f"{_fmt_value(metric.value)}"
-                )
-            elif isinstance(metric, Histogram):
-                cum = 0
-                for bound, n in zip(metric.bounds, metric.counts):
-                    cum += n
-                    pairs = metric.labels + (("le", _fmt_value(bound)),)
-                    lines.append(f"{name}_bucket{_label_str(pairs)} {cum}")
-                pairs = metric.labels + (("le", "+Inf"),)
-                lines.append(
-                    f"{name}_bucket{_label_str(pairs)} {metric.count}"
-                )
-                lines.append(
-                    f"{name}_sum{_label_str(metric.labels)} "
-                    f"{_fmt_value(metric.sum)}"
-                )
-                lines.append(
-                    f"{name}_count{_label_str(metric.labels)} {metric.count}"
-                )
+        lines.append(f"# TYPE {name} {metric.kind}")
+        if isinstance(metric, (Counter, Gauge)):
+            lines.append(f"{name} {_fmt_value(metric.value)}")
+        elif isinstance(metric, Histogram):
+            cum = 0
+            for bound, n in zip(metric.bounds, metric.counts):
+                cum += n
+                lines.append(f'{name}_bucket{{le="{_fmt_value(bound)}"}} {cum}')
+            lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
+            lines.append(f"{name}_sum {_fmt_value(metric.sum)}")
+            lines.append(f"{name}_count {metric.count}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -15,9 +15,12 @@ replicate samples (baseline vs candidate processing times) into:
   ``insufficient-data`` when either side has fewer than two replicates
   (a single run supports no inference — exactly the paper's situation).
 
-Because replicated sweeps run the *same seed schedule* for every
-implementation, the samples are matched pairs, and the **paired** tools
-here are strictly more powerful than the unpaired ones:
+Replicated sweeps pair the samples of two implementations by
+replicate index, and the **paired** tools here test those pairs.  Only
+replicate 0 shares its seed across implementations (replicate r ≥ 1
+derives its seed from the whole point key), so the pairs are
+independent draws: the sign-flip test stays valid, without the variance
+reduction that matched seeds would give:
 
 * :func:`paired_permutation_pvalue` — a sign-flip permutation test on
   the per-seed differences (exact enumeration of the ``2^n`` flips when
@@ -28,7 +31,7 @@ here are strictly more powerful than the unpaired ones:
 * :func:`holm_bonferroni` — multiple-comparison correction for sweeps
   that test many machine sizes at once; corrected p-values are never
   smaller than the raw ones and preserve their order;
-* :func:`compare_paired` / :class:`PairedVerdict` — the full matched
+* :func:`compare_paired` / :class:`PairedVerdict` — the full paired
   comparison used by the scaling study.
 
 Everything is deterministic: fixed internal streams, inputs sorted
@@ -210,7 +213,7 @@ def compare(
     )
 
 
-# -- paired (matched-seed) machinery ---------------------------------------
+# -- paired (index-matched) machinery -------------------------------------
 
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:
@@ -316,7 +319,7 @@ def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class PairedVerdict:
-    """A matched-seed comparison of one implementation pair at one point.
+    """A paired comparison of one implementation pair at one point.
 
     ``speedup_mean`` is ``mean(baseline) / mean(candidate)`` (> 1: the
     candidate is faster); ``delta`` is Cliff's delta of baseline over

@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
                              "from the simulation seed")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds", type=int, default=1,
-                        help="matched replicates per point (> 1 enables the "
+                        help="replicates per point, paired by index (> 1 enables the "
                              "paired permutation tests and Holm correction)")
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="family-wise significance level")

@@ -6,7 +6,7 @@ Usage::
     # and the top-down Bind-vs-NoBind gap attribution:
     python -m repro.tools.perf --preset paper --impl orwl-bind,orwl-nobind
 
-    # Multi-seed: per-metric mean / CI across 5 matched seeds:
+    # Multi-seed: per-metric mean / CI across 5 seeds:
     python -m repro.tools.perf --preset smp48x8 --seeds 5
 
     # Artifacts: JSON reports + folded stacks for flamegraph.pl:

@@ -27,6 +27,7 @@ import time
 from typing import Any, Mapping, Optional
 
 from repro.metrics.bus import read_snapshot
+from repro.metrics.core import bucket_quantile
 from repro.metrics.history import sparkline
 
 _BAR_FILL = "#"
@@ -46,17 +47,7 @@ def _value(snapshot: Mapping[str, Any], name: str, default: float = 0.0) -> floa
 
 def _hist_quantile(sample: Mapping[str, Any], q: float) -> float:
     """Bucket-resolution quantile from a snapshot histogram sample."""
-    count = sample.get("count", 0)
-    if not count:
-        return 0.0
-    rank = q * count
-    seen = 0
-    bounds = sample["bounds"]
-    for i, n in enumerate(sample["counts"]):
-        seen += n
-        if seen >= rank and n:
-            return bounds[i] if i < len(bounds) else float("inf")
-    return float("inf")
+    return bucket_quantile(sample["bounds"], sample["counts"], sample["count"], q)
 
 
 def _fmt_seconds(s: float) -> str:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.comm import patterns
 from repro.comm.matrix import CommMatrix
-from repro.topology import presets
 from repro.treematch import cost as cost_mod
 from repro.treematch.algorithm import tree_match
 from repro.treematch.anneal import AnnealConfig, anneal_mapping

@@ -6,7 +6,7 @@ from repro.experiments.cluster import ClusterPoint, run_cluster_lk23, table
 from repro.kernels.lk23_orwl import Lk23Config, build_program
 from repro.placement import bind_program
 from repro.topology import presets, cluster_distance_model
-from repro.topology.distance import CLUSTER_LEVEL_COSTS, DistanceModel
+from repro.topology.distance import CLUSTER_LEVEL_COSTS
 from repro.topology.objects import ObjType
 from repro.treematch.control import ControlStrategy
 from repro.util.validate import ValidationError

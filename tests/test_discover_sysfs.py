@@ -1,7 +1,5 @@
 """Tests for Linux sysfs topology discovery against a synthetic tree."""
 
-import pytest
-
 from repro.topology import discover as disc
 from repro.topology.objects import ObjType
 

@@ -12,7 +12,6 @@ from repro.topology.distance import (
     lca_depth_matrix,
 )
 from repro.topology.objects import ObjType
-from repro.topology import presets
 
 
 class TestLcaMatrix:

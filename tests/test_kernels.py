@@ -23,7 +23,6 @@ from repro.kernels import (
 from repro.kernels.stencil import ALL_DIRECTIONS, CORNERS, EDGES
 from repro.orwl import Runtime
 from repro.simulate.machine import Machine
-from repro.treematch.mapping import Mapping
 from repro.placement import bind_program
 from repro.util.validate import ValidationError
 

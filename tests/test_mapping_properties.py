@@ -20,7 +20,6 @@ import math
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from repro.comm.matrix import CommMatrix
 from repro.topology.builder import from_spec

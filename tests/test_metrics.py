@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import urllib.request
 
 import pytest
@@ -17,9 +18,9 @@ from repro.metrics.core import (
     LATENCY_BUCKETS,
     MetricRegistry,
     SIM_TIME_BUCKETS,
-    diff_dumps,
+    Metric,
+    bucket_quantile,
     exp_buckets,
-    metric_id,
 )
 from repro.metrics.expose import ExpositionError, parse_exposition, render_text
 from repro.metrics.history import (
@@ -43,7 +44,7 @@ def _clean_metrics(monkeypatch):
     core.reset_registry()
 
 
-# -- buckets & identity ---------------------------------------------------
+# -- buckets & names ------------------------------------------------------
 
 
 def test_exp_buckets_deterministic_and_increasing():
@@ -67,17 +68,12 @@ def test_exp_buckets_rejects_bad_arguments(kwargs):
         exp_buckets(**args)
 
 
-def test_metric_id_sorts_labels():
-    assert metric_id("x") == "x"
-    assert metric_id("x", {"b": "2", "a": "1"}) == 'x{a="1",b="2"}'
-
-
 def test_invalid_names_rejected():
     reg = MetricRegistry()
     with pytest.raises(ValidationError):
         reg.counter("0bad")
     with pytest.raises(ValidationError):
-        reg.counter("ok", labels={"0bad": "v"})
+        reg.histogram("bad-name")
 
 
 # -- counter / gauge / histogram ------------------------------------------
@@ -96,8 +92,7 @@ def test_gauge_never_stable():
     g = Gauge("g")
     g.set(2.5)
     g.inc()
-    g.dec(0.5)
-    assert g.value == 3.0
+    assert g.value == 3.5
     with pytest.raises(ValidationError):
         Gauge("g2", stable=True)
 
@@ -117,6 +112,12 @@ def test_histogram_buckets_and_quantiles():
     assert Histogram("e", buckets=(1.0,)).quantile(0.5) == 0.0
     with pytest.raises(ValidationError):
         h.quantile(1.5)
+    # the histogram and a snapshot sample of it share one quantile rule
+    sample = h.sample()
+    for q in (0.0, 0.4, 0.5, 0.9, 1.0):
+        assert bucket_quantile(
+            sample["bounds"], sample["counts"], sample["count"], q
+        ) == h.quantile(q)
     with pytest.raises(ValidationError):
         Histogram("bad", buckets=(2.0, 1.0))
     with pytest.raises(ValidationError):
@@ -128,12 +129,12 @@ def test_histogram_buckets_and_quantiles():
 
 def test_registry_get_or_create_and_type_mismatch():
     reg = MetricRegistry()
-    c1 = reg.counter("a_total", "help", labels={"k": "v"})
-    assert reg.counter("a_total", labels={"k": "v"}) is c1
-    assert reg.counter("a_total") is not c1  # different label set
+    c1 = reg.counter("a_total", "help")
+    assert reg.counter("a_total") is c1
+    reg.histogram("h_seconds")
     with pytest.raises(ValidationError):
-        reg.gauge("a_total")  # same id, different type
-    assert reg.get("a_total", {"k": "v"}) is c1
+        reg.gauge("a_total")  # same name, different type
+    assert reg.get("a_total") is c1
     assert reg.get("missing") is None
     assert len(reg) == 2
 
@@ -142,7 +143,7 @@ def test_registry_iteration_sorted():
     reg = MetricRegistry()
     reg.counter("z_total")
     reg.counter("a_total")
-    assert [m.id for m in reg] == ["a_total", "z_total"]
+    assert [m.name for m in reg] == ["a_total", "z_total"]
 
 
 def test_snapshot_stable_filtering():
@@ -175,71 +176,68 @@ def test_to_json_canonical():
     assert text.index('"a_total"') < text.index('"b_total"')
 
 
-# -- dump / diff / merge (worker delta shipping) ---------------------------
+# -- merge (worker metrics shipping) --------------------------------------
 
 
-def test_diff_dumps_and_merge_roundtrip():
+def test_merge_adds_counts_and_takes_last_gauge():
+    worker = MetricRegistry()
+    worker.counter("c_total").inc(3)
+    worker.histogram("h_seconds", buckets=(1.0, 2.0)).observe(5.0)
+    worker.gauge("g").set(7.0)
+
+    parent = MetricRegistry()
+    parent.counter("c_total").inc(10)
+    parent.histogram("h_seconds", buckets=(1.0, 2.0)).observe(0.5)
+    parent.gauge("g").set(1.0)
+    parent.merge(worker)
+    assert parent.counter("c_total").value == 13
+    merged_h = parent.get("h_seconds")
+    assert merged_h.counts == [1, 0, 1]
+    assert merged_h.count == 2
+    assert merged_h.sum == 5.5
+    assert parent.get("g").value == 7.0
+    assert list(worker.get("h_seconds").counts) == [0, 0, 1]  # source untouched
+
+
+def test_merge_into_empty_registry_reproduces_it():
     reg = MetricRegistry()
-    reg.counter("c_total").inc(2)
-    h = reg.histogram("h_seconds", buckets=(1.0, 2.0))
-    h.observe(0.5)
-    before = reg.dump()
-    reg.counter("c_total").inc(3)
-    h.observe(5.0)
-    reg.gauge("g").set(7.0)
-    delta = diff_dumps(before, reg.dump())
-    # untouched-at-delta metrics are omitted; changed ones carry deltas
-    assert delta["c_total"]["value"] == 3
-    assert delta["h_seconds"]["counts"] == [0, 0, 1]
-    assert delta["g"]["value"] == 7.0
-
-    other = MetricRegistry()
-    other.counter("c_total").inc(10)
-    other.merge(delta)
-    assert other.counter("c_total").value == 13
-    merged_h = other.get("h_seconds")
-    assert merged_h.counts == [0, 0, 1]
-    assert other.get("g").value == 7.0
-
-
-def test_merge_full_dump_reproduces_registry():
-    reg = MetricRegistry()
-    reg.counter("c_total").inc(4)
+    reg.counter("c_total", "help").inc(4)
+    reg.counter("wall_total", stable=False).inc(1)
     reg.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
+    reg.gauge("g").set(2.0)
     clone = MetricRegistry()
-    clone.merge(diff_dumps({}, reg.dump()))
+    clone.merge(pickle.loads(pickle.dumps(list(reg))))  # as a worker ships it
     assert clone.to_json() == reg.to_json()
+    assert clone.to_json(stable_only=True) == reg.to_json(stable_only=True)
+    assert render_text(clone) == render_text(reg)
 
 
 def test_merge_rejects_bounds_mismatch_and_unknown_type():
     reg = MetricRegistry()
     reg.histogram("h_seconds", buckets=(1.0, 2.0))
-    bad = {
-        "h_seconds": {
-            "type": "histogram", "name": "h_seconds", "labels": [],
-            "bounds": [1.0, 3.0], "counts": [0, 0, 1], "count": 1, "sum": 5.0,
-        }
-    }
+    bad = Histogram("h_seconds", buckets=(1.0, 3.0))
+    bad.observe(5.0)
     with pytest.raises(ValidationError):
-        reg.merge(bad)
+        reg.merge([bad])
     with pytest.raises(ValidationError):
-        reg.merge({"x": {"type": "mystery", "name": "x", "labels": []}})
+        reg.merge([Metric("x")])
 
 
 def test_stable_snapshot_identical_across_merge_order():
-    def worker_delta(n):
+    def worker_metrics(n):
         reg = MetricRegistry()
         reg.counter("sim_runs_total").inc(n)
         reg.histogram("h_seconds", buckets=(1.0, 2.0)).observe(float(n))
-        return diff_dumps({}, reg.dump())
+        return list(reg)
 
-    deltas = [worker_delta(n) for n in (1, 2, 3)]
+    shipped = [worker_metrics(n) for n in (1, 2, 3)]
     a, b = MetricRegistry(), MetricRegistry()
-    for d in deltas:
-        a.merge(d)
-    for d in reversed(deltas):
-        b.merge(d)
+    for metrics in shipped:
+        a.merge(metrics)
+    for metrics in reversed(shipped):
+        b.merge(metrics)
     assert a.to_json(stable_only=True) == b.to_json(stable_only=True)
+    assert a.counter("sim_runs_total").value == 6
 
 
 # -- enablement ------------------------------------------------------------
@@ -262,7 +260,6 @@ def test_enable_exports_environment(monkeypatch):
 def _demo_registry() -> MetricRegistry:
     reg = MetricRegistry()
     reg.counter("req_total", "Requests served").inc(7)
-    reg.counter("err_total", labels={"op": 'we"ird\\'}).inc(1)
     reg.gauge("temp", "Degrees").set(2.5)
     h = reg.histogram("lat_seconds", "Latency", buckets=(0.1, 1.0))
     h.observe(0.05)
@@ -277,7 +274,6 @@ def test_render_text_strict_roundtrip():
     assert parsed["req_total"]["type"] == "counter"
     assert parsed["req_total"]["help"] == "Requests served"
     assert ("", {}, 7.0) in parsed["req_total"]["samples"]
-    assert ("", {"op": 'we"ird\\'}, 1.0) in parsed["err_total"]["samples"]
     assert parsed["temp"]["type"] == "gauge"
     hist = parsed["lat_seconds"]
     assert hist["type"] == "histogram"
@@ -286,6 +282,12 @@ def test_render_text_strict_roundtrip():
     }
     assert buckets == {"0.1": 1.0, "1": 2.0, "+Inf": 3.0}
     assert ("_count", {}, 3.0) in hist["samples"]
+
+
+def test_parse_exposition_unescapes_label_values():
+    text = '# TYPE err_total counter\nerr_total{op="we\\"ird\\\\"} 1\n'
+    parsed = parse_exposition(text)
+    assert parsed["err_total"]["samples"] == [("", {"op": 'we"ird\\'}, 1.0)]
 
 
 def test_render_text_empty_help_has_no_trailing_space():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -51,7 +52,36 @@ def _stable_fig1(n_workers: int) -> str:
     return core.registry().to_json(stable_only=True)
 
 
+def _stable_fig1_after_prior_activity(runner: SweepRunner) -> str:
+    """A traced LK23 run in the parent, then a Fig-1 sweep on *runner*:
+    the registry a forked worker inherits is not empty."""
+    core.reset_registry()
+    core.enable()
+    run_lk23(policy="treematch", topology="small-numa", n=1024,
+             iterations=1, seed=0, trace=True)
+    run_fig1(core_counts=(8,), iterations=2, n=256, seed=0,
+             runner=runner, fingerprint=True, seeds=2)
+    return core.registry().to_json(stable_only=True)
+
+
 class TestStableSnapshotDeterminism:
+    @pytest.mark.parametrize("method", [
+        m for m in ("fork", "spawn")
+        if m in multiprocessing.get_all_start_methods()
+    ])
+    def test_pooled_sweep_over_prior_activity_equals_serial(self, method):
+        """Each chunk's metrics reach the parent once: not with the
+        parent's own counts a forked worker inherited, and not with the
+        earlier chunks a reused worker already shipped."""
+        serial = _stable_fig1_after_prior_activity(SweepRunner(n_workers=1))
+        pooled = _stable_fig1_after_prior_activity(
+            SweepRunner(n_workers=2, mp_context=method)
+        )
+        assert serial == pooled
+        metrics = json.loads(serial)["metrics"]
+        assert metrics["sim_runs_total"]["value"] > 6  # the sweep's + prior
+        assert metrics["orwl_waits_total"]["value"] > 0  # the traced run's
+
     def test_serial_equals_parallel(self):
         serial = _stable_fig1(n_workers=1)
         parallel = _stable_fig1(n_workers=2)

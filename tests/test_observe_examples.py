@@ -13,7 +13,6 @@ pipeline, and a JSON-lines export that round-trips losslessly.
 
 import json
 import sys
-from pathlib import Path
 
 import pytest
 

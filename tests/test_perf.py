@@ -27,7 +27,6 @@ from repro.perf import (
     analyze,
     attribute_gap,
     attribute_makespan,
-    bucket_of,
     compute_counter_groups,
     extract_critical_path,
     folded_stacks,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.fig1 import Fig1Point, Fig1Result
-from repro.experiments.plotting import MARKERS, ascii_plot, plot_fig1
+from repro.experiments.plotting import ascii_plot, plot_fig1
 
 
 class TestAsciiPlot:

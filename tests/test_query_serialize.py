@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.topology import presets, query, serialize
+from repro.topology import query, serialize
 from repro.topology.builder import from_spec
 from repro.topology.cpuset import CpuSet
 from repro.topology.objects import ObjType

@@ -6,8 +6,8 @@ Covers the acceptance contracts of the scaling PR:
   Cliff's delta = 0;
 * Holm–Bonferroni never reports a corrected p below the raw p
   (property-tested), preserves input order, and clips to 1;
-* the scaling experiment sweeps ascending sizes with matched seed
-  schedules, renders an aligned speedup table, and dumps valid JSON;
+* the scaling experiment sweeps ascending sizes with index-paired
+  replicates, renders an aligned speedup table, and dumps valid JSON;
 * ``repro.tools.bench --compare`` passes against the committed
   baseline and fails (nonzero exit) on a synthetically regressed one.
 """
@@ -42,7 +42,7 @@ BASELINE = REPO / "benchmarks" / "baseline_ci.json"
 
 #: Small-but-real sweep configuration shared by the experiment tests:
 #: two machine sizes, ~5 % of the paper's per-core work (enough for
-#: communication to matter), two matched seeds.
+#: communication to matter), two replicates per point.
 SMALL = dict(
     presets=("smp48x8", "paper"),  # deliberately unsorted
     iterations=1,

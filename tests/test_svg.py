@@ -3,8 +3,6 @@
 import re
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from repro.tools import lstopo as lstopo_cli
 from repro.topology import presets
 from repro.topology.svg import save_svg, to_svg

@@ -24,9 +24,9 @@ from repro.experiments.scaling import run_scaling, run_scaling_point
 CELLS = 1024
 
 DAG_JSON = "e50984748b31b5c472734cad28ba088810df674953fb17faae156fc28ee38ebc"
-DAG_TABLE = "9b34b94b547f28d220279a7ebe45d9a1ba8907e912216aa50362aede26e1b6a8"
+DAG_TABLE = "eb9f75b49079183766bba65b9b0747039823111a730122d8c9b255cd1e4fe211"
 SCALING_JSON = "ae5ca7c8bdf59cb2ebb1ae58a5586492dc2b3bdf1ab72b76bd696c926f23c363"
-SCALING_TABLE = "8058d5cf1010dfe1f869af1eb72a3f7fe2dbe10b0d9b338631be125ef0ab2627"
+SCALING_TABLE = "37c66dc8817b6998f1812f82e10c5925eb73bb125d52e4ff1199db8d19b257d9"
 FIG1_PERF = "c299f75a37d9a5f4d63e404565e1c75f930a6906aef6a96d3afc30397292c8d3"
 SCALING_PERF = "5140b95de80978c2c08d7dd41a39358ed39bc6affae081f0ee7e9ad58b2bcc3c"
 

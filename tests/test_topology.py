@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.builder import (
-    DEFAULT_CACHE_ATTRS,
     TopologyBuilder,
     flat_topology,
     from_spec,

@@ -1,11 +1,9 @@
 """Tests for Algorithm 1: oversubscription, control threads, mapping, cost."""
 
-import numpy as np
 import pytest
 
 from repro.comm import patterns
 from repro.comm.matrix import CommMatrix
-from repro.topology import presets
 from repro.topology.builder import from_spec
 from repro.treematch import cost as cost_mod
 from repro.treematch import oversubscription as over

@@ -1,8 +1,5 @@
 """Tests for the machine-model self-validation."""
 
-import pytest
-
-from repro.simulate.contention import ContentionConfig
 from repro.simulate.machine import Machine
 from repro.simulate.scheduler import SchedulerConfig
 from repro.simulate.validate_model import validate_machine_model
